@@ -154,13 +154,12 @@ def _dispatch(args) -> int:
         region = ex.parse_region_arg(f, args.region, basis_transform=T)
         t0 = time.perf_counter()
         if args.mode == "direct":
-            res = ct.count_visible_direct(f, S, args.m, region,
-                                          threads=ex.worker_threads())
+            res = ct.count_visible_direct(f, S, args.m, region)
         elif args.mode == "sieve":
             res = ct.count_visible_sieve(f, S, args.m, region, seed=args.seed)
         else:
             res = ct.mc_estimate(f, S, args.m, region, args.samples,
-                                 args.seed, threads=ex.worker_threads())
+                                 args.seed)
         wall = time.perf_counter() - t0
         row = ex.count_to_json(res, None, 0.0)
         row["wall_time_s"] = round(wall, 6)

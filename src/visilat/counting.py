@@ -1,16 +1,17 @@
 """Empirical counting of visible tuples over cube and ball regions.
 
-Three routes: a direct per-tuple test (exact, pure ideal arithmetic), a
-prime-ideal sieve (exact, residue marking over a numpy bit array), and a
-Monte Carlo estimator for regions beyond enumeration caps.  The sieve and
-the direct count must agree exactly wherever both run.
+Three routes: a direct count (exact: every tuple of region^m, chunk by
+chunk, through the batched gcd-of-minors kernel ``ideals.visible_mask``), a
+prime-ideal sieve (exact: residue marking over a numpy boolean array), and a
+Monte Carlo estimator (the same kernel on uniform samples) for regions beyond
+enumeration caps.  The direct count never touches prime ideals or residues,
+so sieve == direct is an independent check and must hold exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -189,66 +190,26 @@ def enumerate_region(region: Region,
 def count_visible_direct(field: FieldSpec, S: Sequence[PointTuple], m: int,
                          region: Region,
                          region_cap: int = DEFAULT_REGION_CAP,
-                         tuple_cap: int = DEFAULT_TUPLE_CAP,
-                         threads: int = 1) -> CountResult:
-    """Exact count of visible tuples by testing every tuple in region^m."""
+                         tuple_cap: int = DEFAULT_TUPLE_CAP) -> CountResult:
+    """Exact count of visible tuples by testing every tuple in region^m.
+
+    Tuples are built ``il.CHUNK`` at a time from flat indices into the
+    region and tested by the visibility kernel, so no W^m array is ever
+    held.  No prime ideal is consulted, which keeps this count an
+    independent check on the sieve.
+    """
     S = _check_inputs(field, S, m, region)
-    coords = region_coords(region, region_cap)
+    coords = np.array(region_coords(region, region_cap), dtype=np.int64)
     W = len(coords)
     total = W ** m
     if total > tuple_cap:
         raise CapExceeded("tuple space exceeds cap", estimate=total)
-
-    # |N(a - s_i)| tables, one per distinct s-coordinate; gcd of the norms
-    # being 1 certifies visibility (N of the gcd ideal divides each of them)
-    tabs = {}
-    for s in S:
-        for p in s.points:
-            key = p.coords
-            if key not in tabs:
-                tabs[key] = [
-                    abs(norm_of_coords(field, _sub(c, key))) for c in coords]
-    s_tables = [[tabs[p.coords] for p in s.points] for s in S]
-    s_coords = [[p.coords for p in s.points] for s in S]
-
-    def test(idx: tuple[int, ...]) -> bool:
-        for tables, scs in zip(s_tables, s_coords):
-            g = 0
-            for i in range(m):
-                g = math.gcd(g, tables[i][idx[i]])
-                if g == 1:
-                    break
-            if g == 1:
-                continue
-            if g == 0:
-                return False
-            diffs = [AlgInt(field, _sub(coords[idx[i]], scs[i]))
-                     for i in range(m)]
-            if il.ideal_from_generators(diffs).norm != 1:
-                return False
-        return True
-
-    if threads <= 1:
-        visible = sum(
-            1 for idx in itertools.product(range(W), repeat=m) if test(idx))
-    else:
-        def chunk(lo: int, hi: int) -> int:
-            cnt = 0
-            for flat in range(lo, hi):
-                idx = []
-                v = flat
-                for _ in range(m):
-                    v, r = divmod(v, W)
-                    idx.append(r)
-                if test(tuple(reversed(idx))):
-                    cnt += 1
-            return cnt
-
-        bounds = [(total * k // threads, total * (k + 1) // threads)
-                  for k in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            visible = sum(ex.map(lambda b: chunk(*b), bounds))
-
+    visible = 0
+    for lo in range(0, total, il.CHUNK):
+        idx = np.unravel_index(np.arange(lo, min(lo + il.CHUNK, total)),
+                               (W,) * m)
+        visible += int(il.visible_mask(coords[np.stack(idx, axis=1)],
+                                       S).sum())
     return CountResult(visible_count=visible, total_tuples=total,
                        density_estimate=Fraction(visible, total),
                        method="direct", region=region)
@@ -333,12 +294,12 @@ def _residue_ids(P: pr.PrimeIdeal, arr: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def mc_estimate(field: FieldSpec, S: Sequence[PointTuple], m: int,
-                region: Region, samples: int, seed: int,
-                threads: int = 1) -> CountResult:
+                region: Region, samples: int, seed: int) -> CountResult:
     """Estimate the visible density from uniform i.i.d. tuples of region^m.
 
     Coordinates come from a counter-based Philox stream keyed by the seed,
-    so results are reproducible and independent of worker count.
+    so results are reproducible; the samples go through the same
+    visibility kernel as the direct count.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
@@ -364,24 +325,7 @@ def mc_estimate(field: FieldSpec, S: Sequence[PointTuple], m: int,
         flat = np.concatenate(got)[:need]
     if region.basis_transform is not None:
         flat = flat @ np.array(region.basis_transform, dtype=np.int64)
-    pts = flat.reshape(samples, m, n)
-
-    def chunk(lo: int, hi: int) -> int:
-        hits = 0
-        for k in range(lo, hi):
-            z = il.point(field, [[int(x) for x in pts[k, i]] for i in range(m)])
-            if il.is_visible_from_all(z, S):
-                hits += 1
-        return hits
-
-    if threads <= 1:
-        hits = chunk(0, samples)
-    else:
-        bounds = [(samples * k // threads, samples * (k + 1) // threads)
-                  for k in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            hits = sum(ex.map(lambda b: chunk(*b), bounds))
-
+    hits = int(il.visible_mask(flat.reshape(samples, m, n), S).sum())
     phat = hits / samples
     stderr = math.sqrt(phat * (1 - phat) / samples)
     return CountResult(visible_count=hits, total_tuples=samples,

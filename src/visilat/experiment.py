@@ -9,7 +9,6 @@ byte-identical reports apart from the "timings" section).
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -69,15 +68,6 @@ class ExperimentConfig:
             "oracle_window_t": self.oracle_window_t,
             "lemma_max_prime_norm": self.lemma_max_prime_norm,
         }
-
-
-def worker_threads() -> int:
-    """Worker count, capped by the VISILAT_THREADS environment variable."""
-    raw = os.environ.get("VISILAT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def load_config(data: dict) -> ExperimentConfig:
@@ -222,7 +212,6 @@ def count_to_json(res: ct.CountResult,
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute prediction and every counting mode per region; build report."""
-    threads = worker_threads()
     timings: dict[str, float] = {}
     report: dict = {
         "config": cfg.echo(),
@@ -252,8 +241,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 if mode == "direct":
                     res = ct.count_visible_direct(
                         cfg.field, cfg.S, cfg.m, region,
-                        region_cap=cfg.region_cap, tuple_cap=cfg.tuple_cap,
-                        threads=threads)
+                        region_cap=cfg.region_cap, tuple_cap=cfg.tuple_cap)
                 elif mode == "sieve":
                     res = ct.count_visible_sieve(
                         cfg.field, cfg.S, cfg.m, region,
@@ -262,7 +250,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 else:
                     res = ct.mc_estimate(
                         cfg.field, cfg.S, cfg.m, region, cfg.samples,
-                        cfg.seed, threads=threads)
+                        cfg.seed)
             except CapExceeded as exc:
                 # keep partial results; the report carries the failure
                 report["counts"].append({"region": region.label(),

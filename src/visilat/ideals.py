@@ -4,13 +4,22 @@ Ideals are canonical upper-triangular integer matrices whose rows generate
 the ideal as a Z-module over the field basis: positive diagonal, entries
 above the diagonal reduced into [0, diag of their column).  Canonical form
 makes equality exact matrix equality and the norm the diagonal product.
+
+Visibility is decided by one batched kernel, ``visible_mask``, instead of an
+HNF per tuple.  The ideal (d_1, ..., d_m) is the Z-span of the m*n rows
+d_i * e_j, and the index of a full-rank sublattice of Z^n is the gcd of the
+n x n minors of any generating matrix.  So the differences generate O
+exactly when that gcd is 1; it is 0 only when every d_i is 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .numfield import AlgInt, FieldSpec, mul_coords
 
@@ -253,30 +262,89 @@ def _prime_factors(n: int) -> list[int]:
 # visibility
 # ----------------------------------------------------------------------
 
+CHUNK = 4096  # lanes per kernel pass; bounds the kernel's scratch memory
+
+
 def is_visible(z: PointTuple, x: PointTuple) -> bool:
     """Mutual visibility: the coordinate differences generate the unit ideal.
 
-    A point is not visible from itself (the zero differences generate the
-    zero ideal, not O).
+    Decided by ``visible_mask``: the gcd of the maximal minors of the
+    differences' multiplication rows is the index of the ideal they
+    generate, so it is 1 exactly when that ideal is O.  A point is not
+    visible from itself (the zero differences generate the zero ideal).
     """
-    if z.field != x.field or z.m != x.m:
-        raise ValueError("points with mismatched field or length")
-    if z.m < 2:
-        raise ValueError("visibility needs tuples of length >= 2")
-    diffs = [a - b for a, b in zip(z.points, x.points)]
-    # N(sum ideal) divides every |N(g_i)|, so coprime norms settle it early
-    g = 0
-    for e in diffs:
-        g = math.gcd(g, abs(e.norm()))
-        if g == 1:
-            return True
-    if g == 0:
-        return False
-    return ideal_from_generators(diffs).norm == 1
+    return is_visible_from_all(z, [x])
 
 
 def is_visible_from_all(z: PointTuple, S: Sequence[PointTuple]) -> bool:
     """Membership in V(S): simultaneously visible from every point of S."""
     if not S:
         raise ValueError("S must be nonempty")
-    return all(is_visible(z, x) for x in dedupe_points(S))
+    S = dedupe_points(S)
+    if any(x.field != z.field or x.m != z.m for x in S):
+        raise ValueError("points with mismatched field or length")
+    if z.m < 2:
+        raise ValueError("visibility needs tuples of length >= 2")
+    return bool(visible_mask(np.array([z.coords_lists()], dtype=object), S)[0])
+
+
+def visible_mask(z: np.ndarray, S: Sequence[PointTuple]) -> np.ndarray:
+    """For each lane z[k] of an (lanes, m, n) integer array: is it in V(S)?
+
+    Lanes are tested ``CHUNK`` at a time and only while still visible from
+    the points of S tested so far.  The arithmetic is int64 when the
+    entries' bound proves every minor and partial sum fits, else exact
+    Python integers (``dtype=object``); the code is the same either way.
+    """
+    field = S[0].field
+    n = field.degree
+    T = np.array(field.mult_tensor, dtype=object)
+    s_rows = [s.coords_lists() for s in S]
+    # every row entry is a sum_a d[a] * T[a][j][k], so |entry| <= E; every
+    # Leibniz term of a minor is <= E^n and every partial sum <= n! E^n
+    zmax = int(np.abs(z).max(initial=0))
+    smax = max(abs(c) for rows in s_rows for r in rows for c in r)
+    E = (zmax + smax) * int(np.abs(T).sum(axis=0).max())
+    dtype = np.int64 if math.factorial(n) * E ** n < 2 ** 63 else object
+    z = z.astype(dtype, copy=False)
+    T = T.astype(dtype)
+    s_arrs = [np.array(rows, dtype=dtype) for rows in s_rows]
+    m = len(s_rows[0])
+    blocks = [tuple(range(i * n, (i + 1) * n)) for i in range(m)]
+    minors = blocks + [c for c in itertools.combinations(range(m * n), n)
+                       if c not in blocks]
+    # Leibniz terms of an n x n determinant: (sign, permutation)
+    perms = [((-1) ** sum(a > b for a, b in itertools.combinations(p, 2)), p)
+             for p in itertools.permutations(range(n))]
+    ok = np.ones(len(z), dtype=bool)
+    for lo in range(0, len(z), CHUNK):
+        part = ok[lo:lo + CHUNK]  # a view: writes land in ok
+        for s in s_arrs:
+            live = np.flatnonzero(part)
+            if not len(live):
+                break
+            part[live] = _unit_ideal_lanes(z[lo + live] - s, T, minors, perms)
+    return ok
+
+
+def _unit_ideal_lanes(d: np.ndarray, T: np.ndarray, minors, perms) -> np.ndarray:
+    """Whether each lane's differences d[k] (m x n) generate O.
+
+    Row j of block i is d_i * e_j.  The block minors (+-N(d_i)) come first,
+    then the mixed ones; a lane leaves as soon as its gcd reaches 1.
+    """
+    k, m, n = d.shape
+    rows = np.tensordot(d, T, axes=([2], [0])).reshape(k, m * n, n)
+    g = np.zeros(k, dtype=d.dtype)
+    left = np.arange(k)
+    for rs in minors:
+        det = sum(sign * np.prod([rows[:, r, c] for r, c in zip(rs, p)], axis=0)
+                  for sign, p in perms)
+        g = np.gcd(g, det)
+        more = g != 1
+        rows, g, left = rows[more], g[more], left[more]
+        if not len(left):
+            break
+    out = np.ones(k, dtype=bool)
+    out[left] = False
+    return out

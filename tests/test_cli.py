@@ -199,15 +199,6 @@ def test_run_lemma_check_mode(capsys, tmp_path):
     assert len(report["lemma_check"]["rows"]) == 4  # primes 2,3,5,7 x 1 region
 
 
-def test_worker_threads_env(monkeypatch):
-    monkeypatch.delenv("VISILAT_THREADS", raising=False)
-    assert ex.worker_threads() == 1
-    monkeypatch.setenv("VISILAT_THREADS", "4")
-    assert ex.worker_threads() == 4
-    monkeypatch.setenv("VISILAT_THREADS", "junk")
-    assert ex.worker_threads() == 1
-
-
 def test_run_deterministic(capsys, tmp_path):
     cfg = base_config(tmp_path, modes=["predict", "sieve", "mc"], samples=300)
     path = write_config(tmp_path, cfg)

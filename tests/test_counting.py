@@ -9,6 +9,7 @@ from visilat import counting as ct
 from visilat import density as dn
 from visilat import ideals as il
 from visilat import numfield as nf
+from visilat import primes as pr
 from visilat.errors import CapExceeded
 
 from conftest import origin
@@ -106,12 +107,24 @@ def test_sieve_equals_direct_m3(rational):
     assert a.visible_count == b.visible_count
 
 
-def test_direct_threads_agree(gaussian):
-    S = [origin(gaussian, 2)]
+def test_direct_and_mc_never_touch_primes(gaussian, monkeypatch):
+    # the direct count and MC must not become a second sieve: they run with
+    # prime enumeration and residue reduction disabled
+    def boom(*args, **kwargs):
+        raise AssertionError("prime machinery used")
+
+    monkeypatch.setattr(pr, "primes_up_to_norm", boom)
+    monkeypatch.setattr(pr, "reduce", boom)
+    S = [origin(gaussian, 2), il.point(gaussian, [[1, 0], [2, 1]])]
     region = ct.cube_region(gaussian, 2)
-    a = ct.count_visible_direct(gaussian, S, 2, region, threads=1)
-    b = ct.count_visible_direct(gaussian, S, 2, region, threads=3)
-    assert a.visible_count == b.visible_count
+    direct = ct.count_visible_direct(gaussian, S, 2, region)
+    pts = ct.enumerate_region(region)
+    want = sum(1 for a in pts for b in pts
+               if all(il.ideal_from_generators([a - x, b - y]).norm == 1
+                      for x, y in (s.points for s in S)))
+    assert direct.visible_count == want
+    mc = ct.mc_estimate(gaussian, S, 2, region, samples=500, seed=4)
+    assert 0 < mc.visible_count < 500
 
 
 def test_tuple_cap(rational):
@@ -144,8 +157,6 @@ def test_mc_deterministic(gaussian):
     a = ct.mc_estimate(gaussian, S, 2, r, samples=500, seed=9)
     b = ct.mc_estimate(gaussian, S, 2, r, samples=500, seed=9)
     assert a.visible_count == b.visible_count
-    c = ct.mc_estimate(gaussian, S, 2, r, samples=500, seed=9, threads=4)
-    assert c.visible_count == a.visible_count
 
 
 def test_mc_against_exact(rational):

@@ -1,9 +1,12 @@
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from visilat import ideals as il
+from visilat import numfield as nf
 from visilat import primes as pr
 
 from conftest import origin
@@ -123,7 +126,7 @@ def test_visibility_symmetry(gaussian):
 
 
 def test_visibility_matches_pure_hnf_route(gaussian):
-    # the gcd-of-norms shortcut must agree with the raw ideal computation
+    # the batched minors kernel must agree with the raw ideal computation
     rng = random.Random(29)
     o = origin(gaussian, 2)
     for _ in range(200):
@@ -131,6 +134,62 @@ def test_visibility_matches_pure_hnf_route(gaussian):
                                 for _ in range(2)])
         diffs = [a - b for a, b in zip(z.points, o.points)]
         assert il.is_visible(z, o) == (il.ideal_from_generators(diffs).norm == 1)
+
+
+KERNEL_FIELDS = [("rational", {}), ("quadratic", {"d": -1}),
+                 ("quadratic", {"d": -7}), ("quadratic", {"d": 5}),
+                 ("monogenic", {"minpoly": [-1, -1, 0, 1]})]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kind,kw", KERNEL_FIELDS)
+def test_kernel_matches_hnf(kind, kw, m, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = nf.make_field(kind, **kw)
+    n = field.degree
+    # a tiny chunk makes the lanes below straddle several chunk boundaries
+    monkeypatch.setattr(il, "CHUNK", 7)
+    dtypes = []
+    kernel = il._unit_ideal_lanes
+
+    def spy(d, *args):
+        dtypes.append(d.dtype)
+        return kernel(d, *args)
+
+    monkeypatch.setattr(il, "_unit_ideal_lanes", spy)
+    rng = random.Random(f"{kind}{kw}{m}")
+
+    def multiples(g, size):
+        """m differences in the ideal (g), cofactor entries in [-size, size]."""
+        return [list((g * field.element([rng.randint(-size, size)
+                                         for _ in range(n)])).coords)
+                for _ in range(m)]
+
+    # near 2^40 every minor bound exceeds int64 once n >= 2; n = 1 needs 2^62
+    for base in (0, 2 ** 40 if n > 1 else 2 ** 62):
+        s = [[base + rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        zero_block = multiples(field.one(), 4)
+        zero_block[0] = [0] * n
+        diffs = [[[0] * n] * m, zero_block]
+        for _ in range(40):
+            # a common factor g makes lanes invisible that the norms miss
+            g = field.element([rng.randint(-2, 2) for _ in range(n)])
+            diffs += [multiples(g, 3), multiples(field.one(), 6)]
+            if base:  # int64 minors of these would overflow
+                diffs.append(multiples(g, base >> 2))
+        lanes = [[[a + b for a, b in zip(d, c)] for d, c in zip(lane, s)]
+                 for lane in diffs]
+        x = il.point(field, s)
+        del dtypes[:]
+        got = il.visible_mask(np.array(lanes, dtype=object), [x])
+        want = [il.ideal_from_generators(
+            [field.element(d) for d in lane]).norm == 1 for lane in diffs]
+        assert got.tolist() == want
+        assert not got[0]
+        assert 0 < sum(want) < len(want)
+        assert len(dtypes) == -(-len(lanes) // 7)
+        assert set(dtypes) == {np.dtype(object if base else np.int64)}
 
 
 def test_is_visible_from_all(rational):
