@@ -10,10 +10,10 @@ so sieve == direct is an independent check and must hold exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -140,47 +140,60 @@ class IdealCountCheck:
 # ----------------------------------------------------------------------
 
 def region_coords(region: Region,
-                  region_cap: int = DEFAULT_REGION_CAP) -> list[tuple[int, ...]]:
-    """Coordinate vectors of the region in lexicographic order."""
+                  region_cap: int = DEFAULT_REGION_CAP) -> np.ndarray:
+    """The region's coordinate vectors as a read-only ``(W, n)`` int64 array.
+
+    Rows are in lexicographic order of the untransformed coordinates; the
+    cap is checked on an estimate of W before anything is built.  The array
+    of the latest region is cached (callers loop region-major).
+    """
     n = region.field.degree
-    if region.shape == "cube":
-        L = region.L
-        est = (2 * L + 1) ** n
-        if est > region_cap:
-            raise CapExceeded("region exceeds enumeration cap", estimate=est)
-        base = [tuple(c) for c in
-                itertools.product(range(-L, L + 1), repeat=n)]
-    else:
-        R = region.size
-        est = int(float(_ball_volume_unit(n)) * (float(R) + n) ** n) + 1
-        if est > region_cap:
-            raise CapExceeded("region exceeds enumeration cap", estimate=est)
-        base = list(_ball_points(n, R * R))
+    est = ((2 * region.L + 1) ** n if region.shape == "cube" else
+           int(float(_ball_volume_unit(n)) * (float(region.size) + n) ** n) + 1)
+    if est > region_cap:
+        raise CapExceeded("region exceeds enumeration cap", estimate=est)
+    return _region_array(region)
+
+
+@lru_cache(maxsize=1)
+def _region_array(region: Region) -> np.ndarray:
+    # one coordinate at a time (a product of aranges, in lexicographic
+    # order); a ball drops prefixes whose squared length exceeds floor(R^2)
+    axis = np.arange(-region.L, region.L + 1, dtype=np.int64)
+    pts = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(region.field.degree):
+        pts = np.concatenate([np.repeat(pts, len(axis), axis=0),
+                              np.tile(axis, len(pts))[:, None]], axis=1)
+        if region.shape == "ball":
+            pts = pts[(pts * pts).sum(axis=1) <= int(region.size ** 2)]
+    pts = _transform(region, pts)
+    pts.flags.writeable = False
+    return pts
+
+
+def _transform(region: Region, pts: np.ndarray) -> np.ndarray:
+    """Region vectors a mapped to a . T for the region and the MC sampler.
+
+    Every partial sum of sum_i a_i T_ij is at most max|a| * max_j sum_i
+    |T_ij|, and max|a| <= L (floor(R) for a ball); int64 is exact below 2^63.
+    """
     T = region.basis_transform
     if T is None:
-        return base
-    return [tuple(sum(a[i] * T[i][j] for i in range(n)) for j in range(n))
-            for a in base]
-
-
-def _ball_points(n: int, R2: Fraction):
-    """Integer points with squared length <= R2, lexicographic order."""
-    amax = math.isqrt(R2.numerator // R2.denominator)
-    if n == 1:
-        for a in range(-amax, amax + 1):
-            yield (a,)
-        return
-    for a in range(-amax, amax + 1):
-        rem = R2 - a * a
-        for rest in _ball_points(n - 1, rem):
-            yield (a,) + rest
+        return pts
+    bound = max(region.L, 1) * max(sum(abs(row[j]) for row in T)
+                                   for j in range(len(T)))
+    if bound >= 2 ** 63:
+        raise CapExceeded("basis transform would overflow int64",
+                          estimate=bound)
+    return pts @ np.array(T, dtype=np.int64)
 
 
 def enumerate_region(region: Region,
                      region_cap: int = DEFAULT_REGION_CAP) -> list[AlgInt]:
-    """The region as field elements, deterministic lexicographic order."""
+    """The rows of ``region_coords`` as field elements, in the same order."""
     f = region.field
-    return [AlgInt(f, c) for c in region_coords(region, region_cap)]
+    return [AlgInt(f, tuple(c))
+            for c in region_coords(region, region_cap).tolist()]
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +212,7 @@ def count_visible_direct(field: FieldSpec, S: Sequence[PointTuple], m: int,
     independent check on the sieve.
     """
     S = _check_inputs(field, S, m, region)
-    coords = np.array(region_coords(region, region_cap), dtype=np.int64)
+    coords = region_coords(region, region_cap)
     W = len(coords)
     total = W ** m
     if total > tuple_cap:
@@ -213,10 +226,6 @@ def count_visible_direct(field: FieldSpec, S: Sequence[PointTuple], m: int,
     return CountResult(visible_count=visible, total_tuples=total,
                        density_estimate=Fraction(visible, total),
                        method="direct", region=region)
-
-
-def _sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 # ----------------------------------------------------------------------
@@ -242,51 +251,36 @@ def count_visible_sieve(field: FieldSpec, S: Sequence[PointTuple], m: int,
     if total > tuple_cap:
         raise CapExceeded("tuple space exceeds cap", estimate=total)
 
+    rows = coords.tolist()
     B = 1
     for key in {p.coords for s in S for p in s.points}:
-        for c in coords:
-            d = _sub(c, key)
+        for c in rows:
+            d = [x - y for x, y in zip(c, key)]
             if any(d):
-                nv = abs(norm_of_coords(field, d))
-                if nv > B:
-                    B = nv
+                B = max(B, abs(norm_of_coords(field, d)))
 
     marks = np.zeros((W,) * m, dtype=bool)
 
-    index_of = {c: i for i, c in enumerate(coords)}
+    index_of = {tuple(c): i for i, c in enumerate(rows)}
     for s in S:
         idx = [index_of.get(p.coords) for p in s.points]
         if all(i is not None for i in idx):
             marks[tuple(idx)] = True
 
     if B >= 2:
-        arr = np.array(coords, dtype=np.int64)
-        amax = int(np.abs(arr).max()) if W else 0
-        if field.degree * max(amax, 1) * B >= 2 ** 62:
-            raise CapExceeded("sieve residue arithmetic would overflow int64",
-                              estimate=field.degree * amax * B)
+        points = np.array([s.coords_lists() for s in S], dtype=object)
         for P in pr.primes_up_to_norm(field, B, seed):
-            ids = _residue_ids(P, arr)
-            for s in S:
-                targets = [pr.reduce(p, P).encode() for p in s.points]
+            ids = pr.residue_ids(P, coords)
+            for targets in pr.residue_ids(P, points).tolist():
                 sel = [np.nonzero(ids == t)[0] for t in targets]
-                if any(len(x) == 0 for x in sel):
-                    continue
-                marks[np.ix_(*sel)] = True
+                if all(len(x) for x in sel):
+                    marks[np.ix_(*sel)] = True
 
     visible = total - int(marks.sum())
     return CountResult(visible_count=visible, total_tuples=total,
                        density_estimate=Fraction(visible, total),
                        method="sieve", region=region,
                        prime_norm_bound=B)
-
-
-def _residue_ids(P: pr.PrimeIdeal, arr: np.ndarray) -> np.ndarray:
-    """Packed residue of every coordinate row modulo P, vectorized."""
-    rows = np.array(pr.reduction_rows(P), dtype=np.int64)
-    reps = (arr @ rows) % P.under_p
-    pows = P.under_p ** np.arange(P.f, dtype=np.int64)
-    return reps @ pows
 
 
 # ----------------------------------------------------------------------
@@ -311,20 +305,17 @@ def mc_estimate(field: FieldSpec, S: Sequence[PointTuple], m: int,
         L = region.L
         flat = gen.integers(-L, L + 1, size=(need, n), dtype=np.int64)
     else:
-        R2 = region.size * region.size
-        amax = math.isqrt(R2.numerator // R2.denominator)
+        L, r2 = region.L, int(region.size ** 2)
         got = []
         count = 0
         while count < need:
-            batch = gen.integers(-amax, amax + 1, size=(2 * need + 64, n),
+            batch = gen.integers(-L, L + 1, size=(2 * need + 64, n),
                                  dtype=np.int64)
-            sq = (batch * batch).sum(axis=1)
-            keep = batch[sq * R2.denominator <= R2.numerator]
+            keep = batch[(batch * batch).sum(axis=1) <= r2]
             got.append(keep)
             count += len(keep)
         flat = np.concatenate(got)[:need]
-    if region.basis_transform is not None:
-        flat = flat @ np.array(region.basis_transform, dtype=np.int64)
+    flat = _transform(region, flat)
     hits = int(il.visible_mask(flat.reshape(samples, m, n), S).sum())
     phat = hits / samples
     stderr = math.sqrt(phat * (1 - phat) / samples)
@@ -364,23 +355,30 @@ def ideal_count_check(field: FieldSpec, I: IdealHNF, region: Region,
                            normalized_error=float(error) / denom)
 
 
-def _count_members(I: IdealHNF, coords: list[tuple[int, ...]]) -> int:
+def _count_members(I: IdealHNF, coords: np.ndarray) -> int:
+    """How many rows of a ``(W, n)`` integer array lie in the nonzero I.
+
+    The triangular solve of ``il.contains`` on all rows at once: entry i
+    must be divisible by h_ii, then q_i = floor(c_i / h_ii) times HNF row i
+    is subtracted.  With A = max|a| and H the largest HNF entry, |q_1| <= A
+    and, as h_ij < h_jj above the diagonal, |q_j| <= A + 1 + sum_{i<j} |q_i|
+    <= 2^(j-1) (A+1); so every product q_i h_ij and every entry after step i
+    is <= A + H (A+1) (2^i - 1) < H 2^n (A+1).  Below 2^63 the solve runs
+    in int64, else on Python integers (``dtype=object``), same code.
+    """
     n = I.field.degree
     h = I.hnf
     hmax = max(abs(x) for row in h for x in row)
-    amax = max((abs(x) for c in coords for x in c), default=0)
-    if (amax + 1) * (hmax + 1) * n < 2 ** 50:
-        c = np.array(coords, dtype=np.int64)
-        ok = np.ones(len(coords), dtype=bool)
-        for i in range(n):
-            q, r = np.divmod(c[:, i], h[i][i])
-            ok &= r == 0
-            if i + 1 < n:
-                c[:, i + 1:] -= q[:, None] * np.array(h[i][i + 1:],
-                                                      dtype=np.int64)
-        return int(ok.sum())
-    return sum(1 for cc in coords
-               if il.contains(I, AlgInt(I.field, cc)))
+    amax = int(np.abs(coords).max(initial=0))
+    dtype = np.int64 if hmax * 2 ** n * (amax + 1) < 2 ** 63 else object
+    c = coords.astype(dtype)  # a copy: coords may be the cached region
+    ok = np.ones(len(c), dtype=bool)
+    for i in range(n):
+        q, r = c[:, i] // h[i][i], c[:, i] % h[i][i]
+        ok &= r == 0
+        if i + 1 < n:
+            c[:, i + 1:] -= q[:, None] * np.array(h[i][i + 1:], dtype=dtype)
+    return int(ok.sum())
 
 
 def _check_inputs(field: FieldSpec, S: Sequence[PointTuple], m: int,

@@ -141,17 +141,14 @@ def exact_window_density(field: FieldSpec, S: Sequence[PointTuple], m: int,
         value_a *= f
 
     # oracle: mark each prime's forbidden residue m-tuples, then AND the
-    # allowed masks cell-wise across the whole product space and count
+    # allowed masks cell-wise across the whole product space and count.  A
+    # tuple of residue ids (each in [0, N)) is one cell code in [0, N^m).
+    points = np.array([s.coords_lists() for s in S], dtype=object)
     acc = None
     for P in window.primes:
         N = P.norm
-        Nm = N ** m
-        allowed = np.ones(Nm, dtype=bool)
-        for spt in S:
-            code = 0
-            for c in reversed(spt.points):
-                code = code * N + pr.reduce(c, P).encode()
-            allowed[code] = False
+        allowed = np.ones(N ** m, dtype=bool)
+        allowed[pr.residue_ids(P, points) @ N ** np.arange(m)] = False
         acc = allowed if acc is None else (acc[:, None] & allowed[None, :]).reshape(-1)
     count = int(acc.sum())
     value_b = Fraction(count, state)

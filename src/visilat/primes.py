@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from . import numfield
 from .ideals import IdealHNF, PointTuple, ideal_from_generators
 from .numfield import AlgInt, FieldSpec
@@ -54,14 +56,6 @@ class ResidueElem:
 
     def is_zero(self) -> bool:
         return not any(self.rep)
-
-    def encode(self) -> int:
-        """Pack the representative into an integer in [0, N(P))."""
-        p = self.prime.under_p
-        val = 0
-        for c in reversed(self.rep):
-            val = val * p + c
-        return val
 
 
 # ----------------------------------------------------------------------
@@ -343,28 +337,36 @@ def reduction_rows(P: PrimeIdeal) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def residue_ids(P: PrimeIdeal, coords: np.ndarray) -> np.ndarray:
+    """Residue class mod P of every row of an ``(..., n)`` coordinate array.
+
+    Each class is packed base p into [0, N(P)), so two rows share an id
+    exactly when their difference lies in P; the shape is coords.shape[:-1].
+    Coordinates are reduced mod p first, so huge entries stay exact; then a
+    row times ``reduction_rows`` is <= n (p-1)^2 and the packing < N(P).
+    The work is int64 when those fit, else Python integers (``object``).
+    """
+    p, n = P.under_p, P.field.degree
+    fits = n * (p - 1) ** 2 < 2 ** 63 and P.norm <= 2 ** 63
+    dtype = np.int64 if fits else object
+    # a 0-d p of the working dtype makes object rows reduce exactly
+    r = np.asarray(coords) % np.array(p, dtype=dtype)
+    r = r.astype(dtype, copy=False) @ np.array(reduction_rows(P), dtype=dtype)
+    return (r % p) @ np.array([p ** j for j in range(P.f)], dtype=dtype)
+
+
 def reduce(a: AlgInt, P: PrimeIdeal) -> ResidueElem:
-    """The natural projection O -> O/P; a ring homomorphism."""
+    """The projection O -> O/P (a ring homomorphism): ``residue_ids`` digits."""
     if a.field != P.field:
         raise ValueError("mismatched field")
-    rows = reduction_rows(P)
-    p, f = P.under_p, P.f
-    rep = [0] * f
-    for ai, row in zip(a.coords, rows):
-        if ai:
-            for j in range(f):
-                if row[j]:
-                    rep[j] = (rep[j] + ai * row[j]) % p
-    return ResidueElem(P, tuple(rep))
-
-
-def reduce_point(s: PointTuple, P: PrimeIdeal) -> tuple[tuple[int, ...], ...]:
-    """Componentwise reduction of an m-tuple; canonical representative."""
-    return tuple(reduce(c, P).rep for c in s.points)
+    p = P.under_p
+    code = int(residue_ids(P, np.array(a.coords, dtype=object)))
+    return ResidueElem(P, tuple(code // p ** j % p for j in range(P.f)))
 
 
 def s_of_prime(S: Sequence[PointTuple], P: PrimeIdeal) -> int:
-    """s(p) = number of distinct residue m-tuples of S modulo P."""
+    """s(p) = number of distinct rows of ``residue_ids`` over S modulo P."""
     if not S:
         raise ValueError("S must be nonempty")
-    return len({reduce_point(s, P) for s in S})
+    ids = residue_ids(P, np.array([s.coords_lists() for s in S], dtype=object))
+    return len({tuple(row) for row in ids.tolist()})

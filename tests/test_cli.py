@@ -175,6 +175,21 @@ def test_run_cap_exceeded_writes_partial_report(capsys, tmp_path):
     assert report["prediction"] is not None  # partial results survive
 
 
+def test_run_transform_overflow_exit2(capsys, tmp_path):
+    # a basis transform whose int64 image would wrap is refused per mode
+    cfg = base_config(tmp_path, field={"kind": "quadratic", "d": -1},
+                      s=[[[0, 0], [0, 0]]], modes=["direct", "sieve", "mc"],
+                      regions=[{"shape": "cube", "L": 3,
+                                "basis_transform": [[1, 2 ** 62], [0, 1]]}])
+    path = write_config(tmp_path, cfg)
+    code, _, err = run_cli(capsys, "run", "--config", path)
+    assert code == 2 and "Traceback" not in err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [r["mode"] for r in report["counts"]] == ["direct", "sieve", "mc"]
+    assert all("basis transform" in r["error"] for r in report["counts"])
+    assert report["failed"] is True
+
+
 def test_run_oracle_mode(capsys, tmp_path):
     cfg = base_config(tmp_path, field={"kind": "quadratic", "d": -1},
                       s=[[[0, 0], [0, 0]]],

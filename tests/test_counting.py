@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from visilat import counting as ct
@@ -23,15 +24,76 @@ def test_enumerate_examples(rational, gaussian):
 
 
 def test_ball_matches_grid_bruteforce(gaussian):
-    got = set(ct.region_coords(ct.ball_region(gaussian, 5)))
+    got = set(map(tuple, ct.region_coords(ct.ball_region(gaussian, 5)).tolist()))
     want = {(a, b) for a in range(-5, 6) for b in range(-5, 6)
             if a * a + b * b <= 25}
     assert got == want
 
 
 def test_enumerate_lexicographic(gaussian):
-    coords = ct.region_coords(ct.cube_region(gaussian, 2))
+    coords = ct.region_coords(ct.cube_region(gaussian, 2)).tolist()
     assert coords == sorted(coords)
+
+
+def brute_region(field, shape, size, T=None):
+    # independent enumeration: the whole box in itertools.product order,
+    # filtered to the ball, then mapped through the basis transform
+    n = field.degree
+    L = int(size)
+    out = []
+    for a in itertools.product(range(-L, L + 1), repeat=n):
+        if shape == "ball" and sum(x * x for x in a) > Fraction(size) ** 2:
+            continue
+        if T is not None:
+            a = tuple(sum(a[i] * T[i][j] for i in range(n)) for j in range(n))
+        out.append(list(a))
+    return out
+
+
+@pytest.mark.parametrize("fname", ["rational", "gaussian", "cubic"])
+@pytest.mark.parametrize("shape,size", [("cube", 1), ("cube", 3),
+                                        ("ball", 1), ("ball", Fraction(5, 2)),
+                                        ("ball", 4)])
+def test_region_coords_matches_bruteforce(request, fname, shape, size):
+    field = request.getfixturevalue(fname)
+    make = ct.cube_region if shape == "cube" else ct.ball_region
+    got = ct.region_coords(make(field, size))
+    assert got.dtype == np.int64 and got.shape[1] == field.degree
+    assert got.tolist() == brute_region(field, shape, size)
+
+
+def test_region_coords_basis_transform(cubic):
+    T = [[1, 2, -1], [0, 1, 3], [0, 0, 1]]
+    for shape, make in (("cube", ct.cube_region), ("ball", ct.ball_region)):
+        got = ct.region_coords(make(cubic, 3, basis_transform=T))
+        assert got.tolist() == brute_region(cubic, shape, 3, T)
+
+
+def test_region_coords_read_only(gaussian):
+    region = ct.ball_region(gaussian, 3)
+    coords = ct.region_coords(region)
+    with pytest.raises(ValueError):
+        coords[0, 0] = 7
+    assert ct.region_coords(region) is coords  # the cached array
+
+
+def test_transform_overflow_refused(gaussian):
+    # a . T would wrap around in int64; every route refuses instead
+    region = ct.cube_region(gaussian, 3, basis_transform=[[1, 2 ** 62],
+                                                          [0, 1]])
+    S = [origin(gaussian, 2)]
+    with pytest.raises(CapExceeded):
+        ct.region_coords(region)
+    with pytest.raises(CapExceeded):
+        ct.count_visible_direct(gaussian, S, 2, region)
+    with pytest.raises(CapExceeded):
+        ct.count_visible_sieve(gaussian, S, 2, region)
+    with pytest.raises(CapExceeded):
+        ct.mc_estimate(gaussian, S, 2, region, samples=200, seed=1)
+    # one step less is exact: L * (2^60 + 1) < 2^63
+    ok = ct.cube_region(gaussian, 3, basis_transform=[[1, 2 ** 60], [0, 1]])
+    assert ct.region_coords(ok).tolist() == brute_region(
+        gaussian, "cube", 3, [[1, 2 ** 60], [0, 1]])
 
 
 def test_region_cap(gaussian):
@@ -115,6 +177,7 @@ def test_direct_and_mc_never_touch_primes(gaussian, monkeypatch):
 
     monkeypatch.setattr(pr, "primes_up_to_norm", boom)
     monkeypatch.setattr(pr, "reduce", boom)
+    monkeypatch.setattr(pr, "residue_ids", boom)
     S = [origin(gaussian, 2), il.point(gaussian, [[1, 0], [2, 1]])]
     region = ct.cube_region(gaussian, 2)
     direct = ct.count_visible_direct(gaussian, S, 2, region)
@@ -199,7 +262,7 @@ def test_ideal_count_check_examples(rational, gaussian):
 
     onepi = il.ideal_from_generators([gaussian.element((1, 1))])
     ball = ct.ball_region(gaussian, 5)
-    brute = sum(1 for c in ct.region_coords(ball)
+    brute = sum(1 for c in ct.region_coords(ball).tolist()
                 if il.contains(onepi, gaussian.element(c)))
     chk3 = ct.ideal_count_check(gaussian, onepi, ball)
     assert chk3.count == brute
@@ -217,8 +280,35 @@ def test_member_count_matches_contains(gaussian):
         g = gaussian.element((rng.randint(1, 5), rng.randint(-4, 4)))
         I = il.ideal_from_generators([g])
         fast = ct._count_members(I, coords)
-        slow = sum(1 for c in coords if il.contains(I, gaussian.element(c)))
+        slow = sum(1 for c in coords.tolist()
+                   if il.contains(I, gaussian.element(c)))
         assert fast == slow
+
+    # coordinates near 2^61: H 2^n (A+1) >= 2^63, so the solve must run on
+    # Python integers (the spy sees the object copy); int64 would wrap
+    dtypes = []
+
+    class Spy(np.ndarray):
+        def astype(self, dtype, *args, **kwargs):
+            dtypes.append(np.dtype(dtype))
+            return super().astype(dtype, *args, **kwargs)
+
+    for _ in range(5):
+        g = gaussian.element((rng.randint(2, 5), rng.randint(-4, 4)))
+        I = il.ideal_from_generators([g])
+        rows = []
+        for _ in range(60):
+            x = gaussian.element((rng.randint(2 ** 58, 2 ** 59),
+                                  -rng.randint(2 ** 58, 2 ** 59)))
+            d = rng.choice([(0, 0), (1, 0), (0, 1)])
+            rows.append([c + e for c, e in zip((g * x).coords, d)])
+        big = np.array(rows, dtype=np.int64).view(Spy)
+        assert int(np.abs(big).max()) > 2 ** 60
+        dtypes.clear()
+        fast = ct._count_members(I, big)
+        assert dtypes == [np.dtype(object)]
+        slow = sum(1 for c in rows if il.contains(I, gaussian.element(c)))
+        assert fast == slow and 0 < slow < len(rows)
 
 
 def test_basis_transform_counts(gaussian):

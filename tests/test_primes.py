@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from visilat import ideals as il
@@ -146,6 +147,29 @@ def test_reduce_zero_iff_contains(gaussian):
             for _ in range(30):
                 a = gaussian.element((rng.randint(-15, 15), rng.randint(-15, 15)))
                 assert pr.reduce(a, P).is_zero() == il.contains(P.hnf, a)
+
+
+@pytest.mark.parametrize("fname", ["gaussian", "golden", "cubic"])
+def test_residue_ids(request, fname):
+    field = request.getfixturevalue(fname)
+    n = field.degree
+    rng = random.Random(53)
+    rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(40)]
+    coords = np.array(rows, dtype=np.int64)
+    for p in (2, 3, 5, 7):
+        for P in pr.split_prime(field, p):
+            ids = pr.residue_ids(P, coords)
+            assert ids.shape == (len(rows),)
+            assert ids.min() >= 0 and ids.max() < P.norm
+            for i, a in enumerate(rows):
+                for j, b in enumerate(rows):
+                    diff = field.element([x - y for x, y in zip(a, b)])
+                    assert (ids[i] == ids[j]) == il.contains(P.hnf, diff)
+            # rows of S far beyond int64 keep their exact class
+            big = np.array([[x + rng.choice([1, -1]) * p * 2 ** 70
+                             for x in r] for r in rows[:5]], dtype=object)
+            assert pr.residue_ids(P, big).tolist() == ids[:5].tolist()
+            assert pr.residue_ids(P, big[None]).tolist() == [ids[:5].tolist()]
 
 
 def test_s_of_prime_examples(rational):
