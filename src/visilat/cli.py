@@ -2,7 +2,8 @@
 
 Subcommands: field, primes, predict, count, oracle, lemma-check, run.
 All structured output is JSON; `run` additionally exports CSV on request.
-Exit codes for `run`: 0 success, 1 tolerance failure, 2 invalid config,
+Exit codes for `run`: 0 success, 1 tolerance failure, 2 invalid config or
+a cap refused part of the run (the partial report is still written),
 3 unsupported field.
 """
 
@@ -210,7 +211,8 @@ def _dispatch(args) -> int:
             print(text)
         if args.csv:
             ex.emit_csv(report, args.csv)
-        if any("error" in row for row in report["counts"]):
+        if any("error" in row for row in report["counts"] + [
+                report["oracle"] or {}, report["lemma_check"] or {}]):
             return 2  # a cap refused some computation; partial report kept
         return 1 if report["failed"] else 0
 

@@ -144,12 +144,16 @@ def region_coords(region: Region,
     """The region's coordinate vectors as a read-only ``(W, n)`` int64 array.
 
     Rows are in lexicographic order of the untransformed coordinates; the
-    cap is checked on an estimate of W before anything is built.  The array
-    of the latest region is cached (callers loop region-major).
+    cap is checked on an upper bound of W before anything is built.  For a
+    ball it is V_n (R + sqrt(n)/2)^n, as the disjoint unit cubes centred on
+    the points all lie in that ball; sqrt(n)/2 is rounded up and the floor
+    gets 1 added, so rounding cannot undercount.
+    The array of the latest region is cached (callers loop region-major).
     """
     n = region.field.degree
+    half_diag = Fraction(math.isqrt(n * 10 ** 8) + 1, 2 * 10 ** 4)
     est = ((2 * region.L + 1) ** n if region.shape == "cube" else
-           int(float(_ball_volume_unit(n)) * (float(region.size) + n) ** n) + 1)
+           math.floor(_ball_volume_unit(n) * (region.size + half_diag) ** n) + 1)
     if est > region_cap:
         raise CapExceeded("region exceeds enumeration cap", estimate=est)
     return _region_array(region)

@@ -8,6 +8,7 @@ is guaranteed to contain the infinite product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -62,21 +63,28 @@ def predicted_density(field: FieldSpec, S: Sequence[PointTuple], m: int,
     S = validate_point_set(S, field, m)
     while 2 * len(S) > X ** m:
         X += 1
-    num = 1
-    den = 1
+    nums, dens = [], []
     for P in pr.primes_up_to_norm(field, X, seed):
         s = pr.s_of_prime(S, P)
         Nm = P.norm ** m
         if s == Nm:
             return PredictionInterval(Fraction(0), Fraction(0), X,
                                       Fraction(0), zero_certificate=P)
-        num *= Nm - s
-        den *= Nm
-    partial = Fraction(num, den)
+        nums.append(Nm - s)
+        dens.append(Nm)
+    partial = Fraction(_product(nums), _product(dens))
     tail = Fraction(1, (m - 1) * X ** (m - 1))
     slack = 2 * field.degree * len(S) * tail
     lo = partial * max(Fraction(0), 1 - slack)
     return PredictionInterval(lo, partial, X, partial)
+
+
+def _product(xs: list[int]) -> int:
+    """Product by a balanced tree: factors of equal size meet, so big-int
+    multiplication is not quadratic as in a running product."""
+    while len(xs) > 1:
+        xs = [math.prod(xs[i:i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0] if xs else 1
 
 
 def zeta_recip_truncated(field: FieldSpec, s: int, X: int,

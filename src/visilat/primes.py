@@ -275,9 +275,16 @@ def _equal_degree_split(g, d, p, rng) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _split_prime_cached(field: FieldSpec, p: int, seed: int) -> tuple[PrimeIdeal, ...]:
-    factors = poly_factor_mod_p(field.gen_minpoly, p, seed=seed)
+    out = _split_quadratic(field, p) or _split_prime_cz(field, p, seed)
+    if sum(P.e * P.f for P in out) != field.degree:
+        raise RuntimeError(f"sum of e*f != degree at p={p}")
+    return tuple(sorted(out, key=lambda P: P.gpoly))
+
+
+def _split_prime_cz(field: FieldSpec, p: int, seed: int) -> list[PrimeIdeal]:
+    """Dedekind splitting by Cantor-Zassenhaus, with an HNF per factor."""
     out = []
-    for g, e in factors:
+    for g, e in poly_factor_mod_p(field.gen_minpoly, p, seed=seed):
         f = _pdeg(g)
         gen = numfield.element_from_poly(field, g)
         hnf = ideal_from_generators([field.element([p] + [0] * (field.degree - 1)), gen])
@@ -287,10 +294,48 @@ def _split_prime_cached(field: FieldSpec, p: int, seed: int) -> tuple[PrimeIdeal
                 f"splitting inconsistency at p={p}: HNF norm {hnf.norm} != p^f {norm}")
         out.append(PrimeIdeal(field=field, under_p=p, f=f, e=e, gpoly=g,
                               hnf=hnf, norm=norm))
-    if sum(P.e * P.f for P in out) != field.degree:
-        raise RuntimeError(f"sum of e*f != degree at p={p}")
-    out.sort(key=lambda P: P.gpoly)
-    return tuple(out)
+    return out
+
+
+def _split_quadratic(field: FieldSpec, p: int) -> list[PrimeIdeal] | None:
+    """Splitting of an odd p not dividing D = b^2 - 4c in closed form, where
+    x^2 + bx + c is theta's minimal polynomial; None for any other p.  Euler's
+    criterion on D tells inert from split; a split p has roots r = (-b +-
+    sqrt D)/2, factors x - r and prime ideals (p, theta - r), whose HNF rows
+    are 1 - r^-1 theta (theta itself when r = 0) and p theta."""
+    if field.degree != 2 or p == 2:
+        return None
+    c, b, _ = field.gen_minpoly
+    D = (b * b - 4 * c) % p
+    if not D:
+        return None
+    if pow(D, (p - 1) // 2, p) != 1:
+        hnf = IdealHNF(field, ((p, 0), (0, p)), False, p * p)
+        return [PrimeIdeal(field, p, 2, 1, (c % p, b % p, 1), hnf, p * p)]
+    t, half, out = _sqrt_mod(D, p), (p + 1) // 2, []
+    for r in ((t - b) * half % p, (-t - b) * half % p):
+        if (r * r + b * r + c) % p:
+            raise RuntimeError(f"closed-form root {r} of {field.gen_minpoly} fails mod {p}")
+        rows = ((1, -pow(r, -1, p) % p), (0, p)) if r else ((p, 0), (0, 1))
+        out.append(PrimeIdeal(field, p, 1, 1, (-r % p, 1),
+                              IdealHNF(field, rows, False, p), p))
+    return out
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a nonzero square a modulo an odd prime p, by
+    Tonelli-Shanks with the smallest non-residue (deterministic)."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s with q odd
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        u = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, u * u % p, t * u * u % p, r * u % p
+    return r
 
 
 def split_prime(field: FieldSpec, p: int, seed: int = 0) -> list[PrimeIdeal]:
@@ -342,16 +387,24 @@ def residue_ids(P: PrimeIdeal, coords: np.ndarray) -> np.ndarray:
 
     Each class is packed base p into [0, N(P)), so two rows share an id
     exactly when their difference lies in P; the shape is coords.shape[:-1].
-    Coordinates are reduced mod p first, so huge entries stay exact; then a
+    An int64 array whose entries are at most A in size, with n A (p-1) <
+    2^63, goes straight into the product with ``reduction_rows``.  Otherwise
+    coordinates are reduced mod p first, so huge entries stay exact; then a
     row times ``reduction_rows`` is <= n (p-1)^2 and the packing < N(P).
     The work is int64 when those fit, else Python integers (``object``).
     """
     p, n = P.under_p, P.field.degree
-    fits = n * (p - 1) ** 2 < 2 ** 63 and P.norm <= 2 ** 63
-    dtype = np.int64 if fits else object
-    # a 0-d p of the working dtype makes object rows reduce exactly
-    r = np.asarray(coords) % np.array(p, dtype=dtype)
-    r = r.astype(dtype, copy=False) @ np.array(reduction_rows(P), dtype=dtype)
+    r = np.asarray(coords)
+    # min/max as Python ints: -(-2^63) does not wrap
+    if (r.dtype == np.int64 and r.size and P.norm <= 2 ** 63 and n * (p - 1)
+            * max(-int(r.min()), int(r.max())) < 2 ** 63):
+        dtype = np.int64
+    else:
+        fits = n * (p - 1) ** 2 < 2 ** 63 and P.norm <= 2 ** 63
+        dtype = np.int64 if fits else object
+        # a 0-d p of the working dtype makes object rows reduce exactly
+        r = (r % np.array(p, dtype=dtype)).astype(dtype, copy=False)
+    r = r @ np.array(reduction_rows(P), dtype=dtype)
     return (r % p) @ np.array([p ** j for j in range(P.f)], dtype=dtype)
 
 

@@ -190,6 +190,35 @@ def test_run_transform_overflow_exit2(capsys, tmp_path):
     assert report["failed"] is True
 
 
+def test_run_oracle_cap_exceeded_exit2(capsys, tmp_path):
+    # the CRT cap refuses the oracle; the sieve row survives in the report
+    cfg = base_config(tmp_path, field={"kind": "quadratic", "d": -1},
+                      s=[[[0, 0], [0, 0]]], modes=["sieve", "oracle"],
+                      regions=[{"shape": "cube", "L": 3}], caps={"crt": 100})
+    path = write_config(tmp_path, cfg)
+    code, _, err = run_cli(capsys, "run", "--config", path)
+    assert code == 2 and "Traceback" not in err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert "CRT state space exceeds cap" in report["oracle"]["error"]
+    assert report["counts"][0]["visible"] > 0 and report["failed"] is True
+
+
+def test_run_lemma_check_cap_exceeded_exit2(capsys, tmp_path):
+    # a transform that would overflow int64 refuses the lemma check
+    cfg = base_config(tmp_path, field={"kind": "quadratic", "d": -1},
+                      s=[[[0, 0], [0, 0]]], modes=["predict", "lemma-check"],
+                      regions=[{"shape": "cube", "L": 3,
+                                "basis_transform": [[1, 2 ** 62], [0, 1]]}])
+    path = write_config(tmp_path, cfg)
+    code, _, err = run_cli(capsys, "run", "--config", path)
+    assert code == 2 and "Traceback" not in err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["lemma_check"] == {
+        "error": "basis transform would overflow int64 (estimated size "
+                 f"{3 * 2 ** 62 + 3})"}
+    assert report["prediction"] is not None and report["failed"] is True
+
+
 def test_run_oracle_mode(capsys, tmp_path):
     cfg = base_config(tmp_path, field={"kind": "quadratic", "d": -1},
                       s=[[[0, 0], [0, 0]]],

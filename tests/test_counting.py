@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -100,6 +101,50 @@ def test_region_cap(gaussian):
     with pytest.raises(CapExceeded) as err:
         ct.region_coords(ct.cube_region(gaussian, 100), region_cap=100)
     assert err.value.estimate == 201 ** 2
+
+
+def _ball_count(n, size):
+    # integer points of the n-ball, by convolving squared lengths
+    r2 = math.floor(Fraction(size) ** 2)
+    ways = [1] + [0] * r2  # ways[k]: vectors so far of squared length k
+    for _ in range(n):
+        new = [0] * (r2 + 1)
+        for k, w in enumerate(ways):
+            for x in range(-math.isqrt(r2 - k), math.isqrt(r2 - k) + 1):
+                new[k + x * x] += w
+        ways = new
+    return sum(ways)
+
+
+def _x_n_minus_x_minus_1(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return nf.make_field("monogenic", minpoly=[-1, -1] + [0] * (n - 2) + [1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_ball_estimate_bounds_count(rational, gaussian, n):
+    field = {1: rational, 2: gaussian}.get(n) or _x_n_minus_x_minus_1(n)
+    sizes = [1, Fraction(5, 2), 4, 8] + ([20, Fraction(101, 3)] if n <= 3 else [])
+    for size in sizes:
+        region = ct.ball_region(field, size)
+        count = _ball_count(n, size)
+        if count < 10 ** 5:
+            assert len(ct.region_coords(region)) == count
+        with pytest.raises(CapExceeded) as err:
+            ct.region_coords(region, region_cap=count - 1)
+        assert err.value.estimate >= count
+
+
+def test_degree6_ball_within_default_cap(monkeypatch):
+    # x^6 - x - 1, R = 8: 1 395 261 points, a third of the default cap
+    region = ct.ball_region(_x_n_minus_x_minus_1(6), 8)
+    assert _ball_count(6, 8) == 1395261
+    monkeypatch.setattr(ct, "_region_array", lambda r: "built")
+    assert ct.region_coords(region) == "built"
+    with pytest.raises(CapExceeded) as err:
+        ct.region_coords(region, region_cap=1395260)
+    assert err.value.estimate < 3.2e6
 
 
 def test_region_validation(gaussian):

@@ -1,9 +1,11 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from visilat import ideals as il
+from visilat import numfield as nf
 from visilat import primes as pr
 
 from conftest import origin
@@ -88,6 +90,70 @@ def test_prime_hnf_is_maximal(gaussian, cubic):
                 assert P.norm == P.hnf.norm == p ** P.f
 
 
+def _quadratic_fields():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # d = -5, 10 are not PIDs
+        fields = [nf.make_field("quadratic", d=d)
+                  for d in (-1, -2, -3, -7, -11, 2, 3, 5, 13, -5, 10)]
+        return fields + [nf.make_field("monogenic", minpoly=[3, 1, 1])]
+
+
+SMALL_PRIMES = nf.rational_primes_up_to(3000)
+
+
+def _disc_mod(field, p):
+    c, b, _ = field.gen_minpoly
+    return (b * b - 4 * c) % p
+
+
+@pytest.mark.parametrize("field", _quadratic_fields(), ids=repr)
+def test_split_closed_form_matches_cantor_zassenhaus(field):
+    # the closed form and the general path agree tuple for tuple; the
+    # primes below 3000 include p = 2, the ramified p and a root r = 0
+    kinds = set()
+    for p in SMALL_PRIMES:
+        got = pr.split_prime(field, p)
+        want = sorted(pr._split_prime_cz(field, p, 0), key=lambda P: P.gpoly)
+        assert got == want, p
+        kinds.update((P.e, P.f) for P in got)
+        if p > 2 and _disc_mod(field, p) and got[0].gpoly == (0, 1):
+            kinds.add("root 0")
+    assert {(1, 1), (1, 2), (2, 1)} <= kinds
+    c = field.gen_minpoly[0]
+    assert ("root 0" in kinds) == any(c % p == 0 and _disc_mod(field, p)
+                                      for p in SMALL_PRIMES[1:])
+
+
+@pytest.mark.parametrize("field", _quadratic_fields(), ids=repr)
+def test_closed_form_hnf_is_ideal_of_generators(field):
+    for p in SMALL_PRIMES[1:]:
+        if not _disc_mod(field, p):
+            continue
+        for P in pr.split_prime(field, p):
+            gen = nf.element_from_poly(field, P.gpoly)
+            assert P.hnf == il.ideal_from_generators([field.element([p, 0]), gen])
+
+
+def test_closed_form_path_runs(gaussian, monkeypatch):
+    # Cantor-Zassenhaus refuses every odd p, so only the closed form can
+    # split them (disc = -4); nothing falls back to the general path
+    factor = pr.poly_factor_mod_p
+
+    def spy(poly, p, seed=0):
+        if p != 2:
+            raise AssertionError(f"Cantor-Zassenhaus called at p={p}")
+        return factor(poly, p, seed)
+
+    monkeypatch.setattr(pr, "poly_factor_mod_p", spy)
+    pr._split_prime_cached.cache_clear()
+    try:
+        primes = pr.primes_up_to_norm(gaussian, 10 ** 4)
+    finally:
+        pr._split_prime_cached.cache_clear()
+    assert len(primes) == 1 + 2 * 609 + 13  # p = 2, split p < 10^4, inert p < 100
+    assert all(P.norm == P.hnf.norm for P in primes)
+
+
 def test_primes_up_to_norm(rational, gaussian, root2):
     assert [P.norm for P in pr.primes_up_to_norm(rational, 10)] == [2, 3, 5, 7]
     assert [P.norm for P in pr.primes_up_to_norm(gaussian, 5)] == [2, 5, 5]
@@ -170,6 +236,13 @@ def test_residue_ids(request, fname):
                              for x in r] for r in rows[:5]], dtype=object)
             assert pr.residue_ids(P, big).tolist() == ids[:5].tolist()
             assert pr.residue_ids(P, big[None]).tolist() == [ids[:5].tolist()]
+            # int64 rows near +-2^62, or -2^63 (whose int64 abs wraps), must
+            # be reduced before the product; they agree with the object path
+            near = [[s * 2 ** 62 + x for x in r] for r in rows[:5] for s in (1, -1)]
+            for huge in (near, [[-2 ** 63] * n, [1] * n]):
+                huge = np.array(huge, dtype=np.int64)
+                assert (pr.residue_ids(P, huge).tolist()
+                        == pr.residue_ids(P, huge.astype(object)).tolist())
 
 
 def test_s_of_prime_examples(rational):
