@@ -2,9 +2,10 @@
 
 Subcommands: field, primes, predict, count, oracle, lemma-check, run.
 All structured output is JSON; `run` additionally exports CSV on request.
-Exit codes for `run`: 0 success, 1 tolerance failure, 2 invalid config or
-a cap refused part of the run (the partial report is still written),
-3 unsupported field.
+Exit codes for `run`: 0 success, 1 tolerance failure, 2 invalid config, a
+file that cannot be read or written, or a cap refused part of the run (the
+partial report is still written), 3 unsupported field.  Only `count` takes
+--seed, for its Monte Carlo stream; prime splitting is deterministic.
 """
 
 from __future__ import annotations
@@ -66,14 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("primes", help="prime ideals by norm, one JSON per line")
     _add_field_arg(p)
     p.add_argument("--max-norm", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("predict", help="truncated Euler product with tail interval")
     _add_field_arg(p)
     _add_s_args(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--X", type=int, default=10 ** 4)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("count", help="count visible tuples over one region")
     _add_field_arg(p)
@@ -93,14 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-t", type=int, default=3,
                    help="use primes above the first t rational primes")
     p.add_argument("--crt-cap", type=int, default=ex.DEFAULT_CRT_CAP)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("lemma-check",
                        help="ideal-point counts vs volume/N over a region")
     _add_field_arg(p)
     p.add_argument("--region", required=True)
     p.add_argument("--max-prime-norm", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("run", help="full pipeline from a config file")
     p.add_argument("--config", required=True, help="path to config JSON")
@@ -116,7 +113,7 @@ def main(argv=None) -> int:
     except FieldError as exc:
         print(f"unsupported field: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 
@@ -135,7 +132,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "primes":
         f = _load_field(args.field)
-        for P in pr.primes_up_to_norm(f, args.max_norm, seed=args.seed):
+        for P in pr.primes_up_to_norm(f, args.max_norm):
             print(json.dumps({"norm": P.norm, "p": P.under_p, "f": P.f,
                               "e": P.e, "g": list(P.gpoly)},
                              sort_keys=True))
@@ -144,7 +141,7 @@ def _dispatch(args) -> int:
     if args.cmd == "predict":
         f = _load_field(args.field)
         S = _load_points(f, args)
-        iv = dn.predicted_density(f, S, args.m, args.X, seed=args.seed)
+        iv = dn.predicted_density(f, S, args.m, args.X)
         print(json.dumps(ex.prediction_to_json(iv), sort_keys=True))
         return 0
 
@@ -157,7 +154,7 @@ def _dispatch(args) -> int:
         if args.mode == "direct":
             res = ct.count_visible_direct(f, S, args.m, region)
         elif args.mode == "sieve":
-            res = ct.count_visible_sieve(f, S, args.m, region, seed=args.seed)
+            res = ct.count_visible_sieve(f, S, args.m, region)
         else:
             res = ct.mc_estimate(f, S, args.m, region, args.samples,
                                  args.seed)
@@ -175,7 +172,7 @@ def _dispatch(args) -> int:
     if args.cmd == "oracle":
         f = _load_field(args.field)
         S = _load_points(f, args)
-        window = pr.window_first_t(f, args.window_t, seed=args.seed)
+        window = pr.window_first_t(f, args.window_t)
         ed = dn.exact_window_density(f, S, args.m, window,
                                      crt_cap=args.crt_cap)
         print(json.dumps({"num": str(ed.value.numerator),
@@ -185,7 +182,7 @@ def _dispatch(args) -> int:
     if args.cmd == "lemma-check":
         f = _load_field(args.field)
         region = ex.parse_region_arg(f, args.region)
-        for P in pr.primes_up_to_norm(f, args.max_prime_norm, seed=args.seed):
+        for P in pr.primes_up_to_norm(f, args.max_prime_norm):
             chk = ct.ideal_count_check(f, P.hnf, region)
             print(json.dumps({
                 "p": P.under_p, "g": list(P.gpoly), "norm": P.norm,

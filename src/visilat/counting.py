@@ -161,15 +161,18 @@ def region_coords(region: Region,
 
 @lru_cache(maxsize=1)
 def _region_array(region: Region) -> np.ndarray:
-    # one coordinate at a time (a product of aranges, in lexicographic
-    # order); a ball drops prefixes whose squared length exceeds floor(R^2)
-    axis = np.arange(-region.L, region.L + 1, dtype=np.int64)
+    # one coordinate at a time, in lexicographic order: each prefix is
+    # followed by c = -b..b, with b = L in a cube and b = isqrt(floor(R^2)
+    # - |prefix|^2) in a ball, so no row is built only to be dropped
+    r2 = int(region.size ** 2)
     pts = np.zeros((1, 0), dtype=np.int64)
     for _ in range(region.field.degree):
-        pts = np.concatenate([np.repeat(pts, len(axis), axis=0),
-                              np.tile(axis, len(pts))[:, None]], axis=1)
-        if region.shape == "ball":
-            pts = pts[(pts * pts).sum(axis=1) <= int(region.size ** 2)]
+        sq, inv = np.unique((pts * pts).sum(axis=1), return_inverse=True)
+        b = np.array([region.L if region.shape == "cube" else
+                      math.isqrt(r2 - s) for s in sq.tolist()], dtype=np.int64)[inv]
+        k = 2 * b + 1
+        c = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k + b, k)
+        pts = np.column_stack([np.repeat(pts, k, axis=0), c])
     pts = _transform(region, pts)
     pts.flags.writeable = False
     return pts
@@ -239,8 +242,7 @@ def count_visible_direct(field: FieldSpec, S: Sequence[PointTuple], m: int,
 def count_visible_sieve(field: FieldSpec, S: Sequence[PointTuple], m: int,
                         region: Region,
                         region_cap: int = DEFAULT_REGION_CAP,
-                        tuple_cap: int = DEFAULT_TUPLE_CAP,
-                        seed: int = 0) -> CountResult:
+                        tuple_cap: int = DEFAULT_TUPLE_CAP) -> CountResult:
     """Exact count by marking residue classes of all small-norm primes.
 
     An invisible tuple z (z != s) has all coordinates of z - s in some prime
@@ -273,7 +275,7 @@ def count_visible_sieve(field: FieldSpec, S: Sequence[PointTuple], m: int,
 
     if B >= 2:
         points = np.array([s.coords_lists() for s in S], dtype=object)
-        for P in pr.primes_up_to_norm(field, B, seed):
+        for P in pr.primes_up_to_norm(field, B):
             ids = pr.residue_ids(P, coords)
             for targets in pr.residue_ids(P, points).tolist():
                 sel = [np.nonzero(ids == t)[0] for t in targets]
@@ -368,21 +370,26 @@ def _count_members(I: IdealHNF, coords: np.ndarray) -> int:
     and, as h_ij < h_jj above the diagonal, |q_j| <= A + 1 + sum_{i<j} |q_i|
     <= 2^(j-1) (A+1); so every product q_i h_ij and every entry after step i
     is <= A + H (A+1) (2^i - 1) < H 2^n (A+1).  Below 2^63 the solve runs
-    in int64, else on Python integers (``dtype=object``), same code.
+    in int64, else on Python integers (``dtype=object``), same code, on
+    blocks of 2^14 rows so that no temporary grows with the region.
     """
     n = I.field.degree
     h = I.hnf
     hmax = max(abs(x) for row in h for x in row)
-    amax = int(np.abs(coords).max(initial=0))
+    # min/max as Python ints: -(-2^63) does not wrap
+    amax = max(-int(coords.min(initial=0)), int(coords.max(initial=0)))
     dtype = np.int64 if hmax * 2 ** n * (amax + 1) < 2 ** 63 else object
-    c = coords.astype(dtype)  # a copy: coords may be the cached region
-    ok = np.ones(len(c), dtype=bool)
-    for i in range(n):
-        q, r = c[:, i] // h[i][i], c[:, i] % h[i][i]
-        ok &= r == 0
-        if i + 1 < n:
-            c[:, i + 1:] -= q[:, None] * np.array(h[i][i + 1:], dtype=dtype)
-    return int(ok.sum())
+    count = 0
+    for lo in range(0, len(coords), 2 ** 14):
+        c = coords[lo:lo + 2 ** 14].astype(dtype)  # a copy: coords may be cached
+        ok = np.ones(len(c), dtype=bool)
+        for i in range(n):
+            q, r = c[:, i] // h[i][i], c[:, i] % h[i][i]
+            ok &= r == 0
+            if i + 1 < n:
+                c[:, i + 1:] -= q[:, None] * np.array(h[i][i + 1:], dtype=dtype)
+        count += int(ok.sum())
+    return count
 
 
 def _check_inputs(field: FieldSpec, S: Sequence[PointTuple], m: int,

@@ -34,7 +34,6 @@ class PredictionInterval:
     lo: Fraction
     hi: Fraction
     cutoff_X: int
-    partial_product: Fraction
     zero_certificate: Optional[PrimeIdeal] = None
 
 
@@ -43,12 +42,11 @@ class ExactDensity:
     """Density of the finite-window visible set, computed two ways."""
 
     value: Fraction
-    window: PrimeWindow
     per_prime_factors: tuple
 
 
 def predicted_density(field: FieldSpec, S: Sequence[PointTuple], m: int,
-                      X: int, seed: int = 0) -> PredictionInterval:
+                      X: int) -> PredictionInterval:
     """Truncated product of (1 - s(p)/N(p)^m) over N(p) <= X plus tail bound.
 
     Tail: at most n prime ideals share any prime-power norm, each omitted
@@ -64,19 +62,19 @@ def predicted_density(field: FieldSpec, S: Sequence[PointTuple], m: int,
     while 2 * len(S) > X ** m:
         X += 1
     nums, dens = [], []
-    for P in pr.primes_up_to_norm(field, X, seed):
+    for P in pr.primes_up_to_norm(field, X):
         s = pr.s_of_prime(S, P)
         Nm = P.norm ** m
         if s == Nm:
             return PredictionInterval(Fraction(0), Fraction(0), X,
-                                      Fraction(0), zero_certificate=P)
+                                      zero_certificate=P)
         nums.append(Nm - s)
         dens.append(Nm)
     partial = Fraction(_product(nums), _product(dens))
     tail = Fraction(1, (m - 1) * X ** (m - 1))
     slack = 2 * field.degree * len(S) * tail
     lo = partial * max(Fraction(0), 1 - slack)
-    return PredictionInterval(lo, partial, X, partial)
+    return PredictionInterval(lo, partial, X)
 
 
 def _product(xs: list[int]) -> int:
@@ -87,8 +85,7 @@ def _product(xs: list[int]) -> int:
     return xs[0] if xs else 1
 
 
-def zeta_recip_truncated(field: FieldSpec, s: int, X: int,
-                         seed: int = 0) -> Fraction:
+def zeta_recip_truncated(field: FieldSpec, s: int, X: int) -> Fraction:
     """Sum of mu(I)/N(I)^s over squarefree ideals of norm <= X.
 
     Squarefree ideals are enumerated as products of distinct prime ideals;
@@ -101,7 +98,7 @@ def zeta_recip_truncated(field: FieldSpec, s: int, X: int,
     total = Fraction(1)  # the unit ideal
     if X < 2:
         return total
-    plist = pr.primes_up_to_norm(field, X, seed)
+    plist = pr.primes_up_to_norm(field, X)
     norms = [P.norm for P in plist]
 
     def walk(i: int, q: int, sign: int):
@@ -164,8 +161,7 @@ def exact_window_density(field: FieldSpec, S: Sequence[PointTuple], m: int,
     if value_a != value_b:
         raise RuntimeError(
             f"window density mismatch: product {value_a} != oracle {value_b}")
-    return ExactDensity(value=value_a, window=window,
-                        per_prime_factors=tuple(factors))
+    return ExactDensity(value=value_a, per_prime_factors=tuple(factors))
 
 
 # ----------------------------------------------------------------------

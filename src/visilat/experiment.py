@@ -21,7 +21,7 @@ from . import ideals as il
 from . import primes as pr
 from .counting import DEFAULT_REGION_CAP, DEFAULT_TUPLE_CAP, Region
 from .density import decimal_str
-from .errors import CapExceeded, ConfigError, FieldError
+from .errors import CapExceeded, ConfigError
 from .ideals import PointTuple
 from .numfield import FieldSpec, field_from_json
 
@@ -79,8 +79,6 @@ def load_config(data: dict) -> ExperimentConfig:
         field = field_from_json(fjson)
     except KeyError:
         raise ConfigError("config needs a 'field' descriptor")
-    except FieldError:
-        raise
     m = data.get("m")
     if not isinstance(m, int) or m < 2:
         raise ConfigError("m must be an integer >= 2")
@@ -108,17 +106,21 @@ def load_config(data: dict) -> ExperimentConfig:
         raise ConfigError("region schedule must be nonempty")
     regions = [parse_region_dict(field, r) for r in raw_regions]
 
-    modes = tuple(data.get("modes", ["predict", "sieve"]))
+    modes = data.get("modes", ["predict", "sieve"])
+    if not isinstance(modes, list):
+        raise ConfigError("modes must be a JSON list")
     bad = [mo for mo in modes if mo not in VALID_MODES]
     if bad or not modes:
         raise ConfigError(f"invalid modes {bad or modes}")
 
     caps = data.get("caps", {})
+    if not isinstance(caps, dict):
+        raise ConfigError("caps must be a JSON object")
     cfg = ExperimentConfig(
         field=field, field_json=fjson, m=m, S=S, s_json=s_json,
         regions=regions,
         X=int(data.get("X", 10 ** 4)),
-        modes=modes,
+        modes=tuple(modes),
         seed=int(data.get("seed", 0)),
         samples=int(data.get("samples", 10 ** 4)),
         tolerance=float(data.get("tolerance", DEFAULT_TOLERANCE)),
@@ -227,8 +229,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     interval = None
     if "predict" in cfg.modes:
         t0 = time.perf_counter()
-        interval = dn.predicted_density(cfg.field, cfg.S, cfg.m, cfg.X,
-                                        seed=cfg.seed)
+        interval = dn.predicted_density(cfg.field, cfg.S, cfg.m, cfg.X)
         timings["predict"] = time.perf_counter() - t0
         report["prediction"] = prediction_to_json(interval)
 
@@ -245,8 +246,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 elif mode == "sieve":
                     res = ct.count_visible_sieve(
                         cfg.field, cfg.S, cfg.m, region,
-                        region_cap=cfg.region_cap, tuple_cap=cfg.tuple_cap,
-                        seed=cfg.seed)
+                        region_cap=cfg.region_cap, tuple_cap=cfg.tuple_cap)
                 else:
                     res = ct.mc_estimate(
                         cfg.field, cfg.S, cfg.m, region, cfg.samples,
@@ -282,7 +282,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def _oracle(cfg: ExperimentConfig) -> dict:
     """Window product against the CRT oracle over the first t primes."""
-    window = pr.window_first_t(cfg.field, cfg.oracle_window_t, seed=cfg.seed)
+    window = pr.window_first_t(cfg.field, cfg.oracle_window_t)
     ed = dn.exact_window_density(cfg.field, cfg.S, cfg.m, window,
                                  crt_cap=cfg.crt_cap)
     return {
@@ -301,8 +301,7 @@ def _lemma_check(cfg: ExperimentConfig) -> dict:
     rows = []
     worst = 0.0
     for region in cfg.regions:
-        for P in pr.primes_up_to_norm(cfg.field, cfg.lemma_max_prime_norm,
-                                      seed=cfg.seed):
+        for P in pr.primes_up_to_norm(cfg.field, cfg.lemma_max_prime_norm):
             chk = ct.ideal_count_check(cfg.field, P.hnf, region,
                                        region_cap=cfg.region_cap)
             worst = max(worst, chk.normalized_error)
@@ -336,11 +335,8 @@ def emit_csv(report: dict, path: str):
         if has_mc:
             cells.append(r["stderr"] if r["mode"] == "mc" else "")
         lines.append(",".join(cells))
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _version() -> str:

@@ -176,20 +176,22 @@ def is_prime(n: int) -> bool:
 # factorization over F_p
 # ----------------------------------------------------------------------
 
-def poly_factor_mod_p(poly: Sequence[int], p: int,
-                      seed: int = 0) -> list[tuple[tuple[int, ...], int]]:
+def poly_factor_mod_p(poly: Sequence[int],
+                      p: int) -> list[tuple[tuple[int, ...], int]]:
     """Complete factorization of a monic polynomial over F_p.
 
-    Squarefree + distinct-degree + (randomized, seeded) equal-degree
-    splitting.  Returns (irreducible factor, multiplicity) pairs sorted by
-    (degree, coefficients).
+    Squarefree + distinct-degree + equal-degree splitting.  Returns
+    (irreducible factor, multiplicity) pairs sorted by (degree,
+    coefficients).  F_p[x] has unique factorization, so the random choices
+    of equal-degree splitting (a private generator keyed by p and the
+    polynomial) cannot change the result.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     f = _pmonic(tuple(c % p for c in poly), p)
     if _pdeg(f) < 1:
         raise ValueError("constant polynomial")
-    rng = random.Random((seed, p, f).__hash__())
+    rng = random.Random(hash((p, f)))
     factors = _factor_monic(f, p, rng)
     factors.sort(key=lambda fm: (_pdeg(fm[0]), fm[0]))
     return factors
@@ -274,17 +276,17 @@ def _equal_degree_split(g, d, p, rng) -> list[tuple[int, ...]]:
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _split_prime_cached(field: FieldSpec, p: int, seed: int) -> tuple[PrimeIdeal, ...]:
-    out = _split_quadratic(field, p) or _split_prime_cz(field, p, seed)
+def _split_prime_cached(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
+    out = _split_quadratic(field, p) or _split_prime_cz(field, p)
     if sum(P.e * P.f for P in out) != field.degree:
         raise RuntimeError(f"sum of e*f != degree at p={p}")
     return tuple(sorted(out, key=lambda P: P.gpoly))
 
 
-def _split_prime_cz(field: FieldSpec, p: int, seed: int) -> list[PrimeIdeal]:
+def _split_prime_cz(field: FieldSpec, p: int) -> list[PrimeIdeal]:
     """Dedekind splitting by Cantor-Zassenhaus, with an HNF per factor."""
     out = []
-    for g, e in poly_factor_mod_p(field.gen_minpoly, p, seed=seed):
+    for g, e in poly_factor_mod_p(field.gen_minpoly, p):
         f = _pdeg(g)
         gen = numfield.element_from_poly(field, g)
         hnf = ideal_from_generators([field.element([p] + [0] * (field.degree - 1)), gen])
@@ -338,29 +340,29 @@ def _sqrt_mod(a: int, p: int) -> int:
     return r
 
 
-def split_prime(field: FieldSpec, p: int, seed: int = 0) -> list[PrimeIdeal]:
+def split_prime(field: FieldSpec, p: int) -> list[PrimeIdeal]:
     """All prime ideals above the rational prime p, sorted by gpoly."""
-    return list(_split_prime_cached(field, p, seed))
+    return list(_split_prime_cached(field, p))
 
 
-def primes_up_to_norm(field: FieldSpec, X: int, seed: int = 0) -> list[PrimeIdeal]:
+def primes_up_to_norm(field: FieldSpec, X: int) -> list[PrimeIdeal]:
     """All prime ideals of norm <= X, sorted by (norm, p, gpoly)."""
     if X < 2:
         raise ValueError("X must be >= 2")
     out = []
     for p in numfield.rational_primes_up_to(X):
-        out.extend(P for P in split_prime(field, p, seed) if P.norm <= X)
+        out.extend(P for P in split_prime(field, p) if P.norm <= X)
     out.sort(key=PrimeIdeal.sort_key)
     return out
 
 
-def window_first_t(field: FieldSpec, t: int, seed: int = 0) -> PrimeWindow:
+def window_first_t(field: FieldSpec, t: int) -> PrimeWindow:
     """E_t: primes above the first t rational primes, sorted by (p, gpoly)."""
     if t < 0:
         raise ValueError("t must be >= 0")
     primes = []
     for p in numfield.first_rational_primes(t):
-        primes.extend(split_prime(field, p, seed))
+        primes.extend(split_prime(field, p))
     primes.sort(key=lambda P: (P.under_p, P.gpoly))
     return PrimeWindow(t=t, primes=tuple(primes))
 

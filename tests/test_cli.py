@@ -303,3 +303,31 @@ def test_csv_mc_stderr_column(capsys, tmp_path):
             assert r[-1] != ""
         else:
             assert r[-1] == ""
+
+
+@pytest.mark.parametrize("case, says", [
+    ("config", "no-such-dir"), ("s_file", "no-such-dir"),
+    ("csv", "no-such-dir"), ("out", "no-such-dir"),
+    ("caps", "caps must be a JSON object"),
+    ("modes", "modes must be a JSON list")])
+def test_run_bad_input_exit2(capsys, tmp_path, case, says):
+    # each input error gives one "invalid configuration" line, not a crash
+    missing = str(tmp_path / "no-such-dir" / "file")
+    cfg = base_config(tmp_path)
+    argv = []
+    if case == "s_file":
+        del cfg["s"]
+        cfg["s_file"] = missing
+    elif case == "csv":
+        argv = ["--csv", missing]
+    elif case == "out":
+        cfg["out"] = missing
+    elif case == "caps":
+        cfg["caps"] = [1, 2]
+    elif case == "modes":
+        cfg["modes"] = "sieve"
+    path = missing if case == "config" else write_config(tmp_path, cfg)
+    code, _, err = run_cli(capsys, "run", "--config", path, *argv)
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+    assert says in err

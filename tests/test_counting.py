@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -145,6 +146,22 @@ def test_degree6_ball_within_default_cap(monkeypatch):
     with pytest.raises(CapExceeded) as err:
         ct.region_coords(region, region_cap=1395260)
     assert err.value.estimate < 3.2e6
+
+
+@pytest.mark.parametrize("n, R", [(3, 30), (4, 12)])
+def test_ball_build_memory(n, R):
+    # building a ball allocates little beyond the result itself
+    region = ct.ball_region(_x_n_minus_x_minus_1(n), R)
+    ct._region_array.cache_clear()
+    tracemalloc.start()
+    try:
+        coords = ct.region_coords(region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        ct._region_array.cache_clear()
+    assert len(coords) == _ball_count(n, R)
+    assert peak <= 3 * coords.nbytes
 
 
 def test_region_validation(gaussian):
@@ -328,6 +345,8 @@ def test_member_count_matches_contains(gaussian):
         slow = sum(1 for c in coords.tolist()
                    if il.contains(I, gaussian.element(c)))
         assert fast == slow
+        # 150 copies of the 113 rows span two blocks of the solve
+        assert ct._count_members(I, np.tile(coords, (150, 1))) == 150 * fast
 
     # coordinates near 2^61: H 2^n (A+1) >= 2^63, so the solve must run on
     # Python integers (the spy sees the object copy); int64 would wrap

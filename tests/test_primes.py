@@ -53,9 +53,16 @@ def test_factor_reconstruction_and_irreducibility():
             assert prod == f
 
 
-def test_factor_deterministic_under_seed():
-    f = (2, 0, 3, 0, 1, 1)
-    assert pr.poly_factor_mod_p(f, 13, seed=5) == pr.poly_factor_mod_p(f, 13, seed=5)
+def test_factor_independent_of_global_random():
+    # x^5 - x has five linear factors mod 13, so equal-degree splitting
+    # draws random polynomials; they come from a private generator
+    for f in ((2, 0, 3, 0, 1, 1), (0, 12, 0, 0, 0, 1)):
+        random.seed(1)
+        first = pr.poly_factor_mod_p(f, 13)
+        random.seed(2)
+        state = random.getstate()
+        assert pr.poly_factor_mod_p(f, 13) == first
+        assert random.getstate() == state
 
 
 def test_split_examples(gaussian):
@@ -113,7 +120,7 @@ def test_split_closed_form_matches_cantor_zassenhaus(field):
     kinds = set()
     for p in SMALL_PRIMES:
         got = pr.split_prime(field, p)
-        want = sorted(pr._split_prime_cz(field, p, 0), key=lambda P: P.gpoly)
+        want = sorted(pr._split_prime_cz(field, p), key=lambda P: P.gpoly)
         assert got == want, p
         kinds.update((P.e, P.f) for P in got)
         if p > 2 and _disc_mod(field, p) and got[0].gpoly == (0, 1):
@@ -139,10 +146,10 @@ def test_closed_form_path_runs(gaussian, monkeypatch):
     # split them (disc = -4); nothing falls back to the general path
     factor = pr.poly_factor_mod_p
 
-    def spy(poly, p, seed=0):
+    def spy(poly, p):
         if p != 2:
             raise AssertionError(f"Cantor-Zassenhaus called at p={p}")
-        return factor(poly, p, seed)
+        return factor(poly, p)
 
     monkeypatch.setattr(pr, "poly_factor_mod_p", spy)
     pr._split_prime_cached.cache_clear()
