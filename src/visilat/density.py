@@ -62,8 +62,8 @@ def predicted_density(field: FieldSpec, S: Sequence[PointTuple], m: int,
     while 2 * len(S) > X ** m:
         X += 1
     nums, dens = [], []
-    for P in pr.primes_up_to_norm(field, X):
-        s = pr.s_of_prime(S, P)
+    plist = pr.primes_up_to_norm(field, X)
+    for P, s in zip(plist, pr.s_of_primes(S, plist)):
         Nm = P.norm ** m
         if s == Nm:
             return PredictionInterval(Fraction(0), Fraction(0), X,
@@ -138,8 +138,7 @@ def exact_window_density(field: FieldSpec, S: Sequence[PointTuple], m: int,
 
     factors = []
     value_a = Fraction(1)
-    for P in window.primes:
-        s = pr.s_of_prime(S, P)
+    for P, s in zip(window.primes, pr.s_of_primes(S, window.primes)):
         Nm = P.norm ** m
         f = Fraction(Nm - s, Nm)
         factors.append((P, f))

@@ -190,9 +190,9 @@ def prediction_to_json(iv: dn.PredictionInterval) -> dict:
     }
 
 
-def count_to_json(res: ct.CountResult,
-                  interval: Optional[dn.PredictionInterval],
+def count_to_json(res: ct.CountResult, mid: Optional[Fraction],
                   tolerance: float) -> dict:
+    """One report row; ``mid`` is the prediction's midpoint, if any."""
     row = {
         "region": res.region.label(),
         "mode": res.method,
@@ -204,8 +204,7 @@ def count_to_json(res: ct.CountResult,
         "discrepancy": None,
         "pass": None,
     }
-    if interval is not None:
-        mid = (interval.lo + interval.hi) / 2
+    if mid is not None:
         disc = abs(res.density_estimate - mid)
         row["discrepancy"] = _fmt(disc)
         row["pass"] = float(disc) <= tolerance
@@ -226,7 +225,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "timings": timings,
     }
 
-    interval = None
+    interval = mid = None
     if "predict" in cfg.modes:
         t0 = time.perf_counter()
         interval = dn.predicted_density(cfg.field, cfg.S, cfg.m, cfg.X)
@@ -259,7 +258,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 continue
             finally:
                 timings[f"{region.label()}|{mode}"] = time.perf_counter() - t0
-            row = count_to_json(res, interval, cfg.tolerance)
+            if interval is not None and mid is None:
+                # once per run: lo + hi adds two rationals of huge height
+                mid = (interval.lo + interval.hi) / 2
+            row = count_to_json(res, mid, cfg.tolerance)
             report["counts"].append(row)
             if row["pass"] is False:
                 report["failed"] = True

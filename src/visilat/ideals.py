@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -296,26 +297,15 @@ def visible_mask(z: np.ndarray, S: Sequence[PointTuple]) -> np.ndarray:
     entries' bound proves every minor and partial sum fits, else exact
     Python integers (``dtype=object``); the code is the same either way.
     """
-    field = S[0].field
-    n = field.degree
-    T = np.array(field.mult_tensor, dtype=object)
     s_rows = [s.coords_lists() for s in S]
-    # every row entry is a sum_a d[a] * T[a][j][k], so |entry| <= E; every
-    # Leibniz term of a minor is <= E^n and every partial sum <= n! E^n
-    zmax = int(np.abs(z).max(initial=0))
-    smax = max(abs(c) for rows in s_rows for r in rows for c in r)
-    E = (zmax + smax) * int(np.abs(T).sum(axis=0).max())
-    dtype = np.int64 if math.factorial(n) * E ** n < 2 ** 63 else object
+    dtype, T = _exact_dtype(S[0].field, z,
+                            [c for rows in s_rows for r in rows for c in r])
     z = z.astype(dtype, copy=False)
-    T = T.astype(dtype)
     s_arrs = [np.array(rows, dtype=dtype) for rows in s_rows]
-    m = len(s_rows[0])
+    m, n = len(s_rows[0]), S[0].field.degree
     blocks = [tuple(range(i * n, (i + 1) * n)) for i in range(m)]
     minors = blocks + [c for c in itertools.combinations(range(m * n), n)
                        if c not in blocks]
-    # Leibniz terms of an n x n determinant: (sign, permutation)
-    perms = [((-1) ** sum(a > b for a, b in itertools.combinations(p, 2)), p)
-             for p in itertools.permutations(range(n))]
     ok = np.ones(len(z), dtype=bool)
     for lo in range(0, len(z), CHUNK):
         part = ok[lo:lo + CHUNK]  # a view: writes land in ok
@@ -323,11 +313,51 @@ def visible_mask(z: np.ndarray, S: Sequence[PointTuple]) -> np.ndarray:
             live = np.flatnonzero(part)
             if not len(live):
                 break
-            part[live] = _unit_ideal_lanes(z[lo + live] - s, T, minors, perms)
+            part[live] = _unit_ideal_lanes(z[lo + live] - s, T, minors)
     return ok
 
 
-def _unit_ideal_lanes(d: np.ndarray, T: np.ndarray, minors, perms) -> np.ndarray:
+def difference_norms(field: FieldSpec, z: np.ndarray,
+                     s: Sequence[int]) -> np.ndarray:
+    """N(z[k] - s) for every row of a (lanes, n) integer array, exactly: the
+    kernel's block minor, under its int64 rule, else on Python integers."""
+    dtype, T = _exact_dtype(field, z, s)
+    d = z.astype(dtype) - np.array(s, dtype=dtype)
+    return _det(np.tensordot(d, T, axes=([1], [0])), range(field.degree))
+
+
+def _exact_dtype(field: FieldSpec, z: np.ndarray, s_entries):
+    """The dtype for the minors of differences z - s (int64 when n! E^n <
+    2^63, else ``object``) and T in that dtype.
+
+    E = (max|z| + max|s|) max_{j,k} sum_a |T[a][j][k]| bounds every entry
+    sum_a d[a] T[a][j][k] of a multiplication row, so E^n bounds every
+    Leibniz term of a minor and n! E^n every partial sum.
+    """
+    n = field.degree
+    T = np.array(field.mult_tensor, dtype=object)
+    # min/max as Python ints: -(-2^63) does not wrap
+    zmax = max(-int(z.min(initial=0)), int(z.max(initial=0)))
+    smax = max(map(abs, s_entries), default=0)
+    E = (zmax + smax) * int(np.abs(T).sum(axis=0).max())
+    dtype = np.int64 if math.factorial(n) * E ** n < 2 ** 63 else object
+    return dtype, T.astype(dtype)
+
+
+def _det(rows: np.ndarray, rs) -> np.ndarray:
+    """Leibniz determinant of the rows ``rs`` of each lane of (lanes, *, n)."""
+    return sum(sign * np.prod([rows[:, r, c] for r, c in zip(rs, p)], axis=0)
+               for sign, p in _leibniz(rows.shape[2]))
+
+
+@lru_cache(maxsize=None)
+def _leibniz(n: int) -> tuple:
+    """The terms (sign, permutation) of an n x n determinant."""
+    return tuple(((-1) ** sum(a > b for a, b in itertools.combinations(p, 2)), p)
+                 for p in itertools.permutations(range(n)))
+
+
+def _unit_ideal_lanes(d: np.ndarray, T: np.ndarray, minors) -> np.ndarray:
     """Whether each lane's differences d[k] (m x n) generate O.
 
     Row j of block i is d_i * e_j.  The block minors (+-N(d_i)) come first,
@@ -338,9 +368,7 @@ def _unit_ideal_lanes(d: np.ndarray, T: np.ndarray, minors, perms) -> np.ndarray
     g = np.zeros(k, dtype=d.dtype)
     left = np.arange(k)
     for rs in minors:
-        det = sum(sign * np.prod([rows[:, r, c] for r, c in zip(rs, p)], axis=0)
-                  for sign, p in perms)
-        g = np.gcd(g, det)
+        g = np.gcd(g, _det(rows, rs))
         more = g != 1
         rows, g, left = rows[more], g[more], left[more]
         if not len(left):

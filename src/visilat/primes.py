@@ -425,3 +425,31 @@ def s_of_prime(S: Sequence[PointTuple], P: PrimeIdeal) -> int:
         raise ValueError("S must be nonempty")
     ids = residue_ids(P, np.array([s.coords_lists() for s in S], dtype=object))
     return len({tuple(row) for row in ids.tolist()})
+
+
+def s_of_primes(S: Sequence[PointTuple], plist: Sequence[PrimeIdeal]) -> list[int]:
+    """``s_of_prime`` of every P of a list, all degree-1 primes in one pass.
+
+    (p, theta - r) sends a to sum_i a_i r^i mod p: one product with the
+    stacked powers of r, then a sort counts each prime's distinct rows; in
+    int64, so only while n max|a| p < 2^63 for every p.  Other primes, and
+    all of them past that bound, go through ``s_of_prime``.
+    """
+    if not S:
+        raise ValueError("S must be nonempty")
+    a = np.array([s.coords_lists() for s in S], dtype=object)
+    n = a.shape[2]
+    one = [P for P in plist if P.f == 1]
+    pmax = max((P.under_p for P in one), default=0)
+    if not one or n * max(int(np.abs(a).max()), 1) * pmax >= 2 ** 63:
+        return [s_of_prime(S, P) for P in plist]
+    p = np.array([P.under_p for P in one], dtype=np.int64)
+    R = np.array([[pow(-P.gpoly[0], j, P.under_p) for j in range(n)]
+                  for P in one], dtype=np.int64)
+    # ids[P, i, j]: the residue of coordinate j of the i-th point of S
+    ids = np.moveaxis(a.astype(np.int64) @ R.T % p, 2, 0)
+    order = np.lexsort(np.moveaxis(ids, 2, 0), axis=-1)
+    ids = np.take_along_axis(ids, order[..., None], axis=1)
+    distinct = 1 + (ids[:, 1:] != ids[:, :-1]).any(axis=2).sum(axis=1)
+    s = iter(distinct.tolist())
+    return [next(s) if P.f == 1 else s_of_prime(S, P) for P in plist]

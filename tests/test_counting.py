@@ -231,6 +231,91 @@ def test_sieve_equals_direct_m3(rational):
     assert a.visible_count == b.visible_count
 
 
+@pytest.mark.parametrize("fname, m, L", [("gaussian", 3, 2), ("cubic", 3, 1),
+                                          ("cubic", 2, 2)])
+def test_sieve_equals_direct_beyond_q(request, fname, m, L):
+    field = request.getfixturevalue(fname)
+    n = field.degree
+    S = [origin(field, m),
+         il.point(field, [[(i + j) % 3 - 1 for j in range(n)] for i in range(m)])]
+    for region in (ct.cube_region(field, L), ct.ball_region(field, L)):
+        a = ct.count_visible_direct(field, S, m, region)
+        b = ct.count_visible_sieve(field, S, m, region)
+        assert a.visible_count == b.visible_count
+
+
+def test_sieve_marks_points_of_s(rational):
+    # on Q, cube L=1, S = {origin}: B = 1, so no prime is sieved and the
+    # origin's cell is marked only as a point of S
+    region = ct.cube_region(rational, 1)
+    for m in (2, 3):
+        S = [origin(rational, m)]
+        res = ct.count_visible_sieve(rational, S, m, region)
+        assert res.prime_norm_bound == 1
+        assert res.visible_count == 3 ** m - 1
+        assert ct.count_visible_direct(rational, S, m, region).visible_count == 3 ** m - 1
+    # every cell a point of S (primes sieved too): nothing is visible
+    S = [il.point(rational, [[a], [b]]) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    assert ct.count_visible_sieve(rational, S, 2, region).visible_count == 0
+
+
+def test_sieve_memory(gaussian):
+    # the sieve streams over the first coordinate: no W^m array is held
+    region = ct.cube_region(gaussian, 30)
+    S = [origin(gaussian, 2), il.point(gaussian, [[1, 2], [-1, 0]])]
+    W = len(ct.region_coords(region))
+    ct.count_visible_sieve(gaussian, S, 2, region)  # fills the split cache
+    tracemalloc.start()
+    try:
+        res = ct.count_visible_sieve(gaussian, S, 2, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.total_tuples == W ** 2
+    assert peak <= W ** 2 / 8
+
+
+def _norm_bound_by_rows(field, S, coords):
+    # the sieve's former per-row loop, kept here as the oracle for B
+    B = 1
+    for key in {p.coords for s in S for p in s.points}:
+        for c in coords.tolist():
+            d = [x - y for x, y in zip(c, key)]
+            if any(d):
+                B = max(B, abs(nf.norm_of_coords(field, d)))
+    return B
+
+
+@pytest.mark.parametrize("fname", ["rational", "gaussian", "golden", "cubic"])
+def test_prime_norm_bound_matches_rows(request, fname):
+    field = request.getfixturevalue(fname)
+    n = field.degree
+    rng = random.Random(61)
+    S = [origin(field, 2)] + [
+        il.point(field, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(2)])
+        for _ in range(2)]
+    keys = {p.coords for s in S for p in s.points}
+    regions = [ct.cube_region(field, 3), ct.ball_region(field, 7 - 2 * n)]
+    if n == 2:
+        # coordinates near 2^42 put the norms on the object path
+        regions.append(ct.cube_region(field, 3, basis_transform=[[1, 2 ** 40], [0, 1]]))
+    for region in regions:
+        coords = ct.region_coords(region)
+        for key in keys:
+            norms = il.difference_norms(field, coords, key)
+            assert norms.dtype == (object if region.basis_transform else np.int64)
+            assert norms.tolist() == [
+                nf.norm_of_coords(field, [x - y for x, y in zip(c, key)])
+                for c in coords.tolist()]
+        want = _norm_bound_by_rows(field, S, coords)
+        if region.basis_transform is None:
+            assert ct.count_visible_sieve(field, S, 2, region).prime_norm_bound == want
+        else:
+            # a B this large cannot be sieved with: the sieve's max, taken here
+            assert want == max(int(np.abs(il.difference_norms(field, coords, key)).max())
+                               for key in keys)
+
+
 def test_direct_and_mc_never_touch_primes(gaussian, monkeypatch):
     # the direct count and MC must not become a second sieve: they run with
     # prime enumeration and residue reduction disabled

@@ -276,6 +276,29 @@ def test_s_of_prime_saturates_for_admissible_sets(gaussian):
             assert pr.s_of_prime(S, P) == len(S)
 
 
+@pytest.mark.parametrize("fname", ["rational", "gaussian", "golden", "cubic"])
+def test_s_of_primes_matches_s_of_prime(request, fname):
+    # one array pass over the degree-1 primes against s_of_prime, on every
+    # P of norm <= 10^4; the points differ by multiples of 30, 7, 2^40 and 2^70, so
+    # their residues collide at 2, 3, 5 and 7, and at no prime past the bound
+    field = request.getfixturevalue(fname)
+    n = field.degree
+    plist = pr.primes_up_to_norm(field, 10 ** 4)
+    rng = random.Random(67)
+    a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(2)]
+    shifted = [[x + 30 * (i + 1) for i, x in enumerate(r)] for r in a]
+    S3 = [il.point(field, a), il.point(field, shifted),
+          il.point(field, [[x + 7 * (r[0] + 2) for x in r] for r in a])]
+    # 2^40 stays on the int64 path, 2^70 is past its bound
+    big = [[il.point(field, a), il.point(field, [[x + e for x in r] for r in a])]
+           for e in (2 ** 40, 2 ** 70)]
+    assert {P.f for P in plist} >= ({1, 2, 3} if fname == "cubic" else {1})
+    for S in [S3[:1], S3[:2], S3] + big:
+        got = pr.s_of_primes(S, plist)
+        assert got == [pr.s_of_prime(S, P) for P in plist]
+        assert min(got) < len(S) or len(S) == 1
+
+
 def test_is_prime():
     assert pr.is_prime(2) and pr.is_prime(10 ** 9 + 7)
     assert not pr.is_prime(1) and not pr.is_prime(561) and not pr.is_prime(10 ** 9)
