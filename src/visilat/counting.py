@@ -254,6 +254,8 @@ def count_visible_sieve(field: FieldSpec, S: Sequence[PointTuple], m: int,
     id.  Tuples are streamed by z_1: a CSR index gives each row the pairs
     whose first selection holds it, whose other selections are marked in a
     W^(m-1) scratch array, counted and cleared; no W^m array is held.
+    A B above ``region_cap`` is refused: the prime table enumerates B + 1
+    integers.
     """
     S = _check_inputs(field, S, m, region)
     coords = region_coords(region, region_cap)
@@ -266,6 +268,9 @@ def count_visible_sieve(field: FieldSpec, S: Sequence[PointTuple], m: int,
     for key in {p.coords for s in S for p in s.points}:
         N = np.abs(il.difference_norms(field, coords, key))
         B, row_of[key] = max(B, int(N.max())), np.flatnonzero(N == 0)
+    if B > region_cap:
+        raise CapExceeded("sieve prime norm bound exceeds region cap",
+                          estimate=B)
     # a point of S in region^m is caught by one-row selections (N = 0 there)
     sels = [[row_of[p.coords] for p in s.points] for s in S]
     if B >= 2:
@@ -321,12 +326,14 @@ def mc_estimate(field: FieldSpec, S: Sequence[PointTuple], m: int,
         flat = gen.integers(-L, L + 1, size=(need, n), dtype=np.int64)
     else:
         L, r2 = region.L, int(region.size ** 2)
+        # a squared length is at most n L^2; past int64, square exactly
+        dt = np.int64 if n * L * L < 2 ** 63 else object
         got = []
         count = 0
         while count < need:
             batch = gen.integers(-L, L + 1, size=(2 * need + 64, n),
                                  dtype=np.int64)
-            keep = batch[(batch * batch).sum(axis=1) <= r2]
+            keep = batch[(batch.astype(dt, copy=False) ** 2).sum(axis=1) <= r2]
             got.append(keep)
             count += len(keep)
         flat = np.concatenate(got)[:need]

@@ -74,11 +74,10 @@ def load_config(data: dict) -> ExperimentConfig:
     """Validate a raw config dict; raises ConfigError / FieldError."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    try:
-        fjson = data["field"]
-        field = field_from_json(fjson)
-    except KeyError:
+    if "field" not in data:
         raise ConfigError("config needs a 'field' descriptor")
+    fjson = data["field"]
+    field = field_from_json(fjson)
     m = data.get("m")
     if not isinstance(m, int) or m < 2:
         raise ConfigError("m must be an integer >= 2")
@@ -116,21 +115,27 @@ def load_config(data: dict) -> ExperimentConfig:
     caps = data.get("caps", {})
     if not isinstance(caps, dict):
         raise ConfigError("caps must be a JSON object")
-    cfg = ExperimentConfig(
-        field=field, field_json=fjson, m=m, S=S, s_json=s_json,
-        regions=regions,
-        X=int(data.get("X", 10 ** 4)),
-        modes=tuple(modes),
-        seed=int(data.get("seed", 0)),
-        samples=int(data.get("samples", 10 ** 4)),
-        tolerance=float(data.get("tolerance", DEFAULT_TOLERANCE)),
-        out=data.get("out"),
-        region_cap=int(caps.get("region", DEFAULT_REGION_CAP)),
-        tuple_cap=int(caps.get("tuple", DEFAULT_TUPLE_CAP)),
-        crt_cap=int(caps.get("crt", DEFAULT_CRT_CAP)),
-        oracle_window_t=int(data.get("oracle_window_t", 3)),
-        lemma_max_prime_norm=int(data.get("lemma_max_prime_norm", 30)),
-    )
+    try:
+        cfg = ExperimentConfig(
+            field=field, field_json=fjson, m=m, S=S, s_json=s_json,
+            regions=regions,
+            X=int(data.get("X", 10 ** 4)),
+            modes=tuple(modes),
+            seed=int(data.get("seed", 0)),
+            samples=int(data.get("samples", 10 ** 4)),
+            tolerance=float(data.get("tolerance", DEFAULT_TOLERANCE)),
+            out=data.get("out"),
+            region_cap=int(caps.get("region", DEFAULT_REGION_CAP)),
+            tuple_cap=int(caps.get("tuple", DEFAULT_TUPLE_CAP)),
+            crt_cap=int(caps.get("crt", DEFAULT_CRT_CAP)),
+            oracle_window_t=int(data.get("oracle_window_t", 3)),
+            lemma_max_prime_norm=int(data.get("lemma_max_prime_norm", 30)),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        # null, a list or a non-numeric string where a number belongs
+        raise ConfigError("X, seed, samples, tolerance, caps, oracle_window_t "
+                          f"and lemma_max_prime_norm must be numbers: {exc}"
+                          ) from None
     if cfg.X < 2:
         raise ConfigError("X must be >= 2")
     return cfg

@@ -11,7 +11,10 @@ Three kinds of field are supported:
 
 Elements are integer coordinate vectors over the fixed basis {1, theta, ...,
 theta^(n-1)}; all arithmetic is exact arbitrary-precision integer work.
-Polynomials are coefficient tuples, constant term first.
+Polynomials are coefficient tuples, constant term first.  Every kind is built
+from the minimal polynomial f of theta alone: the multiplication tensor is
+theta^(i+j) mod f, a norm is the determinant of multiplication by the element,
+and the discriminant is disc(f) = (-1)^(n(n-1)/2) N(f'(theta)).
 """
 
 from __future__ import annotations
@@ -44,9 +47,15 @@ class FieldSpec:
     degree: int
     basis_labels: tuple[str, ...]
     mult_tensor: tuple
-    discriminant: int
     gen_minpoly: tuple[int, ...]
     d: int | None = None
+
+    @property
+    def discriminant(self) -> int:
+        """disc(f) = (-1)^(n(n-1)/2) N(f'(theta)) of the power basis."""
+        f, n = self.gen_minpoly, self.degree
+        fprime = [i * f[i] for i in range(1, n + 1)]
+        return (-1) ** (n * (n - 1) // 2) * element_from_poly(self, fprime).norm()
 
     def element(self, coords: Sequence[int]) -> "AlgInt":
         coords = tuple(int(c) for c in coords)
@@ -141,17 +150,9 @@ def mul_coords(field: FieldSpec, a: Sequence[int],
 
 
 def norm_of_coords(field: FieldSpec, a: Sequence[int]) -> int:
-    """Exact field norm of the element with coordinates ``a``."""
+    """Exact field norm: det of multiplication by the element ``a``."""
     n = field.degree
-    if n == 1:
-        return a[0]
-    if n == 2:
-        # theta^2 = t0 + t1*theta; N(x + y*theta) = x^2 + t1*x*y - t0*y^2
-        t0, t1 = field.mult_tensor[1][1]
-        x, y = a
-        return x * x + t1 * x * y - t0 * y * y
-    rows = [mul_coords(field, a, _unit(n, i)) for i in range(n)]
-    return _det_bareiss(rows)
+    return _det_bareiss([mul_coords(field, a, _unit(n, i)) for i in range(n)])
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
@@ -191,37 +192,27 @@ def make_field(kind: str, d: int | None = None,
 
     ``quadratic`` needs a squarefree d not in {0, 1}; ``monogenic`` needs a
     monic irreducible integer polynomial (constant term first) and trusts the
-    caller that its power basis is integral.
+    caller that its power basis is integral.  A field other than Q whose d
+    is not on ``PID_WHITELIST`` (every monogenic field) gets one warning.
     """
     if kind == "rational":
-        return _build(kind="rational", gen_minpoly=(0, 1), labels=("1",),
-                      disc=1)
-    if kind == "quadratic":
+        mp, labels, d = (0, 1), ("1",), None
+    elif kind == "quadratic":
         if d is None:
             raise FieldError("quadratic field needs d")
-        d = int(d)
+        d = _int("d", d)
         if d in (0, 1) or not _is_squarefree(d):
             raise FieldError(f"d={d} must be squarefree and not 0 or 1")
-        if d not in PID_WHITELIST:
-            warnings.warn(
-                f"quadratic field with d={d} is not on the class-number-one "
-                "whitelist; density formulas assume O is a PID",
-                stacklevel=2)
         if d % 4 == 1:
             # theta = (1 + sqrt(d))/2, minimal polynomial x^2 - x + (1-d)/4
-            mp = ((1 - d) // 4, -1, 1)
-            labels = ("1", f"(1+sqrt({d}))/2")
-            disc = d
+            mp, labels = ((1 - d) // 4, -1, 1), ("1", f"(1+sqrt({d}))/2")
         else:
-            mp = (-d, 0, 1)
-            labels = ("1", f"sqrt({d})")
-            disc = 4 * d
-        return _build(kind="quadratic", gen_minpoly=mp, labels=labels,
-                      disc=disc, d=d)
-    if kind == "monogenic":
-        if minpoly is None:
+            mp, labels = (-d, 0, 1), ("1", f"sqrt({d})")
+    elif kind == "monogenic":
+        if not isinstance(minpoly, (list, tuple)):
             raise FieldError("monogenic field needs a minimal polynomial")
-        mp = tuple(int(c) for c in minpoly)
+        mp = tuple(_int("minimal polynomial coefficient", c) for c in minpoly)
+        d = None
         while len(mp) > 1 and mp[-1] == 0:
             mp = mp[:-1]
         n = len(mp) - 1
@@ -231,91 +222,64 @@ def make_field(kind: str, d: int | None = None,
             raise FieldError("minimal polynomial must be monic")
         if not _poly_irreducible(mp):
             raise FieldError("minimal polynomial is reducible over Q")
-        warnings.warn(
-            "monogenic field is not on the class-number-one whitelist; "
-            "density formulas assume O is a PID", stacklevel=2)
         labels = ("1", "theta") + tuple(f"theta^{k}" for k in range(2, n))
-        return _build(kind="monogenic", gen_minpoly=mp, labels=labels,
-                      disc=_poly_discriminant(mp))
-    raise FieldError(f"unknown field kind {kind!r}")
+    else:
+        raise FieldError(f"unknown field kind {kind!r}")
+    field = FieldSpec(kind=kind, degree=len(mp) - 1, basis_labels=labels,
+                      mult_tensor=_power_basis_tensor(mp), gen_minpoly=mp, d=d)
+    if kind != "rational" and d not in PID_WHITELIST:
+        warnings.warn(f"{field!r} is not on the class-number-one whitelist; "
+                      "density formulas assume O is a PID", stacklevel=2)
+    return field
 
 
 def field_from_json(data: dict | str) -> FieldSpec:
     """Parse a field descriptor like {"kind":"quadratic","d":-1}."""
     if isinstance(data, str):
         data = json.loads(data)
-    kind = data.get("kind")
-    if kind == "rational":
-        return make_field("rational")
-    if kind == "quadratic":
-        return make_field("quadratic", d=data["d"])
-    if kind == "monogenic":
-        return make_field("monogenic", minpoly=data["minpoly"])
-    raise FieldError(f"unknown field kind {kind!r}")
+    if not isinstance(data, dict):
+        raise FieldError(f"field descriptor must be a JSON object, got {data!r}")
+    return make_field(data.get("kind"), d=data.get("d"),
+                      minpoly=data.get("minpoly"))
 
 
-def _build(kind, gen_minpoly, labels, disc, d=None) -> FieldSpec:
-    n = len(gen_minpoly) - 1
-    tensor = _power_basis_tensor(gen_minpoly)
-    fs = FieldSpec(kind=kind, degree=n, basis_labels=labels,
-                   mult_tensor=tensor, discriminant=disc,
-                   gen_minpoly=gen_minpoly, d=d)
-    _validate_tensor(fs)
-    return fs
+def _int(what: str, x) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise FieldError(f"{what} must be an integer, got {x!r}") from None
+
+
+def _theta_powers(minpoly: Sequence[int], count: int) -> list[list[int]]:
+    """theta^0, ..., theta^(count-1) reduced mod the minimal polynomial."""
+    cur = list(_unit(len(minpoly) - 1, 0))
+    out = []
+    for _ in range(count):
+        out.append(cur)
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c - top * m for c, m in zip(cur, minpoly)]
+    return out
 
 
 def _power_basis_tensor(minpoly: tuple[int, ...]) -> tuple:
     """e_i * e_j = theta^(i+j) reduced mod the minimal polynomial."""
     n = len(minpoly) - 1
-    powers = [list(_unit(n, k)) for k in range(n)]
-    cur = list(powers[-1])
-    for _ in range(n - 1):
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            for j in range(n):
-                cur[j] -= top * minpoly[j]
-        powers.append(list(cur))
+    powers = _theta_powers(minpoly, 2 * n - 1)
     return tuple(tuple(tuple(powers[i + j]) for j in range(n))
                  for i in range(n))
 
 
-def _validate_tensor(field: FieldSpec):
-    n = field.degree
-    T = field.mult_tensor
-    for i in range(n):
-        for j in range(n):
-            if T[i][j] != T[j][i]:
-                raise FieldError("multiplication tensor is not commutative")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = mul_coords(field, T[i][j], _unit(n, k))
-                rhs = mul_coords(field, _unit(n, i), T[j][k])
-                if lhs != rhs:
-                    raise FieldError("multiplication tensor is not associative")
-
-
 def element_from_poly(field: FieldSpec, coeffs: Sequence[int]) -> AlgInt:
     """Evaluate an integer polynomial (constant first) at the basis generator."""
-    n = field.degree
-    val = [0] * n
-    xpow = list(_unit(n, 0))
-    for c in coeffs:
-        if c:
-            for k in range(n):
-                val[k] += c * xpow[k]
-        # multiply xpow by theta
-        top = xpow[-1]
-        xpow = [0] + xpow[:-1]
-        if top:
-            for j in range(n):
-                xpow[j] -= top * field.gen_minpoly[j]
-    return AlgInt(field, tuple(val))
+    powers = _theta_powers(field.gen_minpoly, len(coeffs))
+    return AlgInt(field, tuple(sum(c * pw[k] for c, pw in zip(coeffs, powers))
+                               for k in range(field.degree)))
 
 
 # ----------------------------------------------------------------------
-# integer polynomial utilities for construction-time validation
+# integer utilities for construction-time validation and prime tables
 # ----------------------------------------------------------------------
 
 def _is_squarefree(d: int) -> bool:
@@ -339,41 +303,12 @@ def _poly_irreducible(coeffs: tuple[int, ...]) -> bool:
     return Poly(list(reversed(coeffs)), Symbol("x")).is_irreducible
 
 
-def _poly_discriminant(f: tuple[int, ...]) -> int:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') for monic f."""
-    n = len(f) - 1
-    fprime = tuple(i * f[i] for i in range(1, len(f)))
-    res = _resultant(f, fprime)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res
-
-
-def _resultant(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Resultant via the Sylvester matrix determinant."""
-    da = len(a) - 1
-    db = len(b) - 1
-    if db < 0 or all(c == 0 for c in b):
-        return 0
-    size = da + db
-    ahigh = list(reversed(a))
-    bhigh = list(reversed(b))
-    rows = []
-    for i in range(db):
-        rows.append([0] * i + ahigh + [0] * (size - da - 1 - i))
-    for i in range(da):
-        rows.append([0] * i + bhigh + [0] * (size - db - 1 - i))
-    return _det_bareiss(rows)
-
-
 def first_rational_primes(t: int) -> list[int]:
     """The first t rational primes."""
-    out = []
-    cand = 2
-    while len(out) < t:
-        if all(cand % p for p in out if p * p <= cand):
-            out.append(cand)
-        cand += 1 if cand == 2 else 2
-    return out
+    x = 16
+    while len(primes := rational_primes_up_to(x)) < t:
+        x *= 2
+    return primes[:t]
 
 
 def rational_primes_up_to(x: int) -> list[int]:

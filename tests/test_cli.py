@@ -31,6 +31,17 @@ def test_field_subcommand_rejects(capsys):
     assert "unsupported field" in err
 
 
+@pytest.mark.parametrize("descriptor, says", [
+    ('{"kind":"quadratic"}', "quadratic field needs d"),
+    ('{"kind":"monogenic"}', "monogenic field needs a minimal polynomial"),
+    ('{"kind":"quadratic","d":[1]}', "d must be an integer")])
+def test_field_subcommand_bad_descriptor_exit3(capsys, descriptor, says):
+    # every descriptor is dispatched by make_field, whose message is printed
+    code, _, err = run_cli(capsys, "field", "--field", descriptor)
+    assert code == 3 and "Traceback" not in err
+    assert err.startswith(f"unsupported field: {says}") and err.count("\n") == 1
+
+
 def test_primes_subcommand(capsys):
     code, out, _ = run_cli(capsys, "primes", "--field", GAUSSIAN,
                            "--max-norm", "5")
@@ -156,6 +167,18 @@ def test_run_unsupported_field_exit3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("field, says", [
+    ([1], "field descriptor must be a JSON object"),
+    (None, "field descriptor must be a JSON object"),
+    ({"kind": "monogenic"}, "monogenic field needs a minimal polynomial"),
+    ({"kind": "quadratic"}, "quadratic field needs d")])
+def test_run_bad_field_descriptor_exit3(capsys, tmp_path, field, says):
+    path = write_config(tmp_path, base_config(tmp_path, field=field))
+    code, _, err = run_cli(capsys, "run", "--config", path)
+    assert code == 3 and "Traceback" not in err
+    assert err.startswith(f"unsupported field: {says}") and err.count("\n") == 1
+
+
 def test_run_tolerance_failure_exit1(capsys, tmp_path):
     path = write_config(tmp_path, base_config(tmp_path, tolerance=1e-12))
     code, _, _ = run_cli(capsys, "run", "--config", path)
@@ -187,6 +210,22 @@ def test_run_transform_overflow_exit2(capsys, tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert [r["mode"] for r in report["counts"]] == ["direct", "sieve", "mc"]
     assert all("basis transform" in r["error"] for r in report["counts"])
+    assert report["failed"] is True
+
+
+def test_run_sieve_prime_bound_cap_exit2(capsys, tmp_path):
+    # a point of S far outside the cube gives B ~ 10^12: the sieve is
+    # refused before its prime table is built, and the direct row is kept
+    cfg = base_config(tmp_path, field={"kind": "quadratic", "d": -1},
+                      s=[[[10 ** 6, 0], [10 ** 6, 0]]], modes=["direct", "sieve"],
+                      regions=[{"shape": "cube", "L": 2}])
+    path = write_config(tmp_path, cfg)
+    code, _, err = run_cli(capsys, "run", "--config", path)
+    assert code == 2 and "Traceback" not in err
+    report = json.loads((tmp_path / "report.json").read_text())
+    direct, sieve = report["counts"]
+    assert direct["mode"] == "direct" and direct["total"] == 25 ** 2
+    assert sieve["mode"] == "sieve" and "prime norm bound" in sieve["error"]
     assert report["failed"] is True
 
 
@@ -305,11 +344,18 @@ def test_csv_mc_stderr_column(capsys, tmp_path):
             assert r[-1] == ""
 
 
+# numeric settings of the wrong JSON type
+BAD_NUMBERS = {"X": None, "seed": [1], "samples": None, "tolerance": [0.1],
+               "oracle_window_t": None, "lemma_max_prime_norm": [30],
+               "caps.region": None, "caps.tuple": [1], "caps.crt": "many"}
+
+
 @pytest.mark.parametrize("case, says", [
     ("config", "no-such-dir"), ("s_file", "no-such-dir"),
     ("csv", "no-such-dir"), ("out", "no-such-dir"),
     ("caps", "caps must be a JSON object"),
-    ("modes", "modes must be a JSON list")])
+    ("modes", "modes must be a JSON list")] + [
+    (key, "must be numbers") for key in BAD_NUMBERS])
 def test_run_bad_input_exit2(capsys, tmp_path, case, says):
     # each input error gives one "invalid configuration" line, not a crash
     missing = str(tmp_path / "no-such-dir" / "file")
@@ -326,6 +372,9 @@ def test_run_bad_input_exit2(capsys, tmp_path, case, says):
         cfg["caps"] = [1, 2]
     elif case == "modes":
         cfg["modes"] = "sieve"
+    elif case in BAD_NUMBERS:
+        *caps, key = case.split(".")
+        (cfg.setdefault("caps", {}) if caps else cfg)[key] = BAD_NUMBERS[case]
     path = missing if case == "config" else write_config(tmp_path, cfg)
     code, _, err = run_cli(capsys, "run", "--config", path, *argv)
     assert code == 2 and "Traceback" not in err

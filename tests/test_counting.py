@@ -275,6 +275,24 @@ def test_sieve_memory(gaussian):
     assert peak <= W ** 2 / 8
 
 
+def test_sieve_prime_bound_cap(gaussian, monkeypatch):
+    # the prime table enumerates B + 1 integers, so B is held to region_cap
+    # before any prime is enumerated
+    region = ct.cube_region(gaussian, 2)
+    S = [il.point(gaussian, [[20, 0], [20, 0]])]
+    B = 22 ** 2 + 2 ** 2  # N(-2 + 2i - 20), the farthest difference
+    assert ct.count_visible_sieve(gaussian, S, 2, region,
+                                  region_cap=B).prime_norm_bound == B
+    monkeypatch.setattr(pr, "primes_up_to_norm", None)  # must not be reached
+    with pytest.raises(CapExceeded) as exc:
+        ct.count_visible_sieve(gaussian, S, 2, region, region_cap=B - 1)
+    assert exc.value.estimate == B
+    far = [il.point(gaussian, [[10 ** 6, 0], [10 ** 6, 0]])]
+    with pytest.raises(CapExceeded) as exc:
+        ct.count_visible_sieve(gaussian, far, 2, region)
+    assert exc.value.estimate == (10 ** 6 + 2) ** 2 + 4
+
+
 def _norm_bound_by_rows(field, S, coords):
     # the sieve's former per-row loop, kept here as the oracle for B
     B = 1
@@ -389,6 +407,25 @@ def test_mc_ball_sampling(gaussian):
     res = ct.mc_estimate(gaussian, [origin(gaussian, 2)], 2,
                          ct.ball_region(gaussian, 30), samples=2000, seed=3)
     assert 0.5 < float(res.density_estimate) < 0.8
+
+
+@pytest.mark.parametrize("R", [2 ** 31 - 1, 2 ** 31, 2 ** 33])
+def test_mc_ball_samples_lie_in_ball(gaussian, monkeypatch, R):
+    # on Q(i) a squared length reaches 2^63 once L >= 2^31; past that the
+    # filter squares on Python integers, so no sample outside the ball is kept
+    seen = []
+
+    def spy(z, S):
+        seen.append(z)
+        return np.zeros(len(z), dtype=bool)
+
+    monkeypatch.setattr(il, "visible_mask", spy)
+    res = ct.mc_estimate(gaussian, [origin(gaussian, 2)], 2,
+                         ct.ball_region(gaussian, R), samples=1000, seed=5)
+    assert res.visible_count == 0
+    (z,) = seen
+    assert z.shape == (1000, 2, 2)
+    assert all(x * x + y * y <= R * R for x, y in z.reshape(-1, 2).tolist())
 
 
 def test_mc_sample_floor(rational):

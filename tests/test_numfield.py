@@ -48,6 +48,12 @@ def test_reject_bad_minpoly():
 def test_whitelist_warning():
     with pytest.warns(UserWarning):
         nf.make_field("quadratic", d=10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        nf.make_field("monogenic", minpoly=[-1, -1, 0, 1])
+    assert [str(w.message) for w in caught] == [
+        'FieldSpec({"kind": "monogenic", "minpoly": [-1, -1, 0, 1]}, n=3) is '
+        "not on the class-number-one whitelist; density formulas assume O is a PID"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         nf.make_field("quadratic", d=2)  # whitelisted: no warning
@@ -114,6 +120,46 @@ def test_cubic_discriminants(cubic):
         warnings.simplefilter("ignore")
         f2 = nf.make_field("monogenic", minpoly=[-2, 0, 0, 1])  # x^3 - 2
     assert f2.discriminant == -108
+
+
+def test_discriminant_matches_sympy():
+    # disc(f) = (-1)^(n(n-1)/2) N(f'(theta)) against sympy's resultant
+    from sympy import Poly, Symbol, discriminant
+
+    x = Symbol("x")
+    rng = random.Random(17)
+    checked = 0
+    while checked < 12:
+        n = rng.randint(2, 6)
+        mp = [rng.randint(-6, 6) for _ in range(n)] + [1]
+        poly = Poly(list(reversed(mp)), x)
+        if not poly.is_irreducible:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            field = nf.make_field("monogenic", minpoly=mp)
+        assert field.discriminant == discriminant(poly)
+        checked += 1
+
+
+def test_field_descriptor_refusals():
+    # one dispatch: make_field's own message for every malformed descriptor
+    for data, says in (([1], "JSON object"), ("null", "JSON object"),
+                       ({"kind": "quadratic"}, "needs d"),
+                       ({"kind": "quadratic", "d": [3]}, "d must be an integer"),
+                       ({"kind": "monogenic"}, "needs a minimal polynomial"),
+                       ({"kind": "monogenic", "minpoly": 5}, "minimal polynomial"),
+                       ({"kind": "monogenic", "minpoly": [1, None, 1]},
+                        "coefficient must be an integer"),
+                       ({}, "unknown field kind None")):
+        with pytest.raises(FieldError, match=says):
+            nf.field_from_json(data)
+
+
+def test_first_rational_primes():
+    assert nf.first_rational_primes(0) == []
+    assert nf.first_rational_primes(10) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert nf.first_rational_primes(1000) == nf.rational_primes_up_to(7919)
 
 
 def test_element_from_poly(gaussian):

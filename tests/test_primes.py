@@ -17,6 +17,17 @@ def test_factor_examples():
     assert pr.poly_factor_mod_p((1, 0, 1), 2) == [((1, 1), 2)]
 
 
+def test_factor_mod_2_equal_degree(monkeypatch):
+    # x^6 + ... + 1 = (x^3 + x + 1)(x^3 + x^2 + 1) mod 2: two cubics of one
+    # degree, split by the trace map of the p = 2 branch (its only _padd)
+    calls = []
+    padd = pr._padd
+    monkeypatch.setattr(pr, "_padd", lambda *a: calls.append(a) or padd(*a))
+    assert pr.poly_factor_mod_p((1,) * 7, 2) == [((1, 0, 1, 1), 1),
+                                                 ((1, 1, 0, 1), 1)]
+    assert calls
+
+
 def test_factor_rejects_composite_modulus():
     with pytest.raises(ValueError):
         pr.poly_factor_mod_p((1, 0, 1), 6)
@@ -75,7 +86,13 @@ def test_split_examples(gaussian):
 
 
 def test_split_completeness(gaussian, root2, golden, eisenstein, cubic):
-    for field in (gaussian, root2, golden, eisenstein, cubic):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cyclo7 = nf.make_field("monogenic", minpoly=[1] * 7)
+    # the 7th cyclotomic field: 2 splits into two primes of degree f = 3
+    assert cyclo7.discriminant == -16807
+    assert [(P.e, P.f) for P in pr.split_prime(cyclo7, 2)] == [(1, 3), (1, 3)]
+    for field in (gaussian, root2, golden, eisenstein, cubic, cyclo7):
         for p in (2, 3, 5, 7, 11, 13, 17, 19):
             primes = pr.split_prime(field, p)
             assert sum(P.e * P.f for P in primes) == field.degree
