@@ -2,8 +2,9 @@
 
 Three routes: a direct count (exact: every tuple of region^m, chunk by
 chunk, through the batched gcd-of-minors kernel ``ideals.visible_mask``), a
-prime-ideal sieve (exact: residue classes marked row by row of the first
-coordinate in a W^(m-1) scratch array), and a Monte Carlo estimator (the same
+prime-ideal sieve (exact: each residue class keeps its last coordinates as
+a W-bit set, and every prefix of the other coordinates counts the union of
+its classes' sets, block by block), and a Monte Carlo estimator (the same
 kernel on uniform samples) for regions beyond enumeration caps.  The direct
 count never touches prime ideals or residues, so sieve == direct is an
 independent check and must hold exactly.
@@ -23,11 +24,13 @@ from . import ideals as il
 from . import primes as pr
 from .errors import CapExceeded
 from .ideals import IdealHNF, PointTuple
-from .numfield import AlgInt, FieldSpec, _det_bareiss
+from .numfield import AlgInt, FieldSpec, _det_bareiss, as_int
 from .numfield import norm_of_coords  # noqa: F401 (perfbench's self-test looks it up here)
 
 DEFAULT_REGION_CAP = 2 ** 22
 DEFAULT_TUPLE_CAP = 2 ** 31
+# bytes of bitset rows the sieve gathers for one block of prefixes
+BLOCK_BYTES = 2 ** 20
 
 # pi to 49 decimal places; enough that ball-volume normalization error is
 # far below every tolerance in play
@@ -90,7 +93,7 @@ class Region:
 
 
 def cube_region(field: FieldSpec, L: int, basis_transform=None) -> Region:
-    return Region(field, "cube", Fraction(int(L)),
+    return Region(field, "cube", Fraction(as_int(L)),
                   _norm_transform(basis_transform))
 
 
@@ -251,9 +254,11 @@ def count_visible_sieve(field: FieldSpec, S: Sequence[PointTuple], m: int,
     P, and any nonzero coordinate bounds N(P) by its norm, so primes of norm
     <= B := max |N(a - s_i)| suffice.  The pair (P, s) catches the tuples
     whose every z_j lies in its selection j, the rows with s_j's residue
-    id.  Tuples are streamed by z_1: a CSR index gives each row the pairs
-    whose first selection holds it, whose other selections are marked in a
-    W^(m-1) scratch array, counted and cleared; no W^m array is held.
+    id.  A pair keeps its last selection as a W-bit set of ``uint64``
+    words.  A CSR index gives each row z_1 the pairs whose first selection
+    holds it; the prefixes (z_1, ..., z_(m-1)) of one block of z_1 rows take
+    the sets of their pairs (about ``BLOCK_BYTES`` of them), OR-reduce them
+    per prefix and add the popcounts.  No array grows with W^(m-1).
     A B above ``region_cap`` is refused: the prime table enumerates B + 1
     integers.
     """
@@ -264,37 +269,65 @@ def count_visible_sieve(field: FieldSpec, S: Sequence[PointTuple], m: int,
     if total > tuple_cap:
         raise CapExceeded("tuple space exceeds cap", estimate=total)
 
-    B, row_of = 1, {}
+    B, hit = 1, {}
     for key in {p.coords for s in S for p in s.points}:
         N = np.abs(il.difference_norms(field, coords, key))
-        B, row_of[key] = max(B, int(N.max())), np.flatnonzero(N == 0)
+        B, hit[key] = max(B, int(N.max())), N == 0
     if B > region_cap:
         raise CapExceeded("sieve prime norm bound exceeds region cap",
                           estimate=B)
-    # a point of S in region^m is caught by one-row selections (N = 0 there)
-    sels = [[row_of[p.coords] for p in s.points] for s in S]
-    if B >= 2:
-        points = np.array([s.coords_lists() for s in S], dtype=object)
-        for P in pr.primes_up_to_norm(field, B):
-            ids = pr.residue_ids(P, coords)
-            for targets in pr.residue_ids(P, points).tolist():
-                # fresh arrays: a view would pin the prime's whole ids
-                sels.append([np.flatnonzero(ids == t) for t in targets])
-    sels = [sel for sel in sels if all(len(x) for x in sel)]
-    # CSR index: the pairs of each row z_1 are one run pair[lo:hi]
-    first = np.concatenate([np.zeros(0, np.int64)] + [sel[0] for sel in sels])
-    order = np.argsort(first, kind="stable")
-    pair = np.repeat(np.arange(len(sels)), [len(sel[0]) for sel in sels])[order]
-    starts = np.flatnonzero(np.diff(first[order], prepend=-1)).tolist()
-    rest = [np.ix_(*sel[1:]) for sel in sels]
+    plist = pr.primes_up_to_norm(field, B) if B >= 2 else []
+    points = np.array([s.coords_lists() for s in S], dtype=object)
 
-    scratch = np.zeros((W,) * (m - 1), dtype=bool)
+    def selections():
+        # a point of S in region^m is caught by one-row selections (N = 0)
+        yield from ([hit[p.coords] for p in s.points] for s in S)
+        for P in plist:
+            ids = pr.residue_ids(P, coords)
+            yield from ([ids == t for t in ts] for ts in pr.residue_ids(P, points).tolist())
+
+    # pair q keeps the rows of its first selection, heads[q]; the flat ids in
+    # W^(m-2) of its middle selections' product, mids[q] ([0] when m = 2);
+    # and its last selection as the W-bit set bits[q], padding bits 0
+    nw, zero = -(-W // 64), np.zeros(1, np.int64)
+    bits = np.zeros((len(S) * (len(plist) + 1), nw), np.uint64)
+    heads, mids = [], []
+    for sel in selections():
+        head, mid = np.flatnonzero(sel[0]), zero
+        for x in sel[1:-1]:
+            mid = (mid[:, None] * W + np.flatnonzero(x)).reshape(-1)
+        # a pair with an empty selection is dropped; its row is overwritten
+        row = bits[len(heads)]
+        row.view(np.uint8)[:-(-W // 8)] = np.packbits(sel[-1], bitorder="little")
+        if len(head) and len(mid) and row.any():
+            heads.append(head)
+            mids.append(mid)
+    mlen = np.array([len(mid) for mid in mids], dtype=np.int64)
+    moff = np.cumsum(mlen) - mlen
+    mids = np.concatenate([zero[:0]] + mids)
+    # CSR index: the pairs of row z_1 are pair[rowptr[z_1]:rowptr[z_1 + 1]]
+    first = np.concatenate([zero[:0]] + heads)
+    pair = np.repeat(np.arange(len(heads)), [len(h) for h in heads])
+    rowptr = np.concatenate((zero[:1], np.cumsum(np.bincount(first, minlength=W))))
+    pair = pair[np.argsort(first, kind="stable")]
+    del heads, first
+    # blocks of z_1 rows: a block ends where the count of prefixes (z_1, ...,
+    # z_(m-1)) before a row passes a multiple of cap, so it gathers fewer than
+    # 2 cap bitsets, BLOCK_BYTES, unless one row alone has more than cap
+    cap = max(1, BLOCK_BYTES // (16 * nw))
+    before = np.concatenate((zero[:1], np.cumsum(mlen[pair])))[rowptr[:-1]]
+    cuts = np.flatnonzero(np.diff(before // cap, prepend=-1)).tolist() + [W]
     marked = 0
-    for lo, hi in zip(starts, starts[1:] + [len(first)]):
-        for q in pair[lo:hi].tolist():
-            scratch[rest[q]] = True
-        marked += int(np.count_nonzero(scratch))
-        scratch.fill(False)
+    for a, b in zip(cuts, cuts[1:]):
+        q = pair[rowptr[a]:rowptr[b]]
+        k = mlen[q]
+        z = np.repeat(np.arange(b - a), np.diff(rowptr[a:b + 1]))
+        at = np.repeat(moff[q] - np.cumsum(k) + k, k) + np.arange(int(k.sum()))
+        prefix = np.repeat(z * W ** (m - 2), k) + mids[at]
+        o = np.argsort(prefix, kind="stable")
+        starts = np.flatnonzero(np.diff(prefix[o], prepend=-1))
+        rows = np.bitwise_or.reduceat(bits[np.repeat(q, k)[o]], starts)
+        marked += int(np.bitwise_count(rows).sum())
 
     visible = total - marked
     return CountResult(visible_count=visible, total_tuples=total,

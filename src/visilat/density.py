@@ -27,14 +27,20 @@ class PredictionInterval:
     """Rigorous bracket for the Euler product over all prime ideals.
 
     hi is the truncated product itself (every omitted factor is <= 1); lo
-    multiplies in a lower bound for the omitted tail.  A zero certificate is
-    a prime where S covers every residue tuple, forcing density exactly 0.
+    multiplies in a lower bound for the omitted tail, lo = hi max(0, 1 -
+    tail) with ``tail`` the relative tail bound.  A zero certificate is a
+    prime where S covers every residue tuple, forcing density exactly 0.
     """
 
     lo: Fraction
     hi: Fraction
     cutoff_X: int
     zero_certificate: Optional[PrimeIdeal] = None
+    tail: Fraction = Fraction(0)
+
+    @property
+    def mid(self) -> Fraction:  # (lo + hi) / 2, without adding two huge rationals
+        return self.hi * Fraction(2 - min(self.tail, 1), 2)
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ def predicted_density(field: FieldSpec, S: Sequence[PointTuple], m: int,
     tail = Fraction(1, (m - 1) * X ** (m - 1))
     slack = 2 * field.degree * len(S) * tail
     lo = partial * max(Fraction(0), 1 - slack)
-    return PredictionInterval(lo, partial, X)
+    return PredictionInterval(lo, partial, X, tail=slack)
 
 
 def _product(xs: list[int]) -> int:

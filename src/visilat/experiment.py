@@ -23,7 +23,7 @@ from .counting import DEFAULT_REGION_CAP, DEFAULT_TUPLE_CAP, Region
 from .density import decimal_str
 from .errors import CapExceeded, ConfigError
 from .ideals import PointTuple
-from .numfield import FieldSpec, field_from_json
+from .numfield import FieldSpec, as_int, field_from_json
 
 VALID_MODES = ("predict", "direct", "sieve", "mc", "oracle", "lemma-check")
 DEFAULT_TOLERANCE = 0.02
@@ -119,20 +119,20 @@ def load_config(data: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(
             field=field, field_json=fjson, m=m, S=S, s_json=s_json,
             regions=regions,
-            X=int(data.get("X", 10 ** 4)),
+            X=as_int(data.get("X", 10 ** 4)),
             modes=tuple(modes),
-            seed=int(data.get("seed", 0)),
-            samples=int(data.get("samples", 10 ** 4)),
+            seed=as_int(data.get("seed", 0)),
+            samples=as_int(data.get("samples", 10 ** 4)),
             tolerance=float(data.get("tolerance", DEFAULT_TOLERANCE)),
             out=data.get("out"),
-            region_cap=int(caps.get("region", DEFAULT_REGION_CAP)),
-            tuple_cap=int(caps.get("tuple", DEFAULT_TUPLE_CAP)),
-            crt_cap=int(caps.get("crt", DEFAULT_CRT_CAP)),
-            oracle_window_t=int(data.get("oracle_window_t", 3)),
-            lemma_max_prime_norm=int(data.get("lemma_max_prime_norm", 30)),
+            region_cap=as_int(caps.get("region", DEFAULT_REGION_CAP)),
+            tuple_cap=as_int(caps.get("tuple", DEFAULT_TUPLE_CAP)),
+            crt_cap=as_int(caps.get("crt", DEFAULT_CRT_CAP)),
+            oracle_window_t=as_int(data.get("oracle_window_t", 3)),
+            lemma_max_prime_norm=as_int(data.get("lemma_max_prime_norm", 30)),
         )
     except (TypeError, ValueError, OverflowError) as exc:
-        # null, a list or a non-numeric string where a number belongs
+        # null, a list, a non-numeric string, a bool or a fraction
         raise ConfigError("X, seed, samples, tolerance, caps, oracle_window_t "
                           f"and lemma_max_prime_norm must be numbers: {exc}"
                           ) from None
@@ -230,10 +230,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "timings": timings,
     }
 
-    interval = mid = None
+    mid = None
     if "predict" in cfg.modes:
         t0 = time.perf_counter()
         interval = dn.predicted_density(cfg.field, cfg.S, cfg.m, cfg.X)
+        mid = interval.mid
         timings["predict"] = time.perf_counter() - t0
         report["prediction"] = prediction_to_json(interval)
 
@@ -263,9 +264,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 continue
             finally:
                 timings[f"{region.label()}|{mode}"] = time.perf_counter() - t0
-            if interval is not None and mid is None:
-                # once per run: lo + hi adds two rationals of huge height
-                mid = (interval.lo + interval.hi) / 2
             row = count_to_json(res, mid, cfg.tolerance)
             report["counts"].append(row)
             if row["pass"] is False:

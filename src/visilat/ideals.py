@@ -25,7 +25,7 @@ import numpy as np
 from .numfield import AlgInt, FieldSpec, mul_coords
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdealHNF:
     """An ideal of O as a canonical Hermite-normal-form Z-module."""
 
@@ -43,7 +43,7 @@ class IdealHNF:
         return f"IdealHNF({self.hnf}, norm={self.norm})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointTuple:
     """An m-tuple of algebraic integers (a lattice point of O^m)."""
 

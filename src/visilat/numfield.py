@@ -58,7 +58,7 @@ class FieldSpec:
         return (-1) ** (n * (n - 1) // 2) * element_from_poly(self, fprime).norm()
 
     def element(self, coords: Sequence[int]) -> "AlgInt":
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(as_int(c) for c in coords)
         if len(coords) != self.degree:
             raise ValueError(
                 f"expected {self.degree} coordinates, got {len(coords)}")
@@ -243,10 +243,17 @@ def field_from_json(data: dict | str) -> FieldSpec:
                       minpoly=data.get("minpoly"))
 
 
+def as_int(x) -> int:
+    """int(x), but a bool or a float with a fraction is refused (2.0 is 2)."""
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def _int(what: str, x) -> int:
     try:
-        return int(x)
-    except (TypeError, ValueError):
+        return as_int(x)
+    except (TypeError, ValueError, OverflowError):
         raise FieldError(f"{what} must be an integer, got {x!r}") from None
 
 
@@ -297,7 +304,13 @@ def _is_squarefree(d: int) -> bool:
 
 
 def _poly_irreducible(coeffs: tuple[int, ...]) -> bool:
-    # sympy only used here; quadratic/rational kinds never import it
+    """Monic f is irreducible if f mod p is, for some p; sympy decides only
+    when no p < 100 shows it (x^4 + 1 is reducible mod every prime)."""
+    from .primes import poly_factor_mod_p  # primes imports this module
+
+    for p in rational_primes_up_to(100):
+        if [e for _, e in poly_factor_mod_p(coeffs, p)] == [1]:  # one factor
+            return True
     from sympy import Poly, Symbol
 
     return Poly(list(reversed(coeffs)), Symbol("x")).is_irreducible

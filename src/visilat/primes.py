@@ -20,7 +20,7 @@ from .ideals import IdealHNF, PointTuple, ideal_from_generators
 from .numfield import AlgInt, FieldSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeIdeal:
     """A prime ideal (p, g(theta)) with residue field F_p[x]/(g)."""
 
@@ -39,7 +39,7 @@ class PrimeIdeal:
         return f"PrimeIdeal(p={self.under_p}, f={self.f}, e={self.e}, g={list(self.gpoly)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeWindow:
     """E_t: all prime ideals above the first t rational primes."""
 
@@ -47,7 +47,7 @@ class PrimeWindow:
     primes: tuple[PrimeIdeal, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidueElem:
     """Image of an element in O/P, as a polynomial of degree < f over F_p."""
 
@@ -394,6 +394,7 @@ def residue_ids(P: PrimeIdeal, coords: np.ndarray) -> np.ndarray:
     coordinates are reduced mod p first, so huge entries stay exact; then a
     row times ``reduction_rows`` is <= n (p-1)^2 and the packing < N(P).
     The work is int64 when those fit, else Python integers (``object``).
+    A degree-1 prime's id is its one residue; nothing is packed.
     """
     p, n = P.under_p, P.field.degree
     r = np.asarray(coords)
@@ -406,8 +407,12 @@ def residue_ids(P: PrimeIdeal, coords: np.ndarray) -> np.ndarray:
         dtype = np.int64 if fits else object
         # a 0-d p of the working dtype makes object rows reduce exactly
         r = (r % np.array(p, dtype=dtype)).astype(dtype, copy=False)
-    r = r @ np.array(reduction_rows(P), dtype=dtype)
-    return (r % p) @ np.array([p ** j for j in range(P.f)], dtype=dtype)
+    red = np.array(reduction_rows(P), dtype=dtype)
+    # scaled adds, as numpy's integer matmul is slower; x - x // p * p is x % p
+    # (numpy divides by a scalar faster than it takes remainders; wraps cancel)
+    x = sum((r[..., i, None] * red[i] for i in range(1, n)), r[..., :1] * red[0])
+    x = x - x // p * p
+    return x[..., 0] if P.f == 1 else x @ p ** np.arange(P.f, dtype=dtype)
 
 
 def reduce(a: AlgInt, P: PrimeIdeal) -> ResidueElem:

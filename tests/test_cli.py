@@ -34,12 +34,23 @@ def test_field_subcommand_rejects(capsys):
 @pytest.mark.parametrize("descriptor, says", [
     ('{"kind":"quadratic"}', "quadratic field needs d"),
     ('{"kind":"monogenic"}', "monogenic field needs a minimal polynomial"),
-    ('{"kind":"quadratic","d":[1]}', "d must be an integer")])
+    ('{"kind":"quadratic","d":[1]}', "d must be an integer"),
+    ('{"kind":"quadratic","d":2.5}', "d must be an integer"),
+    ('{"kind":"quadratic","d":true}', "d must be an integer"),
+    ('{"kind":"monogenic","minpoly":[-1,-1,0,1.5]}',
+     "minimal polynomial coefficient must be an integer")])
 def test_field_subcommand_bad_descriptor_exit3(capsys, descriptor, says):
     # every descriptor is dispatched by make_field, whose message is printed
     code, _, err = run_cli(capsys, "field", "--field", descriptor)
     assert code == 3 and "Traceback" not in err
     assert err.startswith(f"unsupported field: {says}") and err.count("\n") == 1
+
+
+def test_field_subcommand_integral_float(capsys):
+    # 2.0 is read as the integer it is
+    outs = [run_cli(capsys, "field", "--field", f'{{"kind":"quadratic","d":{d}}}')
+            for d in ("-1", "-1.0")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 def test_primes_subcommand(capsys):
@@ -380,3 +391,31 @@ def test_run_bad_input_exit2(capsys, tmp_path, case, says):
     assert code == 2 and "Traceback" not in err
     assert err.startswith("invalid configuration: ") and err.count("\n") == 1
     assert says in err
+
+
+# integer settings given a bool or a fraction, which int() would read as 1
+# or truncate; a region side and a coordinate of S likewise
+BAD_INTEGERS = [("X", 2.7), ("X", True), ("seed", 0.5), ("samples", 150.5),
+                ("oracle_window_t", True), ("lemma_max_prime_norm", 30.5),
+                ("caps.region", False), ("caps.tuple", 1e9 + 0.5),
+                ("caps.crt", 2.5), ("regions", [{"shape": "cube", "L": 2.7}]),
+                ("s", [[[0.5], [0]]]), ("s", [[[True], [0]]])]
+
+
+@pytest.mark.parametrize("key, value", BAD_INTEGERS)
+def test_run_fraction_or_bool_for_integer_exit2(capsys, tmp_path, key, value):
+    cfg = base_config(tmp_path)
+    *caps, name = key.split(".")
+    (cfg.setdefault("caps", {}) if caps else cfg)[name] = value
+    code, _, err = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("invalid configuration: ") and "not an integer" in err
+
+
+def test_run_integral_floats_accepted(tmp_path):
+    cfg = ex.load_config(base_config(
+        tmp_path, X=1000.0, seed=3.0, s=[[[0.0], [0]]],
+        regions=[{"shape": "cube", "L": 30.0}]))
+    got = (cfg.X, cfg.seed, cfg.regions[0].L)
+    assert got == (1000, 3, 30) and all(type(v) is int for v in got)
+    assert cfg.S[0].coords_lists() == [[0], [0]]

@@ -275,6 +275,42 @@ def test_sieve_memory(gaussian):
     assert peak <= W ** 2 / 8
 
 
+def test_sieve_memory_m3(gaussian):
+    # the prefixes (z_1, z_2) are indexed one block of z_1 rows at a time:
+    # no array grows with W^2 or with the number of prefixes
+    region = ct.cube_region(gaussian, 12)
+    S = [origin(gaussian, 3), il.point(gaussian, [[1, 2], [-1, 0], [2, 1]])]
+    ct.count_visible_sieve(gaussian, S, 3, region)  # fills the split cache
+    tracemalloc.start()
+    try:
+        res = ct.count_visible_sieve(gaussian, S, 3, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.total_tuples == 625 ** 3
+    assert peak <= 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("block", [None, 4096, 64])
+@pytest.mark.parametrize("fname, m, L", [
+    ("rational", 2, 31), ("rational", 2, 32),  # W = 63, 65: a part-filled word
+    ("gaussian", 3, 2), ("cubic", 3, 1), ("rational", 4, 4)])
+def test_sieve_bitsets_equal_direct(request, monkeypatch, block, fname, m, L):
+    # a small BLOCK_BYTES cuts the rows into many blocks (one row each at 64);
+    # S has points inside the region and one outside it
+    if block:
+        monkeypatch.setattr(ct, "BLOCK_BYTES", block)
+    field = request.getfixturevalue(fname)
+    n = field.degree
+    S = [origin(field, m),
+         il.point(field, [[(i + j) % 3 - 1 for j in range(n)] for i in range(m)]),
+         il.point(field, [[L + 1 + i] + [1] * (n - 1) for i in range(m)])]
+    region = ct.cube_region(field, L)
+    a = ct.count_visible_direct(field, S, m, region)
+    b = ct.count_visible_sieve(field, S, m, region)
+    assert a.visible_count == b.visible_count
+
+
 def test_sieve_prime_bound_cap(gaussian, monkeypatch):
     # the prime table enumerates B + 1 integers, so B is held to region_cap
     # before any prime is enumerated

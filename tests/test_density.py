@@ -31,9 +31,24 @@ def test_inv_zeta2_bracket(rational):
 def test_zero_certificate(rational):
     S = [il.point(rational, [[a], [b]]) for a in (0, 1) for b in (0, 1)]
     iv = dn.predicted_density(rational, S, 2, 100)
-    assert iv.lo == iv.hi == 0
+    assert iv.lo == iv.hi == iv.mid == 0
     assert iv.zero_certificate is not None
     assert iv.zero_certificate.under_p == 2
+
+
+@pytest.mark.parametrize("fname", ["rational", "gaussian", "golden"])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_mid_is_mean_of_endpoints(request, fname, size):
+    # mid is hi times a small rational; it must equal (lo + hi) / 2 exactly,
+    # at a tail slack below 1 (X large) and above it (X = 2, lo = 0)
+    field = request.getfixturevalue(fname)
+    S = [origin(field, 2)] + [
+        il.point(field, [[k] + [1] * (field.degree - 1), [1 - k] * field.degree])
+        for k in range(1, size)]
+    for X in (2, 50, 10 ** 3):
+        iv = dn.predicted_density(field, S, 2, X)
+        assert iv.lo == iv.hi * max(0, 1 - iv.tail)
+        assert isinstance(iv.mid, Fraction) and iv.mid == (iv.lo + iv.hi) / 2
 
 
 def test_gaussian_bracket(gaussian):

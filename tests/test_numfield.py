@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import visilat
 from visilat import numfield as nf
+from visilat import primes as pr
 from visilat.errors import FieldError
 
 
@@ -43,6 +48,44 @@ def test_reject_bad_minpoly():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             nf.make_field("monogenic", minpoly=[0, 0, 2])  # not monic
+
+
+@pytest.mark.parametrize("mp", [[-1, 0, 0, 1],          # (x - 1)(x^2 + x + 1)
+                                [4, 0, 0, 0, 1],        # (x^2 + 2x + 2)(x^2 - 2x + 2)
+                                [0, 1, 0, 0, 0, 1],     # x (x^4 + 1)
+                                [1, 0, -1, 2, 0, 0, 1]])  # x^6 + 2x^3 - x^2 + 1
+def test_reducible_minpoly_refused(mp):
+    # x^6 + 2x^3 - x^2 + 1 = (x^3 - x + 1)(x^3 + x + 1)
+    with pytest.raises(FieldError, match="reducible"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            nf.make_field("monogenic", minpoly=mp)
+
+
+def test_x4_plus_1_accepted_through_sympy():
+    # reducible mod every prime, so no small p proves it irreducible and
+    # the decision falls to sympy
+    assert all([e for _, e in pr.poly_factor_mod_p([1, 0, 0, 0, 1], p)] != [1]
+               for p in nf.rational_primes_up_to(100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert nf.make_field("monogenic", minpoly=[1, 0, 0, 0, 1]).degree == 4
+
+
+def test_cubic_config_does_not_import_sympy():
+    # x^3 - x - 1 is irreducible mod 2: a fresh interpreter loading a cubic
+    # config never imports sympy
+    code = ("import sys, warnings\n"
+            "warnings.simplefilter('ignore')\n"
+            "from visilat import experiment\n"
+            "experiment.load_config({'field': {'kind': 'monogenic',"
+            " 'minpoly': [-1, -1, 0, 1]}, 'm': 2,"
+            " 's': [[[0, 0, 0], [0, 0, 0]]], 'modes': ['mc', 'lemma-check'],"
+            " 'regions': [{'shape': 'ball', 'R': 30}]})\n"
+            "assert 'sympy' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(visilat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_whitelist_warning():
