@@ -16,8 +16,7 @@ from .density import (ExactDensity, PredictionInterval, exact_window_density,
 from .errors import CapExceeded, ConfigError, FieldError
 from .ideals import (AlgInt, IdealHNF, PointTuple, contains, ideal_from_generators,
                      ideal_mul, ideal_sum, is_visible, is_visible_from_all,
-                     mobius, point, points_from_json, points_to_json,
-                     unit_ideal)
+                     point, points_from_json, points_to_json, unit_ideal)
 from .numfield import FieldSpec, field_from_json, make_field
 from .primes import (PrimeIdeal, PrimeWindow, ResidueElem, poly_factor_mod_p,
                      primes_up_to_norm, reduce, s_of_prime, split_prime,
@@ -31,7 +30,7 @@ __all__ = [
     "count_visible_sieve", "cube_region", "enumerate_region",
     "exact_window_density", "field_from_json", "ideal_count_check",
     "ideal_from_generators", "ideal_mul", "ideal_sum", "is_visible",
-    "is_visible_from_all", "make_field", "mc_estimate", "mobius", "point",
+    "is_visible_from_all", "make_field", "mc_estimate", "point",
     "points_from_json", "points_to_json", "poly_factor_mod_p",
     "predicted_density", "primes_up_to_norm", "reduce", "s_of_prime",
     "split_prime", "unit_ideal", "window_first_t", "zeta_recip_truncated",

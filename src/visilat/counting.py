@@ -24,7 +24,7 @@ from . import ideals as il
 from . import primes as pr
 from .errors import CapExceeded
 from .ideals import IdealHNF, PointTuple
-from .numfield import AlgInt, FieldSpec, _det_bareiss, as_int
+from .numfield import AlgInt, FieldSpec, _det_bareiss, as_int, as_real
 from .numfield import norm_of_coords  # noqa: F401 (perfbench's self-test looks it up here)
 
 DEFAULT_REGION_CAP = 2 ** 22
@@ -98,14 +98,14 @@ def cube_region(field: FieldSpec, L: int, basis_transform=None) -> Region:
 
 
 def ball_region(field: FieldSpec, R, basis_transform=None) -> Region:
-    return Region(field, "ball", Fraction(R),
+    return Region(field, "ball", as_real(R),
                   _norm_transform(basis_transform))
 
 
 def _norm_transform(T):
     if T is None:
         return None
-    return tuple(tuple(int(x) for x in row) for row in T)
+    return tuple(tuple(as_int(x) for x in row) for row in T)
 
 
 def _ball_volume_unit(n: int) -> Fraction:

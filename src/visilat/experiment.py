@@ -23,7 +23,7 @@ from .counting import DEFAULT_REGION_CAP, DEFAULT_TUPLE_CAP, Region
 from .density import decimal_str
 from .errors import CapExceeded, ConfigError
 from .ideals import PointTuple
-from .numfield import FieldSpec, as_int, field_from_json
+from .numfield import FieldSpec, as_int, as_real, field_from_json
 
 VALID_MODES = ("predict", "direct", "sieve", "mc", "oracle", "lemma-check")
 DEFAULT_TOLERANCE = 0.02
@@ -123,7 +123,7 @@ def load_config(data: dict) -> ExperimentConfig:
             modes=tuple(modes),
             seed=as_int(data.get("seed", 0)),
             samples=as_int(data.get("samples", 10 ** 4)),
-            tolerance=float(data.get("tolerance", DEFAULT_TOLERANCE)),
+            tolerance=float(as_real(data.get("tolerance", DEFAULT_TOLERANCE))),
             out=data.get("out"),
             region_cap=as_int(caps.get("region", DEFAULT_REGION_CAP)),
             tuple_cap=as_int(caps.get("tuple", DEFAULT_TUPLE_CAP)),
@@ -132,12 +132,15 @@ def load_config(data: dict) -> ExperimentConfig:
             lemma_max_prime_norm=as_int(data.get("lemma_max_prime_norm", 30)),
         )
     except (TypeError, ValueError, OverflowError) as exc:
-        # null, a list, a non-numeric string, a bool or a fraction
+        # null, a list, a non-numeric string, a bool, a fraction for an
+        # integer, or an infinite or NaN tolerance
         raise ConfigError("X, seed, samples, tolerance, caps, oracle_window_t "
                           f"and lemma_max_prime_norm must be numbers: {exc}"
                           ) from None
     if cfg.X < 2:
         raise ConfigError("X must be >= 2")
+    if cfg.tolerance < 0:
+        raise ConfigError("tolerance must be >= 0")
     return cfg
 
 

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -215,48 +215,6 @@ def contains(I: IdealHNF, a: AlgInt) -> bool:
             for j in range(i, n):
                 c[j] -= q * I.hnf[i][j]
     return True
-
-
-def ideal_divides(P: IdealHNF, I: IdealHNF) -> bool:
-    """Containment I <= P, i.e. P | I for ideals of a Dedekind domain."""
-    return all(contains(P, r) for r in I.rows())
-
-
-def mobius(I: IdealHNF, split: Callable[[FieldSpec, int], Sequence]) -> int:
-    """Moebius function on ideals: (-1)^r on squarefree products, else 0.
-
-    ``split`` maps (field, rational prime) to the prime ideals above it; any
-    prime dividing I lies above a rational prime dividing N(I).
-    """
-    if I.is_zero:
-        raise ValueError("Moebius function undefined on the zero ideal")
-    if I.norm == 1:
-        return 1
-    divisors = []
-    for p in _prime_factors(I.norm):
-        for P in split(I.field, p):
-            if ideal_divides(P.hnf, I):
-                divisors.append(P)
-    prod = 1
-    for P in divisors:
-        prod *= P.norm
-    if prod == I.norm:
-        return -1 if len(divisors) % 2 else 1
-    return 0
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ----------------------------------------------------------------------

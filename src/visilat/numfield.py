@@ -23,6 +23,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import FieldError
@@ -248,6 +249,13 @@ def as_int(x) -> int:
     if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
+
+
+def as_real(x) -> Fraction:
+    """Fraction(x), but a bool or an infinite or NaN float is refused."""
+    if isinstance(x, bool) or isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"{x!r} is not a finite number")
+    return Fraction(x)
 
 
 def _int(what: str, x) -> int:

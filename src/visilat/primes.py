@@ -4,10 +4,17 @@ Rational primes split according to the factorization of the basis
 generator's minimal polynomial modulo p (valid here because every supported
 field carries a power integral basis).  Polynomials over F_p are coefficient
 tuples, constant term first, coefficients in [0, p).
+
+``residue_ids`` is the one encoder of coordinates as residues mod P:
+``reduce``, ``s_of_prime``, the sieve and the CRT oracle use it.  The Euler
+product's ``s_of_primes`` needs it only at primes above a p dividing the
+norm of a difference ideal of two points of S; s(P) = |S| at all others.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -433,28 +440,17 @@ def s_of_prime(S: Sequence[PointTuple], P: PrimeIdeal) -> int:
 
 
 def s_of_primes(S: Sequence[PointTuple], plist: Sequence[PrimeIdeal]) -> list[int]:
-    """``s_of_prime`` of every P of a list, all degree-1 primes in one pass.
+    """``s_of_prime`` of every P of a list, by the difference-ideal lemma.
 
-    (p, theta - r) sends a to sum_i a_i r^i mod p: one product with the
-    stacked powers of r, then a sort counts each prime's distinct rows; in
-    int64, so only while n max|a| p < 2^63 for every p.  Other primes, and
-    all of them past that bound, go through ``s_of_prime``.
+    Points s != t of S share a residue tuple mod P exactly when P contains
+    their difference ideal D_st = (s_1 - t_1, ..., s_m - t_m), and then
+    N(P) | N(D_st).  So s(P) = |S| unless p divides the product of the norms
+    N(D_st) over the pairs of S (exact HNF norms; 0 when S repeats a point),
+    and only those P go through ``s_of_prime``.
     """
     if not S:
         raise ValueError("S must be nonempty")
-    a = np.array([s.coords_lists() for s in S], dtype=object)
-    n = a.shape[2]
-    one = [P for P in plist if P.f == 1]
-    pmax = max((P.under_p for P in one), default=0)
-    if not one or n * max(int(np.abs(a).max()), 1) * pmax >= 2 ** 63:
-        return [s_of_prime(S, P) for P in plist]
-    p = np.array([P.under_p for P in one], dtype=np.int64)
-    R = np.array([[pow(-P.gpoly[0], j, P.under_p) for j in range(n)]
-                  for P in one], dtype=np.int64)
-    # ids[P, i, j]: the residue of coordinate j of the i-th point of S
-    ids = np.moveaxis(a.astype(np.int64) @ R.T % p, 2, 0)
-    order = np.lexsort(np.moveaxis(ids, 2, 0), axis=-1)
-    ids = np.take_along_axis(ids, order[..., None], axis=1)
-    distinct = 1 + (ids[:, 1:] != ids[:, :-1]).any(axis=2).sum(axis=1)
-    s = iter(distinct.tolist())
-    return [next(s) if P.f == 1 else s_of_prime(S, P) for P in plist]
+    diffs = ([a - b for a, b in zip(s.points, t.points)]
+             for s, t in itertools.combinations(S, 2))
+    prod = math.prod(ideal_from_generators(d).norm for d in diffs)
+    return [s_of_prime(S, P) if prod % P.under_p == 0 else len(S) for P in plist]

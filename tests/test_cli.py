@@ -415,7 +415,39 @@ def test_run_fraction_or_bool_for_integer_exit2(capsys, tmp_path, key, value):
 def test_run_integral_floats_accepted(tmp_path):
     cfg = ex.load_config(base_config(
         tmp_path, X=1000.0, seed=3.0, s=[[[0.0], [0]]],
-        regions=[{"shape": "cube", "L": 30.0}]))
+        regions=[{"shape": "cube", "L": 30.0}], tolerance=0))
     got = (cfg.X, cfg.seed, cfg.regions[0].L)
     assert got == (1000, 3, 30) and all(type(v) is int for v in got)
+    assert cfg.tolerance == 0.0
     assert cfg.S[0].coords_lists() == [[0], [0]]
+
+
+# a ball radius, basis-transform entry or tolerance that Fraction(), int()
+# or float() would read as another number, or that escaped as a traceback
+INF, NAN = float("inf"), float("nan")
+BAD_REALS = [("regions", [{"shape": "ball", "R": True}]),
+             ("regions", [{"shape": "ball", "R": INF}]),
+             ("regions", [{"shape": "cube", "L": 3, "basis_transform": [[1.5]]}]),
+             ("regions", [{"shape": "cube", "L": 3, "basis_transform": [[True]]}]),
+             ("tolerance", True), ("tolerance", INF), ("tolerance", NAN),
+             ("tolerance", -1)]
+
+
+@pytest.mark.parametrize("key, value", BAD_REALS, ids=[
+    "R-true", "R-inf", "T-1.5", "T-true", "tol-true", "tol-inf", "tol-nan",
+    "tol-negative"])
+def test_run_bool_or_nonfinite_number_exit2(capsys, tmp_path, key, value):
+    cfg = base_config(tmp_path, **{key: value})
+    code, _, err = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("T", ["[[1.5,0],[0,1]]", "[[true,0],[0,1]]"])
+def test_count_basis_transform_not_integer_exit2(capsys, T):
+    code, out, err = run_cli(capsys, "count", "--field", GAUSSIAN, "--m", "2",
+                             "--s", "[[[0,0],[0,0]]]", "--region", "cube:L=3",
+                             "--basis-transform", T)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid configuration: ") and "not an integer" in err

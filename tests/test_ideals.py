@@ -7,7 +7,6 @@ import pytest
 
 from visilat import ideals as il
 from visilat import numfield as nf
-from visilat import primes as pr
 
 from conftest import origin
 
@@ -215,35 +214,3 @@ def test_points_json_roundtrip(gaussian):
     assert data == [[[0, 0], [0, 0]], [[1, 0], [1, 0]]]
     back = il.points_from_json(gaussian, data)
     assert back == S
-
-
-def test_mobius_examples(rational, gaussian):
-    assert il.mobius(il.unit_ideal(gaussian), pr.split_prime) == 1
-    two = il.ideal_from_generators([gaussian.element((2, 0))])
-    five = il.ideal_from_generators([gaussian.element((5, 0))])
-    onepi = il.ideal_from_generators([gaussian.element((1, 1))])
-    assert il.mobius(two, pr.split_prime) == 0       # (1+i)^2
-    assert il.mobius(five, pr.split_prime) == 1      # splits into two primes
-    assert il.mobius(onepi, pr.split_prime) == -1
-    with pytest.raises(ValueError):
-        il.mobius(il.ideal_from_generators([gaussian.zero()]), pr.split_prime)
-
-
-def _mu_int(k):
-    m, cnt, d = k, 0, 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            cnt += 1
-        d += 1
-    if m > 1:
-        cnt += 1
-    return -1 if cnt % 2 else 1
-
-
-def test_mobius_matches_integer_moebius(rational):
-    for k in range(1, 61):
-        I = il.ideal_from_generators([rational.element([k])])
-        assert il.mobius(I, pr.split_prime) == _mu_int(k)

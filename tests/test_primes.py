@@ -295,9 +295,9 @@ def test_s_of_prime_saturates_for_admissible_sets(gaussian):
 
 @pytest.mark.parametrize("fname", ["rational", "gaussian", "golden", "cubic"])
 def test_s_of_primes_matches_s_of_prime(request, fname):
-    # one array pass over the degree-1 primes against s_of_prime, on every
-    # P of norm <= 10^4; the points differ by multiples of 30, 7, 2^40 and 2^70, so
-    # their residues collide at 2, 3, 5 and 7, and at no prime past the bound
+    # the difference-ideal lemma against s_of_prime's residue_ids rows, on
+    # every P of norm <= 10^4; the points differ by multiples of 30, 7, 2^40
+    # and 2^70, so their residues collide at 2, 3, 5 and 7 at least
     field = request.getfixturevalue(fname)
     n = field.degree
     plist = pr.primes_up_to_norm(field, 10 ** 4)
@@ -306,14 +306,24 @@ def test_s_of_primes_matches_s_of_prime(request, fname):
     shifted = [[x + 30 * (i + 1) for i, x in enumerate(r)] for r in a]
     S3 = [il.point(field, a), il.point(field, shifted),
           il.point(field, [[x + 7 * (r[0] + 2) for x in r] for r in a])]
-    # 2^40 stays on the int64 path, 2^70 is past its bound
+    # differences past int64: their norms are exact Python integers
     big = [[il.point(field, a), il.point(field, [[x + e for x in r] for r in a])]
            for e in (2 ** 40, 2 ** 70)]
+    # a repeated point: a zero difference ideal of norm 0 divisible by every p
+    dup = [S3[0], S3[1], S3[0]]
+    # 5 = (2 + i)(2 - i) in Z[i]: the difference (2 + i, 4 + 2i) lies in one
+    # prime above 5 and not in its conjugate
+    split = ([[origin(field, 2), il.point(field, [[2, 1], [4, 2]])]]
+             if fname == "gaussian" else [])
     assert {P.f for P in plist} >= ({1, 2, 3} if fname == "cubic" else {1})
-    for S in [S3[:1], S3[:2], S3] + big:
+    assert pr.s_of_primes(S3[:1], plist) == [1] * len(plist)
+    for S in [S3[:1], S3[:2], S3, dup] + big + split:
         got = pr.s_of_primes(S, plist)
         assert got == [pr.s_of_prime(S, P) for P in plist]
         assert min(got) < len(S) or len(S) == 1
+    assert pr.s_of_primes(dup, plist) == pr.s_of_primes(S3[:2], plist)
+    for S in split:
+        assert sorted(pr.s_of_primes(S, pr.split_prime(field, 5))) == [1, 2]
 
 
 def test_is_prime():
