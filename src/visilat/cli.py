@@ -183,7 +183,7 @@ def _dispatch(args) -> int:
         f = _load_field(args.field)
         region = ex.parse_region_arg(f, args.region)
         for P in pr.primes_up_to_norm(f, args.max_prime_norm):
-            chk = ct.ideal_count_check(f, P.hnf, region)
+            chk = ct.ideal_count_check(f, P, region)
             print(json.dumps({
                 "p": P.under_p, "g": list(P.gpoly), "norm": P.norm,
                 "count": chk.count,

@@ -7,7 +7,8 @@ a W-bit set, and every prefix of the other coordinates counts the union of
 its classes' sets, block by block), and a Monte Carlo estimator (the same
 kernel on uniform samples) for regions beyond enumeration caps.  The direct
 count never touches prime ideals or residues, so sieve == direct is an
-independent check and must hold exactly.
+independent check and must hold exactly.  The lemma check counts the
+points of a prime ideal in a region by the same residue ids as the sieve.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import ideals as il
 from . import primes as pr
 from .errors import CapExceeded
-from .ideals import IdealHNF, PointTuple
+from .ideals import PointTuple
 from .numfield import AlgInt, FieldSpec, _det_bareiss, as_int, as_real
 from .numfield import norm_of_coords  # noqa: F401 (perfbench's self-test looks it up here)
 
@@ -350,6 +351,8 @@ def mc_estimate(field: FieldSpec, S: Sequence[PointTuple], m: int,
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError("seed must lie in [0, 2^128)")
     S = _check_inputs(field, S, m, region)
     n = field.degree
     gen = np.random.Generator(np.random.Philox(key=seed))
@@ -383,62 +386,33 @@ def mc_estimate(field: FieldSpec, S: Sequence[PointTuple], m: int,
 # ideal lattice counting checks
 # ----------------------------------------------------------------------
 
-def ideal_count_check(field: FieldSpec, I: IdealHNF, region: Region,
+def ideal_count_check(field: FieldSpec, P: pr.PrimeIdeal, region: Region,
                       region_cap: int = DEFAULT_REGION_CAP) -> IdealCountCheck:
-    """Count |I ∩ region| and compare with volume/N(I).
+    """Count |P ∩ region| and compare with volume/N(P).
 
-    The normalized error divides by (R/N^(1/n))^(n-1) for balls and by
-    (2L/N^(1/n) + 1)^(n-1) for cubes, the shape the counting bound says is
-    O(1) uniformly in the ideal and the region size.
+    a lies in P exactly when its residue id is 0 (the id packs the digits of
+    a mod P base p), so the count is the rows of ``region_coords`` whose
+    ``pr.residue_ids`` is 0, taken 2^14 rows at a time so that no temporary
+    grows with the region.  The normalized error divides by (R/N^(1/n))^(n-1)
+    for balls and by (2L/N^(1/n) + 1)^(n-1) for cubes, the shape the
+    counting bound says is O(1) uniformly in the prime and the region size.
     """
-    if I.is_zero:
-        raise ValueError("zero ideal")
-    if I.field != field:
+    if P.field != field:
         raise ValueError("mismatched field")
     coords = region_coords(region, region_cap)
-    count = _count_members(I, coords)
+    count = sum(int((pr.residue_ids(P, coords[lo:lo + 2 ** 14]) == 0).sum())
+                for lo in range(0, len(coords), 2 ** 14))
     n = field.degree
     vol = region.volume()
-    main = vol / I.norm
+    main = vol / P.norm
     error = abs(Fraction(count) - main)
-    radius_ratio = float(region.size) / I.norm ** (1.0 / n)
+    radius_ratio = float(region.size) / P.norm ** (1.0 / n)
     if region.shape == "ball":
         denom = radius_ratio ** (n - 1)
     else:
         denom = (2 * radius_ratio + 1) ** (n - 1)
     return IdealCountCheck(count=count, main_term=main, error=error,
                            normalized_error=float(error) / denom)
-
-
-def _count_members(I: IdealHNF, coords: np.ndarray) -> int:
-    """How many rows of a ``(W, n)`` integer array lie in the nonzero I.
-
-    The triangular solve of ``il.contains`` on all rows at once: entry i
-    must be divisible by h_ii, then q_i = floor(c_i / h_ii) times HNF row i
-    is subtracted.  With A = max|a| and H the largest HNF entry, |q_1| <= A
-    and, as h_ij < h_jj above the diagonal, |q_j| <= A + 1 + sum_{i<j} |q_i|
-    <= 2^(j-1) (A+1); so every product q_i h_ij and every entry after step i
-    is <= A + H (A+1) (2^i - 1) < H 2^n (A+1).  Below 2^63 the solve runs
-    in int64, else on Python integers (``dtype=object``), same code, on
-    blocks of 2^14 rows so that no temporary grows with the region.
-    """
-    n = I.field.degree
-    h = I.hnf
-    hmax = max(abs(x) for row in h for x in row)
-    # min/max as Python ints: -(-2^63) does not wrap
-    amax = max(-int(coords.min(initial=0)), int(coords.max(initial=0)))
-    dtype = np.int64 if hmax * 2 ** n * (amax + 1) < 2 ** 63 else object
-    count = 0
-    for lo in range(0, len(coords), 2 ** 14):
-        c = coords[lo:lo + 2 ** 14].astype(dtype)  # a copy: coords may be cached
-        ok = np.ones(len(c), dtype=bool)
-        for i in range(n):
-            q, r = c[:, i] // h[i][i], c[:, i] % h[i][i]
-            ok &= r == 0
-            if i + 1 < n:
-                c[:, i + 1:] -= q[:, None] * np.array(h[i][i + 1:], dtype=dtype)
-        count += int(ok.sum())
-    return count
 
 
 def _check_inputs(field: FieldSpec, S: Sequence[PointTuple], m: int,

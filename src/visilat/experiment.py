@@ -137,10 +137,16 @@ def load_config(data: dict) -> ExperimentConfig:
         raise ConfigError("X, seed, samples, tolerance, caps, oracle_window_t "
                           f"and lemma_max_prime_norm must be numbers: {exc}"
                           ) from None
-    if cfg.X < 2:
-        raise ConfigError("X must be >= 2")
-    if cfg.tolerance < 0:
-        raise ConfigError("tolerance must be >= 0")
+    # refused here: a run would fail on each only after its counts
+    for bad, says in ((cfg.X < 2, "X must be >= 2"),
+                      (cfg.tolerance < 0, "tolerance must be >= 0"),
+                      (not 0 <= cfg.seed < 2 ** 128, "seed must lie in [0, 2^128)"),
+                      (cfg.samples < 100, "samples must be >= 100"),
+                      (cfg.oracle_window_t < 1, "oracle_window_t must be >= 1"),
+                      (cfg.lemma_max_prime_norm < 2,
+                       "lemma_max_prime_norm must be >= 2")):
+        if bad:
+            raise ConfigError(says)
     return cfg
 
 
@@ -168,9 +174,9 @@ def parse_region_arg(field: FieldSpec, text: str,
     except ValueError:
         raise ConfigError(f"bad region syntax {text!r}")
     if shape == "cube" and key == "L":
-        return ct.cube_region(field, int(value), basis_transform)
+        return ct.cube_region(field, value, basis_transform)
     if shape == "ball" and key == "R":
-        return ct.ball_region(field, Fraction(value), basis_transform)
+        return ct.ball_region(field, value, basis_transform)
     raise ConfigError(f"bad region syntax {text!r}")
 
 
@@ -310,7 +316,7 @@ def _lemma_check(cfg: ExperimentConfig) -> dict:
     worst = 0.0
     for region in cfg.regions:
         for P in pr.primes_up_to_norm(cfg.field, cfg.lemma_max_prime_norm):
-            chk = ct.ideal_count_check(cfg.field, P.hnf, region,
+            chk = ct.ideal_count_check(cfg.field, P, region,
                                        region_cap=cfg.region_cap)
             worst = max(worst, chk.normalized_error)
             rows.append({"region": region.label(), "p": P.under_p,

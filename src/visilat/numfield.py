@@ -252,10 +252,13 @@ def as_int(x) -> int:
 
 
 def as_real(x) -> Fraction:
-    """Fraction(x), but a bool or an infinite or NaN float is refused."""
+    """Fraction(x), but a bool, an infinite or NaN float or "1/0" is refused."""
     if isinstance(x, bool) or isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"{x!r} is not a finite number")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} is not a finite number") from None
 
 
 def _int(what: str, x) -> int:

@@ -6,7 +6,8 @@ field carries a power integral basis).  Polynomials over F_p are coefficient
 tuples, constant term first, coefficients in [0, p).
 
 ``residue_ids`` is the one encoder of coordinates as residues mod P:
-``reduce``, ``s_of_prime``, the sieve and the CRT oracle use it.  The Euler
+``reduce``, ``s_of_prime``, the sieve, the CRT oracle and the lemma check
+(a lies in P exactly when its id is 0) use it.  The Euler
 product's ``s_of_primes`` needs it only at primes above a p dividing the
 norm of a difference ideal of two points of S; s(P) = |S| at all others.
 """

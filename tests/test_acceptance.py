@@ -182,7 +182,7 @@ def test_criterion_7_counting_lemmas():
         lo_half, hi_half, worst = 0.0, 0.0, 0.0
         for P in pr.primes_up_to_norm(field, 100):
             for R in radii:
-                chk = ct.ideal_count_check(field, P.hnf, mk(field, R))
+                chk = ct.ideal_count_check(field, P, mk(field, R))
                 worst = max(worst, chk.normalized_error)
                 if R <= 100:
                     lo_half = max(lo_half, chk.normalized_error)

@@ -427,6 +427,7 @@ def test_run_integral_floats_accepted(tmp_path):
 INF, NAN = float("inf"), float("nan")
 BAD_REALS = [("regions", [{"shape": "ball", "R": True}]),
              ("regions", [{"shape": "ball", "R": INF}]),
+             ("regions", [{"shape": "ball", "R": "1/0"}]),
              ("regions", [{"shape": "cube", "L": 3, "basis_transform": [[1.5]]}]),
              ("regions", [{"shape": "cube", "L": 3, "basis_transform": [[True]]}]),
              ("tolerance", True), ("tolerance", INF), ("tolerance", NAN),
@@ -434,7 +435,7 @@ BAD_REALS = [("regions", [{"shape": "ball", "R": True}]),
 
 
 @pytest.mark.parametrize("key, value", BAD_REALS, ids=[
-    "R-true", "R-inf", "T-1.5", "T-true", "tol-true", "tol-inf", "tol-nan",
+    "R-true", "R-inf", "R-1/0", "T-1.5", "T-true", "tol-true", "tol-inf", "tol-nan",
     "tol-negative"])
 def test_run_bool_or_nonfinite_number_exit2(capsys, tmp_path, key, value):
     cfg = base_config(tmp_path, **{key: value})
@@ -451,3 +452,41 @@ def test_count_basis_transform_not_integer_exit2(capsys, T):
                              "--basis-transform", T)
     assert code == 2 and out == ""
     assert err.startswith("invalid configuration: ") and "not an integer" in err
+
+
+# settings out of range are refused when the config loads: a run would fail
+# on them only after the prediction and counts
+LATE_FAILURES = [({"seed": -1, "modes": ["mc"]}, "seed must lie in [0, 2^128)"),
+                 ({"seed": 2 ** 128, "modes": ["mc"]}, "seed must lie in [0, 2^128)"),
+                 ({"samples": 5, "modes": ["mc"]}, "samples must be >= 100"),
+                 ({"oracle_window_t": 0, "modes": ["oracle"]},
+                  "oracle_window_t must be >= 1"),
+                 ({"lemma_max_prime_norm": 1, "modes": ["lemma-check"]},
+                  "lemma_max_prime_norm must be >= 2")]
+
+
+@pytest.mark.parametrize("over, says", LATE_FAILURES, ids=[
+    "seed-negative", "seed-2^128", "samples", "window", "lemma-bound"])
+def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
+    cfg = base_config(tmp_path, **over)
+    with pytest.raises(ConfigError) as exc:
+        ex.load_config(cfg)
+    assert str(exc.value) == says
+    code, _, err = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+    assert says in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["count", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--region", "ball:R=1/0"],
+     "not a finite number"),
+    (["lemma-check", "--region", "ball:R=1/0"], "not a finite number"),
+    (["count", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--region", "cube:L=3",
+      "--mode", "mc", "--seed", "-1"], "seed must lie in [0, 2^128)")],
+    ids=["count-R-1/0", "lemma-check-R-1/0", "count-seed-negative"])
+def test_cli_out_of_range_argument_exit2(capsys, argv, says):
+    code, out, err = run_cli(capsys, *argv, "--field", GAUSSIAN)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("invalid configuration: ") and says in err

@@ -471,66 +471,46 @@ def test_mc_sample_floor(rational):
 
 
 def test_ideal_count_check_examples(rational, gaussian):
-    O = il.unit_ideal(gaussian)
-    chk = ct.ideal_count_check(gaussian, O, ct.cube_region(gaussian, 5))
-    assert chk.count == 11 ** 2
-    assert chk.error == 11 ** 2 - 10 ** 2
+    two = pr.split_prime(rational, 2)[0]
+    chk = ct.ideal_count_check(rational, two, ct.cube_region(rational, 10))
+    assert chk.count == 11 and chk.main_term == 10 and chk.error == 1
 
-    two = il.ideal_from_generators([rational.element([2])])
-    chk2 = ct.ideal_count_check(rational, two, ct.cube_region(rational, 10))
-    assert chk2.count == 11 and chk2.main_term == 10 and chk2.error == 1
-
-    onepi = il.ideal_from_generators([gaussian.element((1, 1))])
-    ball = ct.ball_region(gaussian, 5)
-    brute = sum(1 for c in ct.region_coords(ball).tolist()
-                if il.contains(onepi, gaussian.element(c)))
-    chk3 = ct.ideal_count_check(gaussian, onepi, ball)
-    assert chk3.count == brute
-    assert chk3.normalized_error <= 4.0
+    onepi = pr.split_prime(gaussian, 2)[0]
+    chk2 = ct.ideal_count_check(gaussian, onepi, ct.ball_region(gaussian, 5))
+    assert chk2.main_term == Fraction(25, 2) * ct.PI
+    assert chk2.normalized_error <= 4.0
 
     with pytest.raises(ValueError):
-        ct.ideal_count_check(gaussian, il.ideal_from_generators(
-            [gaussian.zero()]), ball)
+        ct.ideal_count_check(rational, onepi, ct.cube_region(rational, 10))
 
 
-def test_member_count_matches_contains(gaussian):
-    rng = random.Random(77)
-    coords = ct.region_coords(ct.ball_region(gaussian, 6))
-    for _ in range(5):
-        g = gaussian.element((rng.randint(1, 5), rng.randint(-4, 4)))
-        I = il.ideal_from_generators([g])
-        fast = ct._count_members(I, coords)
-        slow = sum(1 for c in coords.tolist()
-                   if il.contains(I, gaussian.element(c)))
-        assert fast == slow
-        # 150 copies of the 113 rows span two blocks of the solve
-        assert ct._count_members(I, np.tile(coords, (150, 1))) == 150 * fast
+@pytest.mark.parametrize("fname, region", [
+    ("gaussian", ("ball", 6)), ("golden", ("cube", 5)), ("cubic", ("cube", 4))],
+    ids=["gaussian", "golden", "cubic"])
+def test_ideal_count_check_matches_contains(request, fname, region):
+    # every prime of norm <= 30: ramified ones and f = 2, 3 included
+    field = request.getfixturevalue(fname)
+    reg = (ct.cube_region if region[0] == "cube" else ct.ball_region)(
+        field, region[1])
+    rows = ct.region_coords(reg).tolist()
+    kinds = set()
+    for P in pr.primes_up_to_norm(field, 30):
+        kinds.add((P.e, P.f))
+        brute = sum(1 for c in rows if il.contains(P.hnf, field.element(c)))
+        assert ct.ideal_count_check(field, P, reg).count == brute, P
+    want = {"gaussian": {(2, 1), (1, 2)}, "golden": {(2, 1), (1, 2)},
+            "cubic": {(2, 1), (1, 2), (1, 3)}}[fname]
+    assert want <= kinds
 
-    # coordinates near 2^61: H 2^n (A+1) >= 2^63, so the solve must run on
-    # Python integers (the spy sees the object copy); int64 would wrap
-    dtypes = []
 
-    class Spy(np.ndarray):
-        def astype(self, dtype, *args, **kwargs):
-            dtypes.append(np.dtype(dtype))
-            return super().astype(dtype, *args, **kwargs)
-
-    for _ in range(5):
-        g = gaussian.element((rng.randint(2, 5), rng.randint(-4, 4)))
-        I = il.ideal_from_generators([g])
-        rows = []
-        for _ in range(60):
-            x = gaussian.element((rng.randint(2 ** 58, 2 ** 59),
-                                  -rng.randint(2 ** 58, 2 ** 59)))
-            d = rng.choice([(0, 0), (1, 0), (0, 1)])
-            rows.append([c + e for c, e in zip((g * x).coords, d)])
-        big = np.array(rows, dtype=np.int64).view(Spy)
-        assert int(np.abs(big).max()) > 2 ** 60
-        dtypes.clear()
-        fast = ct._count_members(I, big)
-        assert dtypes == [np.dtype(object)]
-        slow = sum(1 for c in rows if il.contains(I, gaussian.element(c)))
-        assert fast == slow and 0 < slow < len(rows)
+def test_ideal_count_check_spans_blocks(gaussian):
+    # 141^2 = 19 881 rows: more than one block of 2^14
+    cube = ct.cube_region(gaussian, 70)
+    coords = ct.region_coords(cube)
+    assert len(coords) > 2 ** 14
+    for P in pr.primes_up_to_norm(gaussian, 30):
+        whole = int((pr.residue_ids(P, coords) == 0).sum())
+        assert ct.ideal_count_check(gaussian, P, cube).count == whole, P
 
 
 def test_basis_transform_counts(gaussian):
