@@ -14,9 +14,9 @@ from .counting import (CountResult, IdealCountCheck, Region, ball_region,
 from .density import (ExactDensity, PredictionInterval, exact_window_density,
                       predicted_density, zeta_recip_truncated)
 from .errors import CapExceeded, ConfigError, FieldError
-from .ideals import (AlgInt, IdealHNF, PointTuple, contains, ideal_from_generators,
+from .ideals import (AlgInt, IdealHNF, contains, ideal_from_generators,
                      ideal_mul, ideal_sum, is_visible, is_visible_from_all,
-                     point, points_from_json, points_to_json, unit_ideal)
+                     point, point_set, unit_ideal)
 from .numfield import FieldSpec, field_from_json, make_field
 from .primes import (PrimeIdeal, PrimeWindow, ResidueElem, poly_factor_mod_p,
                      primes_up_to_norm, reduce, s_of_prime, split_prime,
@@ -24,15 +24,14 @@ from .primes import (PrimeIdeal, PrimeWindow, ResidueElem, poly_factor_mod_p,
 
 __all__ = [
     "AlgInt", "CapExceeded", "ConfigError", "CountResult", "ExactDensity",
-    "FieldError", "FieldSpec", "IdealCountCheck", "IdealHNF", "PointTuple",
+    "FieldError", "FieldSpec", "IdealCountCheck", "IdealHNF",
     "PredictionInterval", "PrimeIdeal", "PrimeWindow", "Region",
     "ResidueElem", "ball_region", "contains", "count_visible_direct",
     "count_visible_sieve", "cube_region", "enumerate_region",
     "exact_window_density", "field_from_json", "ideal_count_check",
     "ideal_from_generators", "ideal_mul", "ideal_sum", "is_visible",
-    "is_visible_from_all", "make_field", "mc_estimate", "point",
-    "points_from_json", "points_to_json", "poly_factor_mod_p",
-    "predicted_density", "primes_up_to_norm", "reduce", "s_of_prime",
-    "split_prime", "unit_ideal", "window_first_t", "zeta_recip_truncated",
-    "__version__",
+    "is_visible_from_all", "make_field", "mc_estimate", "point", "point_set",
+    "poly_factor_mod_p", "predicted_density", "primes_up_to_norm", "reduce",
+    "s_of_prime", "split_prime", "unit_ideal", "window_first_t",
+    "zeta_recip_truncated", "__version__",
 ]

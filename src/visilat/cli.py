@@ -40,7 +40,7 @@ def _load_points(field, args):
         data = json.loads(args.s)
     else:
         raise ConfigError("provide S via --s or --s-file")
-    return il.points_from_json(field, data)
+    return il.point_set(field, data, args.m)
 
 
 def _add_field_arg(p):
@@ -118,7 +118,15 @@ def main(argv=None) -> int:
         return 2
 
 
+# flags whose out-of-range value is refused before any work
+MINIMA = {"primes": ("max_norm", 2), "lemma-check": ("max_prime_norm", 2),
+          "oracle": ("window_t", 1)}
+
+
 def _dispatch(args) -> int:
+    dest, lo = MINIMA.get(args.cmd, (None, None))
+    if dest and getattr(args, dest) < lo:
+        raise ConfigError(f"--{dest.replace('_', '-')} must be >= {lo}")
     if args.cmd == "field":
         f = _load_field(args.field)
         print(json.dumps({

@@ -9,6 +9,7 @@ kernel on uniform samples) for regions beyond enumeration caps.  The direct
 count never touches prime ideals or residues, so sieve == direct is an
 independent check and must hold exactly.  The lemma check counts the
 points of a prime ideal in a region by the same residue ids as the sieve.
+Each count takes S as anything ``ideals.point_set`` accepts.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import ideals as il
 from . import primes as pr
 from .errors import CapExceeded
-from .ideals import PointTuple
 from .numfield import AlgInt, FieldSpec, _det_bareiss, as_int, as_real
 from .numfield import norm_of_coords  # noqa: F401 (perfbench's self-test looks it up here)
 
@@ -213,8 +213,7 @@ def enumerate_region(region: Region,
 # direct counting
 # ----------------------------------------------------------------------
 
-def count_visible_direct(field: FieldSpec, S: Sequence[PointTuple], m: int,
-                         region: Region,
+def count_visible_direct(field: FieldSpec, S, m: int, region: Region,
                          region_cap: int = DEFAULT_REGION_CAP,
                          tuple_cap: int = DEFAULT_TUPLE_CAP) -> CountResult:
     """Exact count of visible tuples by testing every tuple in region^m.
@@ -234,7 +233,7 @@ def count_visible_direct(field: FieldSpec, S: Sequence[PointTuple], m: int,
     for lo in range(0, total, il.CHUNK):
         idx = np.unravel_index(np.arange(lo, min(lo + il.CHUNK, total)),
                                (W,) * m)
-        visible += int(il.visible_mask(coords[np.stack(idx, axis=1)],
+        visible += int(il.visible_mask(field, coords[np.stack(idx, axis=1)],
                                        S).sum())
     return CountResult(visible_count=visible, total_tuples=total,
                        density_estimate=Fraction(visible, total),
@@ -245,8 +244,7 @@ def count_visible_direct(field: FieldSpec, S: Sequence[PointTuple], m: int,
 # sieve counting
 # ----------------------------------------------------------------------
 
-def count_visible_sieve(field: FieldSpec, S: Sequence[PointTuple], m: int,
-                        region: Region,
+def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
                         region_cap: int = DEFAULT_REGION_CAP,
                         tuple_cap: int = DEFAULT_TUPLE_CAP) -> CountResult:
     """Exact count by sieving the residue classes of all small-norm primes.
@@ -271,21 +269,20 @@ def count_visible_sieve(field: FieldSpec, S: Sequence[PointTuple], m: int,
         raise CapExceeded("tuple space exceeds cap", estimate=total)
 
     B, hit = 1, {}
-    for key in {p.coords for s in S for p in s.points}:
+    for key in set(map(tuple, S.reshape(-1, field.degree).tolist())):
         N = np.abs(il.difference_norms(field, coords, key))
         B, hit[key] = max(B, int(N.max())), N == 0
     if B > region_cap:
         raise CapExceeded("sieve prime norm bound exceeds region cap",
                           estimate=B)
     plist = pr.primes_up_to_norm(field, B) if B >= 2 else []
-    points = np.array([s.coords_lists() for s in S], dtype=object)
 
     def selections():
         # a point of S in region^m is caught by one-row selections (N = 0)
-        yield from ([hit[p.coords] for p in s.points] for s in S)
+        yield from ([hit[tuple(v)] for v in s] for s in S.tolist())
         for P in plist:
             ids = pr.residue_ids(P, coords)
-            yield from ([ids == t for t in ts] for ts in pr.residue_ids(P, points).tolist())
+            yield from ([ids == t for t in ts] for ts in pr.residue_ids(P, S).tolist())
 
     # pair q keeps the rows of its first selection, heads[q]; the flat ids in
     # W^(m-2) of its middle selections' product, mids[q] ([0] when m = 2);
@@ -341,7 +338,7 @@ def count_visible_sieve(field: FieldSpec, S: Sequence[PointTuple], m: int,
 # Monte Carlo
 # ----------------------------------------------------------------------
 
-def mc_estimate(field: FieldSpec, S: Sequence[PointTuple], m: int,
+def mc_estimate(field: FieldSpec, S, m: int,
                 region: Region, samples: int, seed: int) -> CountResult:
     """Estimate the visible density from uniform i.i.d. tuples of region^m.
 
@@ -374,7 +371,7 @@ def mc_estimate(field: FieldSpec, S: Sequence[PointTuple], m: int,
             count += len(keep)
         flat = np.concatenate(got)[:need]
     flat = _transform(region, flat)
-    hits = int(il.visible_mask(flat.reshape(samples, m, n), S).sum())
+    hits = int(il.visible_mask(field, flat.reshape(samples, m, n), S).sum())
     phat = hits / samples
     stderr = math.sqrt(phat * (1 - phat) / samples)
     return CountResult(visible_count=hits, total_tuples=samples,
@@ -415,10 +412,9 @@ def ideal_count_check(field: FieldSpec, P: pr.PrimeIdeal, region: Region,
                            normalized_error=float(error) / denom)
 
 
-def _check_inputs(field: FieldSpec, S: Sequence[PointTuple], m: int,
-                  region: Region) -> list[PointTuple]:
+def _check_inputs(field: FieldSpec, S, m: int, region: Region) -> np.ndarray:
     if region.field != field:
         raise ValueError("region belongs to a different field")
     if m < 2:
         raise ValueError("m must be >= 2")
-    return il.validate_point_set(S, field, m)
+    return il.point_set(field, S, m)

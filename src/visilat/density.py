@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import primes as pr
 from .errors import CapExceeded
-from .ideals import PointTuple, validate_point_set
+from .ideals import point_set
 from .numfield import FieldSpec
 from .primes import PrimeIdeal, PrimeWindow
 
@@ -51,7 +51,7 @@ class ExactDensity:
     per_prime_factors: tuple
 
 
-def predicted_density(field: FieldSpec, S: Sequence[PointTuple], m: int,
+def predicted_density(field: FieldSpec, S, m: int,
                       X: int) -> PredictionInterval:
     """Truncated product of (1 - s(p)/N(p)^m) over N(p) <= X plus tail bound.
 
@@ -64,7 +64,7 @@ def predicted_density(field: FieldSpec, S: Sequence[PointTuple], m: int,
         raise ValueError("m must be >= 2 (the product may diverge to 0)")
     if X < 2:
         raise ValueError("X must be >= 2")
-    S = validate_point_set(S, field, m)
+    S = point_set(field, S, m)
     while 2 * len(S) > X ** m:
         X += 1
     nums, dens = [], []
@@ -120,7 +120,7 @@ def zeta_recip_truncated(field: FieldSpec, s: int, X: int) -> Fraction:
     return total
 
 
-def exact_window_density(field: FieldSpec, S: Sequence[PointTuple], m: int,
+def exact_window_density(field: FieldSpec, S, m: int,
                          window: PrimeWindow, crt_cap: int = 10 ** 8,
                          ) -> ExactDensity:
     """Density of the window-visible set, by product formula and CRT oracle.
@@ -134,7 +134,7 @@ def exact_window_density(field: FieldSpec, S: Sequence[PointTuple], m: int,
         raise ValueError("m must be >= 2")
     if not window.primes:
         raise ValueError("empty prime window")
-    S = validate_point_set(S, field, m)
+    S = point_set(field, S, m)
 
     state = 1
     for P in window.primes:
@@ -153,12 +153,11 @@ def exact_window_density(field: FieldSpec, S: Sequence[PointTuple], m: int,
     # oracle: mark each prime's forbidden residue m-tuples, then AND the
     # allowed masks cell-wise across the whole product space and count.  A
     # tuple of residue ids (each in [0, N)) is one cell code in [0, N^m).
-    points = np.array([s.coords_lists() for s in S], dtype=object)
     acc = None
     for P in window.primes:
         N = P.norm
         allowed = np.ones(N ** m, dtype=bool)
-        allowed[pr.residue_ids(P, points) @ N ** np.arange(m)] = False
+        allowed[pr.residue_ids(P, S) @ N ** np.arange(m)] = False
         acc = allowed if acc is None else (acc[:, None] & allowed[None, :]).reshape(-1)
     count = int(acc.sum())
     value_b = Fraction(count, state)

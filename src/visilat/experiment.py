@@ -13,7 +13,9 @@ import time
 import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from . import counting as ct
 from . import density as dn
@@ -22,7 +24,6 @@ from . import primes as pr
 from .counting import DEFAULT_REGION_CAP, DEFAULT_TUPLE_CAP, Region
 from .density import decimal_str
 from .errors import CapExceeded, ConfigError
-from .ideals import PointTuple
 from .numfield import FieldSpec, as_int, as_real, field_from_json
 
 VALID_MODES = ("predict", "direct", "sieve", "mc", "oracle", "lemma-check")
@@ -37,7 +38,7 @@ class ExperimentConfig:
     field: FieldSpec
     field_json: dict
     m: int
-    S: list[PointTuple]
+    S: np.ndarray
     s_json: list
     regions: list[Region]
     X: int = 10 ** 4
@@ -90,15 +91,11 @@ def load_config(data: dict) -> ExperimentConfig:
     if not s_json:
         raise ConfigError("S must be nonempty (inline 's' or 's_file')")
     try:
-        S = il.points_from_json(field, s_json)
-    except (ValueError, TypeError) as exc:
+        S = il.point_set(field, s_json, m)
+    except ValueError as exc:
         raise ConfigError(f"bad S: {exc}")
-    if any(s.m != m for s in S):
-        raise ConfigError("every point of S must have m coordinates")
-    deduped = il.dedupe_points(S)
-    if len(deduped) < len(S):
+    if len(S) < len(s_json):
         warnings.warn("duplicate points in S were dropped", stacklevel=2)
-    S = deduped
 
     raw_regions = data.get("regions")
     if not raw_regions:

@@ -1,4 +1,5 @@
-"""Ideal arithmetic in Hermite normal form and the mutual-visibility test.
+"""Ideal arithmetic in Hermite normal form, point sets and the
+mutual-visibility test.
 
 Ideals are canonical upper-triangular integer matrices whose rows generate
 the ideal as a Z-module over the field basis: positive diagonal, entries
@@ -10,6 +11,9 @@ HNF per tuple.  The ideal (d_1, ..., d_m) is the Z-span of the m*n rows
 d_i * e_j, and the index of a full-rank sublattice of Z^n is the gcd of the
 n x n minors of any generating matrix.  So the differences generate O
 exactly when that gcd is 1; it is 0 only when every d_i is 0.
+
+Points are coordinate vectors over the field basis, and S is one read-only
+(k, m, n) array from ``point_set``; callers pass the field along with it.
 """
 
 from __future__ import annotations
@@ -43,67 +47,33 @@ class IdealHNF:
         return f"IdealHNF({self.hnf}, norm={self.norm})"
 
 
-@dataclass(frozen=True, slots=True)
-class PointTuple:
-    """An m-tuple of algebraic integers (a lattice point of O^m)."""
-
-    points: tuple[AlgInt, ...]
-
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError("empty point tuple")
-        f = self.points[0].field
-        if any(p.field != f for p in self.points):
-            raise ValueError("point coordinates from mixed fields")
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.points[0].field
-
-    @property
-    def m(self) -> int:
-        return len(self.points)
-
-    def coords_lists(self) -> list[list[int]]:
-        return [list(p.coords) for p in self.points]
+def point(field: FieldSpec,
+          coords: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """A point of O^m: its m coordinate vectors over the field basis, as int
+    tuples, each checked by ``field.element``."""
+    return tuple(field.element(c).coords for c in coords)
 
 
-def point(field: FieldSpec, coords: Sequence[Sequence[int]]) -> PointTuple:
-    """Build a PointTuple from m coordinate vectors."""
-    return PointTuple(tuple(field.element(c) for c in coords))
+def point_set(field: FieldSpec, S, m: int) -> np.ndarray:
+    """S as one read-only ``(k, m, n)`` array of Python ints (``dtype=object``).
 
-
-def points_from_json(field: FieldSpec, data) -> list[PointTuple]:
-    """Parse S = [[[0,0],[0,0]], ...]: a list of m-tuples of coordinate vectors."""
-    return [point(field, entry) for entry in data]
-
-
-def points_to_json(S: Sequence[PointTuple]) -> list:
-    return [[list(p.coords) for p in s.points] for s in S]
-
-
-def dedupe_points(S: Sequence[PointTuple]) -> list[PointTuple]:
-    """Order-preserving deduplication."""
-    seen = set()
-    out = []
-    for s in S:
-        key = tuple(p.coords for p in s.points)
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
-
-
-def validate_point_set(S: Sequence[PointTuple], field: FieldSpec,
-                       m: int) -> list[PointTuple]:
-    """Check that S is a nonempty subset of the given O^m; deduplicate."""
-    if not S:
+    S may hold ``point`` results, JSON lists or the rows of an earlier point
+    set.  A repeated point is dropped (the first is kept); an empty S, a
+    point without m coordinates, a number where a list belongs and a
+    coordinate vector that ``field.element`` refuses (wrong length, a bool,
+    a fraction) raise ``ValueError``.  This is the one place S is validated.
+    """
+    try:
+        pts = list(dict.fromkeys(point(field, s) for s in S))
+    except TypeError:  # int() of null, or iterating a number
+        raise ValueError("S must list points, each m lists of n integers") from None
+    if not pts:
         raise ValueError("S must be nonempty")
-    S = dedupe_points(S)
-    for s in S:
-        if s.field != field or s.m != m:
-            raise ValueError("S entries must all live in the given O^m")
-    return S
+    if any(len(s) != m for s in pts):
+        raise ValueError(f"every point of S must have m = {m} coordinates")
+    arr = np.array(pts, dtype=object)
+    arr.flags.writeable = False
+    return arr
 
 
 # ----------------------------------------------------------------------
@@ -224,50 +194,47 @@ def contains(I: IdealHNF, a: AlgInt) -> bool:
 CHUNK = 4096  # lanes per kernel pass; bounds the kernel's scratch memory
 
 
-def is_visible(z: PointTuple, x: PointTuple) -> bool:
-    """Mutual visibility: the coordinate differences generate the unit ideal.
+def is_visible(field: FieldSpec, z, x) -> bool:
+    """Mutual visibility of two points of O^m (coordinate vectors over the
+    basis of ``field``): their differences generate the unit ideal.
 
     Decided by ``visible_mask``: the gcd of the maximal minors of the
     differences' multiplication rows is the index of the ideal they
     generate, so it is 1 exactly when that ideal is O.  A point is not
     visible from itself (the zero differences generate the zero ideal).
     """
-    return is_visible_from_all(z, [x])
+    return is_visible_from_all(field, z, [x])
 
 
-def is_visible_from_all(z: PointTuple, S: Sequence[PointTuple]) -> bool:
-    """Membership in V(S): simultaneously visible from every point of S."""
-    if not S:
-        raise ValueError("S must be nonempty")
-    S = dedupe_points(S)
-    if any(x.field != z.field or x.m != z.m for x in S):
-        raise ValueError("points with mismatched field or length")
-    if z.m < 2:
+def is_visible_from_all(field: FieldSpec, z, S) -> bool:
+    """Membership of the point z in V(S): visible from every point of S,
+    which ``point_set`` validates against z's length m >= 2."""
+    z = point(field, z)
+    if len(z) < 2:
         raise ValueError("visibility needs tuples of length >= 2")
-    return bool(visible_mask(np.array([z.coords_lists()], dtype=object), S)[0])
+    S = point_set(field, S, len(z))
+    return bool(visible_mask(field, np.array([z], dtype=object), S)[0])
 
 
-def visible_mask(z: np.ndarray, S: Sequence[PointTuple]) -> np.ndarray:
-    """For each lane z[k] of an (lanes, m, n) integer array: is it in V(S)?
+def visible_mask(field: FieldSpec, z: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """For each lane z[k] of a (lanes, m, n) integer array: is it in V(S)?
 
-    Lanes are tested ``CHUNK`` at a time and only while still visible from
-    the points of S tested so far.  The arithmetic is int64 when the
-    entries' bound proves every minor and partial sum fits, else exact
-    Python integers (``dtype=object``); the code is the same either way.
+    S is a ``point_set`` array (k, m, n).  Lanes are tested ``CHUNK`` at a
+    time and only while still visible from the points of S tested so far.
+    The arithmetic is int64 when the entries' bound proves every minor and
+    partial sum fits, else exact Python integers (``dtype=object``); the
+    code is the same either way.
     """
-    s_rows = [s.coords_lists() for s in S]
-    dtype, T = _exact_dtype(S[0].field, z,
-                            [c for rows in s_rows for r in rows for c in r])
-    z = z.astype(dtype, copy=False)
-    s_arrs = [np.array(rows, dtype=dtype) for rows in s_rows]
-    m, n = len(s_rows[0]), S[0].field.degree
+    dtype, T = _exact_dtype(field, z, S.flat)
+    z, S = z.astype(dtype, copy=False), S.astype(dtype, copy=False)
+    m, n = S.shape[1:]
     blocks = [tuple(range(i * n, (i + 1) * n)) for i in range(m)]
     minors = blocks + [c for c in itertools.combinations(range(m * n), n)
                        if c not in blocks]
     ok = np.ones(len(z), dtype=bool)
     for lo in range(0, len(z), CHUNK):
         part = ok[lo:lo + CHUNK]  # a view: writes land in ok
-        for s in s_arrs:
+        for s in S:
             live = np.flatnonzero(part)
             if not len(live):
                 break

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numfield
-from .ideals import IdealHNF, PointTuple, ideal_from_generators
+from .ideals import IdealHNF, ideal_from_generators
 from .numfield import AlgInt, FieldSpec
 
 
@@ -432,15 +432,14 @@ def reduce(a: AlgInt, P: PrimeIdeal) -> ResidueElem:
     return ResidueElem(P, tuple(code // p ** j % p for j in range(P.f)))
 
 
-def s_of_prime(S: Sequence[PointTuple], P: PrimeIdeal) -> int:
-    """s(p) = number of distinct rows of ``residue_ids`` over S modulo P."""
-    if not S:
-        raise ValueError("S must be nonempty")
-    ids = residue_ids(P, np.array([s.coords_lists() for s in S], dtype=object))
+def s_of_prime(S, P: PrimeIdeal) -> int:
+    """s(p): the number of distinct rows of ``residue_ids`` mod P over the
+    points of S, a ``point_set`` array (k, m, n) or a list of points."""
+    ids = residue_ids(P, np.asarray(S, dtype=object))
     return len({tuple(row) for row in ids.tolist()})
 
 
-def s_of_primes(S: Sequence[PointTuple], plist: Sequence[PrimeIdeal]) -> list[int]:
+def s_of_primes(S, plist: Sequence[PrimeIdeal]) -> list[int]:
     """``s_of_prime`` of every P of a list, by the difference-ideal lemma.
 
     Points s != t of S share a residue tuple mod P exactly when P contains
@@ -449,9 +448,10 @@ def s_of_primes(S: Sequence[PointTuple], plist: Sequence[PrimeIdeal]) -> list[in
     N(D_st) over the pairs of S (exact HNF norms; 0 when S repeats a point),
     and only those P go through ``s_of_prime``.
     """
-    if not S:
-        raise ValueError("S must be nonempty")
-    diffs = ([a - b for a, b in zip(s.points, t.points)]
+    if not plist:
+        return []
+    field = plist[0].field
+    diffs = ([field.element(a) - field.element(b) for a, b in zip(s, t)]
              for s, t in itertools.combinations(S, 2))
     prod = math.prod(ideal_from_generators(d).norm for d in diffs)
     return [s_of_prime(S, P) if prod % P.under_p == 0 else len(S) for P in plist]

@@ -167,7 +167,7 @@ def test_criterion_6_sieve_equals_direct():
         region = ct.cube_region(field, L)
         a = ct.count_visible_direct(field, S, 2, region)
         b = ct.count_visible_sieve(field, S, 2, region)
-        assert a.visible_count == b.visible_count, (d, L, il.points_to_json(S))
+        assert a.visible_count == b.visible_count, (d, L, S)
         agreements += 1
     assert report(6, agreements == 30,
                   f"{agreements}/30 randomized configs: sieve == direct exactly")

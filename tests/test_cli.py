@@ -419,7 +419,7 @@ def test_run_integral_floats_accepted(tmp_path):
     got = (cfg.X, cfg.seed, cfg.regions[0].L)
     assert got == (1000, 3, 30) and all(type(v) is int for v in got)
     assert cfg.tolerance == 0.0
-    assert cfg.S[0].coords_lists() == [[0], [0]]
+    assert cfg.S[0].tolist() == [[0], [0]]
 
 
 # a ball radius, basis-transform entry or tolerance that Fraction(), int()
@@ -484,8 +484,22 @@ def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
      "not a finite number"),
     (["lemma-check", "--region", "ball:R=1/0"], "not a finite number"),
     (["count", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--region", "cube:L=3",
-      "--mode", "mc", "--seed", "-1"], "seed must lie in [0, 2^128)")],
-    ids=["count-R-1/0", "lemma-check-R-1/0", "count-seed-negative"])
+      "--mode", "mc", "--seed", "-1"], "seed must lie in [0, 2^128)"),
+    # refused by flag name before any work, not by the layer that would fail
+    (["primes", "--max-norm", "1"], "--max-norm must be >= 2"),
+    (["lemma-check", "--region", "cube:L=3", "--max-prime-norm", "1"],
+     "--max-prime-norm must be >= 2"),
+    (["oracle", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--window-t", "0"],
+     "--window-t must be >= 1"),
+    (["oracle", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--window-t", "-1"],
+     "--window-t must be >= 1"),
+    # an S that is not a list of lists of vectors, which iterating would
+    # meet as a TypeError
+    (["predict", "--m", "2", "--s", "5"], "S must list points"),
+    (["predict", "--m", "2", "--s", "[[0,0]]"], "S must list points")],
+    ids=["count-R-1/0", "lemma-check-R-1/0", "count-seed-negative",
+         "primes-max-norm-1", "lemma-check-max-prime-norm-1", "oracle-window-t-0",
+         "oracle-window-t-negative", "predict-s-number", "predict-s-flat-point"])
 def test_cli_out_of_range_argument_exit2(capsys, argv, says):
     code, out, err = run_cli(capsys, *argv, "--field", GAUSSIAN)
     assert code == 2 and out == "" and "Traceback" not in err

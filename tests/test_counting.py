@@ -332,7 +332,7 @@ def test_sieve_prime_bound_cap(gaussian, monkeypatch):
 def _norm_bound_by_rows(field, S, coords):
     # the sieve's former per-row loop, kept here as the oracle for B
     B = 1
-    for key in {p.coords for s in S for p in s.points}:
+    for key in {v for s in S for v in s}:
         for c in coords.tolist():
             d = [x - y for x, y in zip(c, key)]
             if any(d):
@@ -348,7 +348,7 @@ def test_prime_norm_bound_matches_rows(request, fname):
     S = [origin(field, 2)] + [
         il.point(field, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(2)])
         for _ in range(2)]
-    keys = {p.coords for s in S for p in s.points}
+    keys = {v for s in S for v in s}
     regions = [ct.cube_region(field, 3), ct.ball_region(field, 7 - 2 * n)]
     if n == 2:
         # coordinates near 2^42 put the norms on the object path
@@ -384,8 +384,9 @@ def test_direct_and_mc_never_touch_primes(gaussian, monkeypatch):
     direct = ct.count_visible_direct(gaussian, S, 2, region)
     pts = ct.enumerate_region(region)
     want = sum(1 for a in pts for b in pts
-               if all(il.ideal_from_generators([a - x, b - y]).norm == 1
-                      for x, y in (s.points for s in S)))
+               if all(il.ideal_from_generators([a - gaussian.element(x),
+                                                b - gaussian.element(y)]).norm == 1
+                      for x, y in S))
     assert direct.visible_count == want
     mc = ct.mc_estimate(gaussian, S, 2, region, samples=500, seed=4)
     assert 0 < mc.visible_count < 500
@@ -451,7 +452,7 @@ def test_mc_ball_samples_lie_in_ball(gaussian, monkeypatch, R):
     # filter squares on Python integers, so no sample outside the ball is kept
     seen = []
 
-    def spy(z, S):
+    def spy(field, z, S):
         seen.append(z)
         return np.zeros(len(z), dtype=bool)
 

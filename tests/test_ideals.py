@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -106,12 +107,12 @@ def test_contains_vs_brute_force(gaussian):
 
 def test_visibility_examples(rational, gaussian):
     o = origin(rational, 2)
-    assert il.is_visible(il.point(rational, [[2], [3]]), o)
-    assert not il.is_visible(il.point(rational, [[2], [4]]), o)
+    assert il.is_visible(rational, il.point(rational, [[2], [3]]), o)
+    assert not il.is_visible(rational, il.point(rational, [[2], [4]]), o)
     og = origin(gaussian, 2)
     z = il.point(gaussian, [[1, 1], [1, -1]])  # both coords in (1+i)
-    assert not il.is_visible(z, og)
-    assert not il.is_visible(og, og)  # zero difference
+    assert not il.is_visible(gaussian, z, og)
+    assert not il.is_visible(gaussian, og, og)  # zero difference
 
 
 def test_visibility_symmetry(gaussian):
@@ -121,7 +122,7 @@ def test_visibility_symmetry(gaussian):
                                 for _ in range(2)])
         x = il.point(gaussian, [[rng.randint(-5, 5), rng.randint(-5, 5)]
                                 for _ in range(2)])
-        assert il.is_visible(z, x) == il.is_visible(x, z)
+        assert il.is_visible(gaussian, z, x) == il.is_visible(gaussian, x, z)
 
 
 def test_visibility_matches_pure_hnf_route(gaussian):
@@ -131,8 +132,8 @@ def test_visibility_matches_pure_hnf_route(gaussian):
     for _ in range(200):
         z = il.point(gaussian, [[rng.randint(-6, 6), rng.randint(-6, 6)]
                                 for _ in range(2)])
-        diffs = [a - b for a, b in zip(z.points, o.points)]
-        assert il.is_visible(z, o) == (il.ideal_from_generators(diffs).norm == 1)
+        diffs = [gaussian.element(a) - gaussian.element(b) for a, b in zip(z, o)]
+        assert il.is_visible(gaussian, z, o) == (il.ideal_from_generators(diffs).norm == 1)
 
 
 KERNEL_FIELDS = [("rational", {}), ("quadratic", {"d": -1}),
@@ -181,7 +182,8 @@ def test_kernel_matches_hnf(kind, kw, m, monkeypatch):
                  for lane in diffs]
         x = il.point(field, s)
         del dtypes[:]
-        got = il.visible_mask(np.array(lanes, dtype=object), [x])
+        got = il.visible_mask(field, np.array(lanes, dtype=object),
+                              il.point_set(field, [x], m))
         want = [il.ideal_from_generators(
             [field.element(d) for d in lane]).norm == 1 for lane in diffs]
         assert got.tolist() == want
@@ -193,24 +195,62 @@ def test_kernel_matches_hnf(kind, kw, m, monkeypatch):
 
 def test_is_visible_from_all(rational):
     S = [origin(rational, 2), il.point(rational, [[1], [1]])]
-    assert il.is_visible_from_all(il.point(rational, [[2], [3]]), S)
-    assert not il.is_visible_from_all(il.point(rational, [[3], [5]]), S)
-    assert not il.is_visible_from_all(S[0], S)  # z in S
+    assert il.is_visible_from_all(rational, il.point(rational, [[2], [3]]), S)
+    assert not il.is_visible_from_all(rational, il.point(rational, [[3], [5]]), S)
+    assert not il.is_visible_from_all(rational, S[0], S)  # z in S
     with pytest.raises(ValueError):
-        il.is_visible_from_all(S[0], [])
+        il.is_visible_from_all(rational, S[0], [])
 
 
 def test_point_validation(rational, gaussian):
-    with pytest.raises(ValueError):
-        il.PointTuple((rational.element([1]), gaussian.one()))
+    with pytest.raises(ValueError):  # a Q(i) vector read over Q's basis
+        il.point(rational, [[1], gaussian.one().coords])
     z = il.point(rational, [[1], [2], [3]])
     with pytest.raises(ValueError):
-        il.is_visible(z, origin(rational, 2))
+        il.is_visible(rational, z, origin(rational, 2))
+
+
+def test_point_set_shape_order_and_dedupe(gaussian):
+    a, o = il.point(gaussian, [[1, 0], [0, 1]]), origin(gaussian, 2)
+    S = il.point_set(gaussian, [a, o, a], 2)
+    assert S.tolist() == [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]  # first kept
+    assert S.shape == (2, 2, 2) and S.dtype == object
+    assert not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[0, 0, 0] = 5
+    again = il.point_set(gaussian, S, 2)
+    assert again.shape == S.shape and again.tolist() == S.tolist()
+    from_json = il.point_set(gaussian, json.loads(json.dumps(S.tolist())), 2)
+    assert from_json.shape == S.shape and (from_json == S).all()
+
+
+def test_point_set_big_coordinates_exact(rational):
+    big = [[[2 ** 70], [-2 ** 70 - 1]], [[2 ** 70 + 1], [3]]]
+    S = il.point_set(rational, big, 2)
+    assert S.tolist() == big
+    assert all(type(x) is int for x in S.flat)
+    assert (il.point_set(rational, S, 2) == S).all()
+
+
+@pytest.mark.parametrize("S, m", [
+    ([], 2),                    # empty
+    ([[[0], [0], [0]]], 2),     # m = 3 given for m = 2
+    ([[[0, 0], [0, 0]]], 2),    # degree 2 given over Q
+    ([[[True], [0]]], 2),       # a bool coordinate
+    ([[[0.5], [0]]], 2),        # a fractional coordinate
+    ([[[None], [0]]], 2),       # a null coordinate
+    ([[1, 2]], 2),              # numbers where vectors belong
+    (5, 2)],                    # a number for S
+    ids=["empty", "wrong-m", "wrong-degree", "bool", "fraction", "null",
+         "flat-point", "number"])
+def test_point_set_refusals(rational, S, m):
+    with pytest.raises(ValueError):
+        il.point_set(rational, S, m)
 
 
 def test_points_json_roundtrip(gaussian):
     S = [il.point(gaussian, [[0, 0], [0, 0]]), il.point(gaussian, [[1, 0], [1, 0]])]
-    data = il.points_to_json(S)
+    data = il.point_set(gaussian, S, 2).tolist()
     assert data == [[[0, 0], [0, 0]], [[1, 0], [1, 0]]]
-    back = il.points_from_json(gaussian, data)
-    assert back == S
+    back = il.point_set(gaussian, data, 2)
+    assert [il.point(gaussian, s) for s in back] == S

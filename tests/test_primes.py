@@ -285,9 +285,10 @@ def test_s_of_prime_examples(rational):
 def test_s_of_prime_saturates_for_admissible_sets(gaussian):
     # pairwise-visible S: s(p) = |S| once N(p)^m exceeds the pairwise bound
     S = [origin(gaussian, 2), il.point(gaussian, [[1, 0], [0, 1]])]
-    bound = max(abs((a - b).norm())
+    bound = max(abs(d.norm())
                 for s, t in [(S[0], S[1])]
-                for a, b in zip(s.points, t.points) if not (a - b).is_zero())
+                for d in (gaussian.element(a) - gaussian.element(b)
+                          for a, b in zip(s, t)) if not d.is_zero())
     for P in pr.primes_up_to_norm(gaussian, 50):
         if P.norm ** 2 > bound:
             assert pr.s_of_prime(S, P) == len(S)
