@@ -20,6 +20,7 @@ from . import density as dn
 from . import experiment as ex
 from . import ideals as il
 from . import primes as pr
+from .counting import DEFAULT_REGION_CAP
 from .density import decimal_str
 from .errors import ConfigError, FieldError
 from .numfield import FieldSpec, field_from_json
@@ -118,15 +119,22 @@ def main(argv=None) -> int:
         return 2
 
 
-# flags whose out-of-range value is refused before any work
-MINIMA = {"primes": ("max_norm", 2), "lemma-check": ("max_prime_norm", 2),
-          "oracle": ("window_t", 1)}
+# flags whose out-of-range value is refused before any work: (dest, least,
+# greatest); predict's X is a prime sieve of X bytes, bounded like a region
+RANGES = {"primes": ("max_norm", 2, None),
+          "lemma-check": ("max_prime_norm", 2, None),
+          "oracle": ("window_t", 1, None),
+          "predict": ("X", 2, DEFAULT_REGION_CAP)}
 
 
 def _dispatch(args) -> int:
-    dest, lo = MINIMA.get(args.cmd, (None, None))
-    if dest and getattr(args, dest) < lo:
-        raise ConfigError(f"--{dest.replace('_', '-')} must be >= {lo}")
+    dest, lo, hi = RANGES.get(args.cmd, (None, None, None))
+    if dest:
+        flag, value = f"--{dest.replace('_', '-')}", getattr(args, dest)
+        if value < lo:
+            raise ConfigError(f"{flag} must be >= {lo}")
+        if hi is not None and value > hi:
+            raise ConfigError(f"{flag} must be <= {hi}")
     if args.cmd == "field":
         f = _load_field(args.field)
         print(json.dumps({

@@ -3,7 +3,12 @@ intervals, Moebius-sum zeta reciprocals, and the exact finite-window CRT
 oracle.
 
 All products and sums are exact rationals; the truncation interval [lo, hi]
-is guaranteed to contain the infinite product.
+is guaranteed to contain the infinite product.  The truncated product is kept
+as an unreduced integer pair num/den: reducing it would take a gcd of two
+integers of ~10^5 digits, and a report reads only 30 directed digits and a
+float from it.  It multiplies norms, not prime ideals: only the few rational
+primes whose s(P) or splitting is not known in advance are split into
+``PrimeIdeal`` objects.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from . import primes as pr
 from .errors import CapExceeded
 from .ideals import point_set
-from .numfield import FieldSpec
+from .numfield import FieldSpec, rational_primes_up_to
 from .primes import PrimeIdeal, PrimeWindow
 
 
@@ -26,21 +31,45 @@ from .primes import PrimeIdeal, PrimeWindow
 class PredictionInterval:
     """Rigorous bracket for the Euler product over all prime ideals.
 
-    hi is the truncated product itself (every omitted factor is <= 1); lo
-    multiplies in a lower bound for the omitted tail, lo = hi max(0, 1 -
-    tail) with ``tail`` the relative tail bound.  A zero certificate is a
-    prime where S covers every residue tuple, forcing density exactly 0.
+    hi = num/den is the truncated product itself (every omitted factor is
+    <= 1), held unreduced with den = (prod N(P))^m; lo multiplies in a lower
+    bound for the omitted tail, lo = hi max(0, 1 - tail) with ``tail`` the
+    relative tail bound.  ``lo``, ``hi`` and ``mid`` are built as Fractions
+    when read; ``lo_ratio`` and ``mid_ratio`` give them unreduced.  A zero
+    certificate is a prime where S covers every residue tuple, forcing
+    density exactly 0 (num = 0, den = 1).
     """
 
-    lo: Fraction
-    hi: Fraction
+    num: int
+    den: int
     cutoff_X: int
     zero_certificate: Optional[PrimeIdeal] = None
     tail: Fraction = Fraction(0)
 
+    def _times(self, f: Fraction) -> tuple[int, int]:
+        return self.num * f.numerator, self.den * f.denominator
+
     @property
-    def mid(self) -> Fraction:  # (lo + hi) / 2, without adding two huge rationals
-        return self.hi * Fraction(2 - min(self.tail, 1), 2)
+    def lo_ratio(self) -> tuple[int, int]:
+        """hi max(0, 1 - tail) as an unreduced (numerator, denominator)."""
+        return self._times(max(Fraction(0), 1 - self.tail))
+
+    @property
+    def mid_ratio(self) -> tuple[int, int]:
+        """(lo + hi) / 2 = hi (2 - min(tail, 1)) / 2, unreduced."""
+        return self._times(Fraction(2 - min(self.tail, 1), 2))
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(*self.lo_ratio)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def mid(self) -> Fraction:
+        return Fraction(*self.mid_ratio)
 
 
 @dataclass(frozen=True)
@@ -53,7 +82,18 @@ class ExactDensity:
 
 def predicted_density(field: FieldSpec, S, m: int,
                       X: int) -> PredictionInterval:
-    """Truncated product of (1 - s(p)/N(p)^m) over N(p) <= X plus tail bound.
+    """Truncated product of (1 - s(P)/N(P)^m) over N(P) <= X plus tail bound.
+
+    The loop runs over rational primes p <= X and collects norms.  Only these
+    p are split into ``PrimeIdeal`` objects:
+    - p dividing ``primes.difference_norm_product``, the only p where s(P) <
+      |S|; there s(P) comes from ``s_of_prime``;
+    - p with p^m <= |S|, the only others where s(P) = N(P)^m, a zero
+      certificate, can hold;
+    - ramified p, and every p in a field that is not quadratic.
+    At any other p of a quadratic field ``primes.quadratic_f`` gives the
+    norms, (p, p) or (p^2), each with s(P) = |S|.  Of several zero
+    certificates the smallest by ``PrimeIdeal.sort_key`` is reported.
 
     Tail: at most n prime ideals share any prime-power norm, each omitted
     factor u = s(p)/N(p)^m is <= 1/2 (X is raised if needed), and
@@ -65,22 +105,31 @@ def predicted_density(field: FieldSpec, S, m: int,
     if X < 2:
         raise ValueError("X must be >= 2")
     S = point_set(field, S, m)
-    while 2 * len(S) > X ** m:
+    k = len(S)
+    while 2 * k > X ** m:
         X += 1
-    nums, dens = [], []
-    plist = pr.primes_up_to_norm(field, X)
-    for P, s in zip(plist, pr.s_of_primes(S, plist)):
-        Nm = P.norm ** m
-        if s == Nm:
-            return PredictionInterval(Fraction(0), Fraction(0), X,
-                                      zero_certificate=P)
-        nums.append(Nm - s)
-        dens.append(Nm)
-    partial = Fraction(_product(nums), _product(dens))
-    tail = Fraction(1, (m - 1) * X ** (m - 1))
-    slack = 2 * field.degree * len(S) * tail
-    lo = partial * max(Fraction(0), 1 - slack)
-    return PredictionInterval(lo, partial, X, tail=slack)
+    dprod = pr.difference_norm_product(field, S)
+    zeros, nums, norms = [], [], []
+    for p in rational_primes_up_to(X):
+        f = pr.quadratic_f(field, p)
+        if f is None or dprod % p == 0 or p ** m <= k:
+            for P in pr.split_prime(field, p):
+                if P.norm > X:
+                    continue
+                s = pr.s_of_prime(S, P) if dprod % p == 0 else k
+                if s == P.norm ** m:
+                    zeros.append(P)
+                nums.append(P.norm ** m - s)
+                norms.append(P.norm)
+        elif p ** f <= X:
+            nums += [p ** (f * m) - k] * (3 - f)  # two primes if split
+            norms += [p ** f] * (3 - f)
+    if zeros:
+        return PredictionInterval(0, 1, X, zero_certificate=min(
+            zeros, key=PrimeIdeal.sort_key))
+    slack = Fraction(2 * field.degree * k, (m - 1) * X ** (m - 1))
+    return PredictionInterval(_product(nums), _product(norms) ** m, X,
+                              tail=slack)
 
 
 def _product(xs: list[int]) -> int:
@@ -172,16 +221,17 @@ def exact_window_density(field: FieldSpec, S, m: int,
 # display helpers
 # ----------------------------------------------------------------------
 
-def decimal_str(x: Fraction, places: int = 30, direction: str = "nearest") -> str:
-    """Decimal expansion of a rational in [0, ~10) with directed rounding."""
-    if x < 0:
+def decimal_str(x, places: int = 30, direction: str = "nearest") -> str:
+    """Decimal expansion of a rational in [0, ~10) with directed rounding;
+    x is a Fraction or an unreduced (numerator, denominator > 0) pair."""
+    num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else x
+    if num < 0:
         raise ValueError("negative values not expected here")
     scale = 10 ** places
-    num = x.numerator * scale
-    q, r = divmod(num, x.denominator)
+    q, r = divmod(num * scale, den)
     if r and direction == "up":
         q += 1
-    elif r and direction == "nearest" and 2 * r >= x.denominator:
+    elif r and direction == "nearest" and 2 * r >= den:
         q += 1
     whole, frac = divmod(q, scale)
     return f"{whole}.{frac:0{places}d}"

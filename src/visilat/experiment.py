@@ -12,7 +12,6 @@ import json
 import time
 import warnings
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -136,6 +135,9 @@ def load_config(data: dict) -> ExperimentConfig:
                           ) from None
     # refused here: a run would fail on each only after its counts
     for bad, says in ((cfg.X < 2, "X must be >= 2"),
+                      # the prime sieve behind the product takes X bytes
+                      (cfg.X > cfg.region_cap,
+                       f"X must be <= caps.region = {cfg.region_cap}"),
                       (cfg.tolerance < 0, "tolerance must be >= 0"),
                       (not 0 <= cfg.seed < 2 ** 128, "seed must lie in [0, 2^128)"),
                       (cfg.samples < 100, "samples must be >= 100"),
@@ -192,18 +194,20 @@ def prediction_to_json(iv: dn.PredictionInterval) -> dict:
         zero = {"p": P.under_p, "f": P.f, "e": P.e, "g": list(P.gpoly),
                 "norm": P.norm}
     # the exact partial product can run to thousands of digits; the directed
-    # 30-digit endpoints carry everything a report consumer needs
+    # 30-digit endpoints carry everything a report consumer needs, and are
+    # read off the unreduced numerator and denominator
     return {
-        "lo": decimal_str(iv.lo, 30, "down"),
-        "hi": decimal_str(iv.hi, 30, "up"),
+        "lo": decimal_str(iv.lo_ratio, 30, "down"),
+        "hi": decimal_str((iv.num, iv.den), 30, "up"),
         "X": iv.cutoff_X,
         "zero": zero,
     }
 
 
-def count_to_json(res: ct.CountResult, mid: Optional[Fraction],
+def count_to_json(res: ct.CountResult, iv: Optional[dn.PredictionInterval],
                   tolerance: float) -> dict:
-    """One report row; ``mid`` is the prediction's midpoint, if any."""
+    """One report row; the discrepancy is taken from the midpoint of the
+    prediction ``iv``, if any."""
     row = {
         "region": res.region.label(),
         "mode": res.method,
@@ -215,10 +219,14 @@ def count_to_json(res: ct.CountResult, mid: Optional[Fraction],
         "discrepancy": None,
         "pass": None,
     }
-    if mid is not None:
-        disc = abs(res.density_estimate - mid)
+    if iv is not None:
+        # |x - a/b| by one int true division, correctly rounded as
+        # float(Fraction) is, with no gcd of the huge a and b
+        a, b = iv.mid_ratio
+        x = res.density_estimate
+        disc = abs(x.numerator * b - a * x.denominator) / (x.denominator * b)
         row["discrepancy"] = _fmt(disc)
-        row["pass"] = float(disc) <= tolerance
+        row["pass"] = disc <= tolerance
     return row
 
 
@@ -236,11 +244,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "timings": timings,
     }
 
-    mid = None
+    interval = None
     if "predict" in cfg.modes:
         t0 = time.perf_counter()
         interval = dn.predicted_density(cfg.field, cfg.S, cfg.m, cfg.X)
-        mid = interval.mid
         timings["predict"] = time.perf_counter() - t0
         report["prediction"] = prediction_to_json(interval)
 
@@ -270,7 +277,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 continue
             finally:
                 timings[f"{region.label()}|{mode}"] = time.perf_counter() - t0
-            row = count_to_json(res, mid, cfg.tolerance)
+            row = count_to_json(res, interval, cfg.tolerance)
             report["counts"].append(row)
             if row["pass"] is False:
                 report["failed"] = True

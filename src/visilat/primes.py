@@ -7,9 +7,9 @@ tuples, constant term first, coefficients in [0, p).
 
 ``residue_ids`` is the one encoder of coordinates as residues mod P:
 ``reduce``, ``s_of_prime``, the sieve, the CRT oracle and the lemma check
-(a lies in P exactly when its id is 0) use it.  The Euler
-product's ``s_of_primes`` needs it only at primes above a p dividing the
-norm of a difference ideal of two points of S; s(P) = |S| at all others.
+(a lies in P exactly when its id is 0) use it.  The Euler product and
+``s_of_primes`` need it only at primes above a p dividing
+``difference_norm_product``; s(P) = |S| at all others.
 """
 
 from __future__ import annotations
@@ -307,22 +307,33 @@ def _split_prime_cz(field: FieldSpec, p: int) -> list[PrimeIdeal]:
     return out
 
 
-def _split_quadratic(field: FieldSpec, p: int) -> list[PrimeIdeal] | None:
-    """Splitting of an odd p not dividing D = b^2 - 4c in closed form, where
-    x^2 + bx + c is theta's minimal polynomial; None for any other p.  Euler's
-    criterion on D tells inert from split; a split p has roots r = (-b +-
-    sqrt D)/2, factors x - r and prime ideals (p, theta - r), whose HNF rows
-    are 1 - r^-1 theta (theta itself when r = 0) and p theta."""
+def quadratic_f(field: FieldSpec, p: int) -> int | None:
+    """Residue degree of the primes above p by Euler's criterion on D = b^2 -
+    4c, where x^2 + bx + c is theta's minimal polynomial: 1 when p splits
+    into two primes of norm p, 2 when p is inert; None unless the field is
+    quadratic and p is odd and does not divide D."""
     if field.degree != 2 or p == 2:
         return None
     c, b, _ = field.gen_minpoly
     D = (b * b - 4 * c) % p
     if not D:
         return None
-    if pow(D, (p - 1) // 2, p) != 1:
+    return 1 if pow(D, (p - 1) // 2, p) == 1 else 2
+
+
+def _split_quadratic(field: FieldSpec, p: int) -> list[PrimeIdeal] | None:
+    """Splitting of p in closed form wherever ``quadratic_f`` decides it;
+    None for any other p.  A split p has roots r = (-b +- sqrt D)/2 of x^2 +
+    bx + c, factors x - r and prime ideals (p, theta - r), whose HNF rows are
+    1 - r^-1 theta (theta itself when r = 0) and p theta."""
+    f = quadratic_f(field, p)
+    if f is None:
+        return None
+    c, b, _ = field.gen_minpoly
+    if f == 2:
         hnf = IdealHNF(field, ((p, 0), (0, p)), False, p * p)
         return [PrimeIdeal(field, p, 2, 1, (c % p, b % p, 1), hnf, p * p)]
-    t, half, out = _sqrt_mod(D, p), (p + 1) // 2, []
+    t, half, out = _sqrt_mod((b * b - 4 * c) % p, p), (p + 1) // 2, []
     for r in ((t - b) * half % p, (-t - b) * half % p):
         if (r * r + b * r + c) % p:
             raise RuntimeError(f"closed-form root {r} of {field.gen_minpoly} fails mod {p}")
@@ -439,19 +450,25 @@ def s_of_prime(S, P: PrimeIdeal) -> int:
     return len({tuple(row) for row in ids.tolist()})
 
 
-def s_of_primes(S, plist: Sequence[PrimeIdeal]) -> list[int]:
-    """``s_of_prime`` of every P of a list, by the difference-ideal lemma.
+def difference_norm_product(field: FieldSpec, S) -> int:
+    """Product of the norms N(D_st) of the difference ideals D_st = (s_1 -
+    t_1, ..., s_m - t_m) over the pairs of points of S: exact HNF norms, 0
+    when S repeats a point.
 
     Points s != t of S share a residue tuple mod P exactly when P contains
-    their difference ideal D_st = (s_1 - t_1, ..., s_m - t_m), and then
-    N(P) | N(D_st).  So s(P) = |S| unless p divides the product of the norms
-    N(D_st) over the pairs of S (exact HNF norms; 0 when S repeats a point),
-    and only those P go through ``s_of_prime``.
+    D_st, and then N(P) | N(D_st).  So s(P) = |S| at every P above a rational
+    prime p that does not divide this product (the difference-ideal lemma).
     """
-    if not plist:
-        return []
-    field = plist[0].field
     diffs = ([field.element(a) - field.element(b) for a, b in zip(s, t)]
              for s, t in itertools.combinations(S, 2))
-    prod = math.prod(ideal_from_generators(d).norm for d in diffs)
+    return math.prod(ideal_from_generators(d).norm for d in diffs)
+
+
+def s_of_primes(S, plist: Sequence[PrimeIdeal]) -> list[int]:
+    """``s_of_prime`` of every P of a list, by the difference-ideal lemma:
+    only the P above a p dividing ``difference_norm_product`` go through
+    ``s_of_prime``; s(P) = |S| at all others."""
+    if not plist:
+        return []
+    prod = difference_norm_product(plist[0].field, S)
     return [s_of_prime(S, P) if prod % P.under_p == 0 else len(S) for P in plist]

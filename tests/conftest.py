@@ -22,6 +22,11 @@ def eisenstein():
 
 
 @pytest.fixture(scope="session")
+def sqrt_m7():
+    return nf.make_field("quadratic", d=-7)
+
+
+@pytest.fixture(scope="session")
 def root2():
     return nf.make_field("quadratic", d=2)
 

@@ -1,10 +1,14 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from visilat import cli
+from visilat import counting as ct
+from visilat import density as dn
 from visilat import experiment as ex
+from visilat import ideals as il
 from visilat.errors import ConfigError
 
 
@@ -462,11 +466,17 @@ LATE_FAILURES = [({"seed": -1, "modes": ["mc"]}, "seed must lie in [0, 2^128)"),
                  ({"oracle_window_t": 0, "modes": ["oracle"]},
                   "oracle_window_t must be >= 1"),
                  ({"lemma_max_prime_norm": 1, "modes": ["lemma-check"]},
-                  "lemma_max_prime_norm must be >= 2")]
+                  "lemma_max_prime_norm must be >= 2"),
+                 # the prime sieve behind the product would take X bytes,
+                 # or overflow
+                 ({"X": 10 ** 20}, "X must be <= caps.region = 4194304"),
+                 ({"X": 1001, "caps": {"region": 1000}},
+                  "X must be <= caps.region = 1000")]
 
 
 @pytest.mark.parametrize("over, says", LATE_FAILURES, ids=[
-    "seed-negative", "seed-2^128", "samples", "window", "lemma-bound"])
+    "seed-negative", "seed-2^128", "samples", "window", "lemma-bound",
+    "X-10^20", "X-over-region-cap"])
 def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
     cfg = base_config(tmp_path, **over)
     with pytest.raises(ConfigError) as exc:
@@ -493,14 +503,44 @@ def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
      "--window-t must be >= 1"),
     (["oracle", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--window-t", "-1"],
      "--window-t must be >= 1"),
+    (["predict", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--X", str(10 ** 20)],
+     "--X must be <= 4194304"),
+    (["predict", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--X", "1"],
+     "--X must be >= 2"),
     # an S that is not a list of lists of vectors, which iterating would
     # meet as a TypeError
     (["predict", "--m", "2", "--s", "5"], "S must list points"),
     (["predict", "--m", "2", "--s", "[[0,0]]"], "S must list points")],
     ids=["count-R-1/0", "lemma-check-R-1/0", "count-seed-negative",
          "primes-max-norm-1", "lemma-check-max-prime-norm-1", "oracle-window-t-0",
-         "oracle-window-t-negative", "predict-s-number", "predict-s-flat-point"])
+         "oracle-window-t-negative", "predict-X-10^20", "predict-X-1",
+         "predict-s-number", "predict-s-flat-point"])
 def test_cli_out_of_range_argument_exit2(capsys, argv, says):
     code, out, err = run_cli(capsys, *argv, "--field", GAUSSIAN)
     assert code == 2 and out == "" and "Traceback" not in err
     assert err.startswith("invalid configuration: ") and says in err
+
+
+def test_report_helpers_match_fraction_path(gaussian):
+    # lo, hi and each discrepancy read off the unreduced num/den equal the
+    # reduced-Fraction path byte for byte: random counts, a count equal to
+    # the midpoint, one a hair above it, and a zero certificate
+    field = gaussian
+    S = [[[0, 0], [0, 0]], [[1, 2], [-1, 3]], [[4, 0], [2, 2]]]
+    square = [il.point(field, [[a, 0], [b, 0]]) for a in (0, 1) for b in (0, 1)]
+    ivs = [dn.predicted_density(field, S, 2, X) for X in (2, 50, 10 ** 3)]
+    ivs.append(dn.predicted_density(field, square, 2, 50))
+    assert ivs[-1].zero_certificate is not None
+    region, rng = ct.cube_region(field, 3), random.Random(12)
+    for iv in ivs:
+        pred = ex.prediction_to_json(iv)
+        assert pred["lo"] == dn.decimal_str(iv.lo, 30, "down")
+        assert pred["hi"] == dn.decimal_str(iv.hi, 30, "up")
+        xs = [Fraction(rng.randrange(t + 1), t)
+              for t in (rng.randrange(1, 10 ** k) for k in range(1, 13))]
+        for x in xs + [iv.mid, iv.mid + Fraction(1, 10 ** 40)]:
+            res = ct.CountResult(x.numerator, x.denominator, x, "sieve", region)
+            for tol in (0.01, float(abs(x - iv.mid))):
+                row = ex.count_to_json(res, iv, tol)
+                assert row["discrepancy"] == ex._fmt(abs(x - iv.mid))
+                assert row["pass"] is (float(abs(x - iv.mid)) <= tol)

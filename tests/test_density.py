@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,6 +51,90 @@ def test_mid_is_mean_of_endpoints(request, fname, size):
         iv = dn.predicted_density(field, S, 2, X)
         assert iv.lo == iv.hi * max(0, 1 - iv.tail)
         assert isinstance(iv.mid, Fraction) and iv.mid == (iv.lo + iv.hi) / 2
+
+
+def reference_product(field, S, m, X):
+    """(X, hi, tail, zero certificate) from every prime ideal of
+    ``primes_up_to_norm``, its ``s_of_prime`` and a Fraction product."""
+    S = il.point_set(field, S, m)
+    while 2 * len(S) > X ** m:
+        X += 1
+    hi, zero = Fraction(1), None
+    for P in pr.primes_up_to_norm(field, X):
+        s = pr.s_of_prime(S, P)
+        if s == P.norm ** m and zero is None:
+            zero = P
+        hi *= 1 - Fraction(s, P.norm ** m)
+    if zero is not None:
+        return X, hi, Fraction(0), zero
+    return X, hi, Fraction(2 * field.degree * len(S), (m - 1) * X ** (m - 1)), None
+
+
+def assert_matches_reference(field, S, m, X):
+    iv = dn.predicted_density(field, S, m, X)
+    cutoff, hi, tail, zero = reference_product(field, S, m, X)
+    assert (iv.cutoff_X, iv.tail, iv.zero_certificate) == (cutoff, tail, zero)
+    assert Fraction(iv.num, iv.den) == iv.hi == hi
+    assert iv.lo == hi * max(0, 1 - tail)
+    return iv
+
+
+@pytest.mark.parametrize("fname", ["rational", "gaussian", "sqrt_m7", "golden",
+                                   "cubic"])
+def test_product_matches_reference(request, fname):
+    # points that differ by multiples of 6 and 35 collide mod primes above
+    # 2, 3, 5 and 7; the unit square {0, 1}^2 has p^m <= |S| at p = 2
+    field = request.getfixturevalue(fname)
+    n = field.degree
+    for m in (2, 3):
+        rng = random.Random(m)
+        base = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        shifted = [[[x + step * rng.randint(1, 3) for x in row] for row in base]
+                   for step in (6, 35)]
+        square = [[[a] + [0] * (n - 1), [b] + [0] * (n - 1)] + [[0] * n] * (m - 2)
+                  for a in (0, 1) for b in (0, 1)]
+        for S in ([base], [base] + shifted[:1], [base] + shifted, square):
+            for X in (2, 50, 10 ** 3):
+                assert_matches_reference(field, S, m, X)
+
+
+def test_zero_certificate_smallest_norm_first(gaussian):
+    # S covers every residue pair mod the inert 3 (norm 9) and mod (2 + i)
+    # (norm 5, where i = -2), and is 0 mod (1 + i), so 2 certifies nothing:
+    # the certificate is the norm-5 prime, though p = 3 comes first
+    def crt(u, v, a):
+        return next([x, y] for x in range(30) for y in range(30)
+                    if (x - u) % 3 == (y - v) % 3 == 0
+                    and (x - 2 * y - a) % 5 == 0 and (x + y) % 2 == 0)
+
+    S = [[crt(*divmod(i // 9, 3), i % 25 // 5), crt(*divmod(i % 9, 3), i % 5)]
+         for i in range(81)]
+    by_p = {P.under_p: P for P in pr.primes_up_to_norm(gaussian, 9)}
+    assert pr.s_of_prime(S, by_p[2]) == 1 and pr.s_of_prime(S, by_p[3]) == 81
+    iv = assert_matches_reference(gaussian, S, 2, 50)
+    assert iv.zero_certificate.norm == 5 and iv.lo == iv.hi == iv.mid == 0
+    # 10 (u + vi) over every residue pair mod 3: only the inert 3 certifies,
+    # and it divides no difference norm, so p^m <= |S| alone finds it
+    S = [[[10 * a, 10 * b], [10 * c, 10 * d]]
+         for a, b, c, d in itertools.product(range(3), repeat=4)]
+    assert pr.difference_norm_product(gaussian, S) % 3
+    assert assert_matches_reference(gaussian, S, 2, 50).zero_certificate == by_p[3]
+
+
+def test_predict_splits_only_special_primes(gaussian):
+    # S = {0, s} with D = (6 + 3i, 15) = 3 (2 + i) of norm 45: only 2
+    # (ramified), 3 and 5 become prime ideals; every other p <= 10^4 is
+    # counted by Euler's criterion alone
+    S = [origin(gaussian, 2), il.point(gaussian, [[6, 3], [15, 0]])]
+    assert il.ideal_from_generators(
+        [gaussian.element([6, 3]), gaussian.element([15, 0])]).norm == 45
+    pr._split_prime_cached.cache_clear()
+    try:
+        iv = dn.predicted_density(gaussian, S, 2, 10 ** 4)
+        assert pr._split_prime_cached.cache_info().currsize == 3
+    finally:
+        pr._split_prime_cached.cache_clear()
+    assert iv.hi == reference_product(gaussian, S, 2, 10 ** 4)[1]
 
 
 def test_gaussian_bracket(gaussian):
