@@ -120,9 +120,10 @@ def main(argv=None) -> int:
 
 
 # flags whose out-of-range value is refused before any work: (dest, least,
-# greatest); predict's X is a prime sieve of X bytes, bounded like a region
-RANGES = {"primes": ("max_norm", 2, None),
-          "lemma-check": ("max_prime_norm", 2, None),
+# greatest); a norm bound or predict's X is a prime sieve of that many bytes,
+# bounded like a region
+RANGES = {"primes": ("max_norm", 2, DEFAULT_REGION_CAP),
+          "lemma-check": ("max_prime_norm", 2, DEFAULT_REGION_CAP),
           "oracle": ("window_t", 1, None),
           "predict": ("X", 2, DEFAULT_REGION_CAP)}
 
@@ -188,9 +189,7 @@ def _dispatch(args) -> int:
     if args.cmd == "oracle":
         f = _load_field(args.field)
         S = _load_points(f, args)
-        window = pr.window_first_t(f, args.window_t)
-        ed = dn.exact_window_density(f, S, args.m, window,
-                                     crt_cap=args.crt_cap)
+        ed = dn.window_density(f, S, args.m, args.window_t, args.crt_cap)
         print(json.dumps({"num": str(ed.value.numerator),
                           "den": str(ed.value.denominator)}, sort_keys=True))
         return 0

@@ -25,7 +25,7 @@ import numpy as np
 from . import ideals as il
 from . import primes as pr
 from .errors import CapExceeded
-from .numfield import AlgInt, FieldSpec, _det_bareiss, as_int, as_real
+from .numfield import FieldSpec, _det_bareiss, as_int, as_real
 from .numfield import norm_of_coords  # noqa: F401 (perfbench's self-test looks it up here)
 
 DEFAULT_REGION_CAP = 2 ** 22
@@ -199,14 +199,6 @@ def _transform(region: Region, pts: np.ndarray) -> np.ndarray:
         raise CapExceeded("basis transform would overflow int64",
                           estimate=bound)
     return pts @ np.array(T, dtype=np.int64)
-
-
-def enumerate_region(region: Region,
-                     region_cap: int = DEFAULT_REGION_CAP) -> list[AlgInt]:
-    """The rows of ``region_coords`` as field elements, in the same order."""
-    f = region.field
-    return [AlgInt(f, tuple(c))
-            for c in region_coords(region, region_cap).tolist()]
 
 
 # ----------------------------------------------------------------------

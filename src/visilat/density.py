@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import primes as pr
 from .errors import CapExceeded
 from .ideals import point_set
 from .numfield import FieldSpec, rational_primes_up_to
-from .primes import PrimeIdeal, PrimeWindow
+from .primes import PrimeIdeal
 
 
 @dataclass(frozen=True)
@@ -169,41 +169,48 @@ def zeta_recip_truncated(field: FieldSpec, s: int, X: int) -> Fraction:
     return total
 
 
-def exact_window_density(field: FieldSpec, S, m: int,
-                         window: PrimeWindow, crt_cap: int = 10 ** 8,
-                         ) -> ExactDensity:
-    """Density of the window-visible set, by product formula and CRT oracle.
+def window_density(field: FieldSpec, S, m: int, t: int,
+                   crt_cap: int = 10 ** 8) -> ExactDensity:
+    """``exact_window_density`` over E_t, the primes above the first t
+    rational primes.  Those above one p have norms multiplying to at least
+    2, so the state space is at least 2^(m t): a window with m t >=
+    crt_cap.bit_length() is refused before any prime is split."""
+    if m * t >= crt_cap.bit_length():
+        raise CapExceeded("CRT state space exceeds cap",
+                          estimate=f">= 2^{m * t}")
+    return exact_window_density(field, S, m, pr.window_first_t(field, t),
+                                crt_cap)
 
-    (a) product over window primes of (N^m - s(p))/N^m;
+
+def exact_window_density(field: FieldSpec, S, m: int, primes: Sequence[PrimeIdeal],
+                         crt_cap: int = 10 ** 8) -> ExactDensity:
+    """Density of the set visible modulo every prime of ``primes``, by
+    product formula and CRT oracle.
+
+    (a) product over the primes of (N^m - s(P))/N^m, s(P) by ``s_of_prime``;
     (b) cell-by-cell count over the full residue state space
-        prod_p (O/p)^m of tuples avoiding every reduced point of S.
+        prod_P (O/P)^m of tuples avoiding every reduced point of S.
     The two must agree exactly.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    if not window.primes:
+    if not primes:
         raise ValueError("empty prime window")
     S = point_set(field, S, m)
 
-    state = 1
-    for P in window.primes:
-        state *= P.norm ** m
+    state = math.prod(P.norm ** m for P in primes)
     if state > crt_cap:
         raise CapExceeded("CRT state space exceeds cap", estimate=state)
 
-    factors = []
-    value_a = Fraction(1)
-    for P, s in zip(window.primes, pr.s_of_primes(S, window.primes)):
-        Nm = P.norm ** m
-        f = Fraction(Nm - s, Nm)
-        factors.append((P, f))
-        value_a *= f
+    factors = [(P, Fraction(P.norm ** m - pr.s_of_prime(S, P), P.norm ** m))
+               for P in primes]
+    value_a = math.prod((f for _, f in factors), start=Fraction(1))
 
     # oracle: mark each prime's forbidden residue m-tuples, then AND the
     # allowed masks cell-wise across the whole product space and count.  A
     # tuple of residue ids (each in [0, N)) is one cell code in [0, N^m).
     acc = None
-    for P in window.primes:
+    for P in primes:
         N = P.norm
         allowed = np.ones(N ** m, dtype=bool)
         allowed[pr.residue_ids(P, S) @ N ** np.arange(m)] = False

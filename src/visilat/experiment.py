@@ -143,7 +143,11 @@ def load_config(data: dict) -> ExperimentConfig:
                       (cfg.samples < 100, "samples must be >= 100"),
                       (cfg.oracle_window_t < 1, "oracle_window_t must be >= 1"),
                       (cfg.lemma_max_prime_norm < 2,
-                       "lemma_max_prime_norm must be >= 2")):
+                       "lemma_max_prime_norm must be >= 2"),
+                      # and the lemma check's takes lemma_max_prime_norm
+                      (cfg.lemma_max_prime_norm > cfg.region_cap,
+                       "lemma_max_prime_norm must be <= caps.region = "
+                       f"{cfg.region_cap}")):
         if bad:
             raise ConfigError(says)
     return cfg
@@ -300,9 +304,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def _oracle(cfg: ExperimentConfig) -> dict:
     """Window product against the CRT oracle over the first t primes."""
-    window = pr.window_first_t(cfg.field, cfg.oracle_window_t)
-    ed = dn.exact_window_density(cfg.field, cfg.S, cfg.m, window,
-                                 crt_cap=cfg.crt_cap)
+    ed = dn.window_density(cfg.field, cfg.S, cfg.m, cfg.oracle_window_t,
+                           cfg.crt_cap)
     return {
         "window_t": cfg.oracle_window_t,
         "num": str(ed.value.numerator),

@@ -38,9 +38,6 @@ class IdealHNF:
     is_zero: bool
     norm: int
 
-    def rows(self) -> list[AlgInt]:
-        return [AlgInt(self.field, r) for r in self.hnf]
-
     def __repr__(self):
         if self.is_zero:
             return "IdealHNF(zero)"

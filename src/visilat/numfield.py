@@ -71,11 +71,6 @@ class FieldSpec:
     def one(self) -> "AlgInt":
         return AlgInt(self, (1,) + (0,) * (self.degree - 1))
 
-    def basis_element(self, i: int) -> "AlgInt":
-        c = [0] * self.degree
-        c[i] = 1
-        return AlgInt(self, tuple(c))
-
     def to_json(self) -> dict:
         if self.kind == "rational":
             return {"kind": "rational"}

@@ -3,13 +3,14 @@
 Rational primes split according to the factorization of the basis
 generator's minimal polynomial modulo p (valid here because every supported
 field carries a power integral basis).  Polynomials over F_p are coefficient
-tuples, constant term first, coefficients in [0, p).
+tuples, constant term first, coefficients in [0, p).  A prime ideal is
+(p, g(theta)) for an irreducible factor g of multiplicity e: the program
+reads its p, f = deg g, e and residue map, and never its Z-basis.
 
 ``residue_ids`` is the one encoder of coordinates as residues mod P:
-``reduce``, ``s_of_prime``, the sieve, the CRT oracle and the lemma check
-(a lies in P exactly when its id is 0) use it.  The Euler product and
-``s_of_primes`` need it only at primes above a p dividing
-``difference_norm_product``; s(P) = |S| at all others.
+``s_of_prime``, the sieve, the CRT oracle and the lemma check (a lies in P
+exactly when its id is 0) use it.  The Euler product needs it only at primes
+above a p dividing ``difference_norm_product``; s(P) = |S| at all others.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from . import numfield
-from .ideals import IdealHNF, ideal_from_generators
-from .numfield import AlgInt, FieldSpec
+from .ideals import ideal_from_generators
+from .numfield import FieldSpec
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,7 +38,6 @@ class PrimeIdeal:
     f: int
     e: int
     gpoly: tuple[int, ...]
-    hnf: IdealHNF
     norm: int
 
     def sort_key(self):
@@ -45,25 +45,6 @@ class PrimeIdeal:
 
     def __repr__(self):
         return f"PrimeIdeal(p={self.under_p}, f={self.f}, e={self.e}, g={list(self.gpoly)})"
-
-
-@dataclass(frozen=True, slots=True)
-class PrimeWindow:
-    """E_t: all prime ideals above the first t rational primes."""
-
-    t: int
-    primes: tuple[PrimeIdeal, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class ResidueElem:
-    """Image of an element in O/P, as a polynomial of degree < f over F_p."""
-
-    prime: PrimeIdeal
-    rep: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return not any(self.rep)
 
 
 # ----------------------------------------------------------------------
@@ -292,19 +273,20 @@ def _split_prime_cached(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
 
 
 def _split_prime_cz(field: FieldSpec, p: int) -> list[PrimeIdeal]:
-    """Dedekind splitting by Cantor-Zassenhaus, with an HNF per factor."""
-    out = []
-    for g, e in poly_factor_mod_p(field.gen_minpoly, p):
-        f = _pdeg(g)
-        gen = numfield.element_from_poly(field, g)
-        hnf = ideal_from_generators([field.element([p] + [0] * (field.degree - 1)), gen])
-        norm = p ** f
-        if hnf.norm != norm:
-            raise RuntimeError(
-                f"splitting inconsistency at p={p}: HNF norm {hnf.norm} != p^f {norm}")
-        out.append(PrimeIdeal(field=field, under_p=p, f=f, e=e, gpoly=g,
-                              hnf=hnf, norm=norm))
-    return out
+    """Dedekind splitting by Cantor-Zassenhaus: a prime (p, g(theta)) of
+    norm p^deg g for each irreducible factor g of multiplicity e.  It has
+    that norm exactly when g divides the minimal polynomial f mod p, so the
+    factorization is checked whole: the product of the g^e must be f."""
+    factors = poly_factor_mod_p(field.gen_minpoly, p)
+    prod = (1,)
+    for g, e in factors:
+        for _ in range(e):
+            prod = _pmul(prod, g, p)
+    if prod != tuple(c % p for c in field.gen_minpoly):
+        raise RuntimeError(f"factors {factors} do not multiply to "
+                           f"{field.gen_minpoly} mod {p}")
+    return [PrimeIdeal(field, p, _pdeg(g), e, g, p ** _pdeg(g))
+            for g, e in factors]
 
 
 def quadratic_f(field: FieldSpec, p: int) -> int | None:
@@ -324,22 +306,18 @@ def quadratic_f(field: FieldSpec, p: int) -> int | None:
 def _split_quadratic(field: FieldSpec, p: int) -> list[PrimeIdeal] | None:
     """Splitting of p in closed form wherever ``quadratic_f`` decides it;
     None for any other p.  A split p has roots r = (-b +- sqrt D)/2 of x^2 +
-    bx + c, factors x - r and prime ideals (p, theta - r), whose HNF rows are
-    1 - r^-1 theta (theta itself when r = 0) and p theta."""
+    bx + c, factors x - r and prime ideals (p, theta - r)."""
     f = quadratic_f(field, p)
     if f is None:
         return None
     c, b, _ = field.gen_minpoly
     if f == 2:
-        hnf = IdealHNF(field, ((p, 0), (0, p)), False, p * p)
-        return [PrimeIdeal(field, p, 2, 1, (c % p, b % p, 1), hnf, p * p)]
+        return [PrimeIdeal(field, p, 2, 1, (c % p, b % p, 1), p * p)]
     t, half, out = _sqrt_mod((b * b - 4 * c) % p, p), (p + 1) // 2, []
     for r in ((t - b) * half % p, (-t - b) * half % p):
         if (r * r + b * r + c) % p:
             raise RuntimeError(f"closed-form root {r} of {field.gen_minpoly} fails mod {p}")
-        rows = ((1, -pow(r, -1, p) % p), (0, p)) if r else ((p, 0), (0, 1))
-        out.append(PrimeIdeal(field, p, 1, 1, (-r % p, 1),
-                              IdealHNF(field, rows, False, p), p))
+        out.append(PrimeIdeal(field, p, 1, 1, (-r % p, 1), p))
     return out
 
 
@@ -375,15 +353,12 @@ def primes_up_to_norm(field: FieldSpec, X: int) -> list[PrimeIdeal]:
     return out
 
 
-def window_first_t(field: FieldSpec, t: int) -> PrimeWindow:
+def window_first_t(field: FieldSpec, t: int) -> tuple[PrimeIdeal, ...]:
     """E_t: primes above the first t rational primes, sorted by (p, gpoly)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    primes = []
-    for p in numfield.first_rational_primes(t):
-        primes.extend(split_prime(field, p))
-    primes.sort(key=lambda P: (P.under_p, P.gpoly))
-    return PrimeWindow(t=t, primes=tuple(primes))
+    return tuple(P for p in numfield.first_rational_primes(t)
+                 for P in split_prime(field, p))
 
 
 # ----------------------------------------------------------------------
@@ -434,15 +409,6 @@ def residue_ids(P: PrimeIdeal, coords: np.ndarray) -> np.ndarray:
     return x[..., 0] if P.f == 1 else x @ p ** np.arange(P.f, dtype=dtype)
 
 
-def reduce(a: AlgInt, P: PrimeIdeal) -> ResidueElem:
-    """The projection O -> O/P (a ring homomorphism): ``residue_ids`` digits."""
-    if a.field != P.field:
-        raise ValueError("mismatched field")
-    p = P.under_p
-    code = int(residue_ids(P, np.array(a.coords, dtype=object)))
-    return ResidueElem(P, tuple(code // p ** j % p for j in range(P.f)))
-
-
 def s_of_prime(S, P: PrimeIdeal) -> int:
     """s(p): the number of distinct rows of ``residue_ids`` mod P over the
     points of S, a ``point_set`` array (k, m, n) or a list of points."""
@@ -463,12 +429,3 @@ def difference_norm_product(field: FieldSpec, S) -> int:
              for s, t in itertools.combinations(S, 2))
     return math.prod(ideal_from_generators(d).norm for d in diffs)
 
-
-def s_of_primes(S, plist: Sequence[PrimeIdeal]) -> list[int]:
-    """``s_of_prime`` of every P of a list, by the difference-ideal lemma:
-    only the P above a p dividing ``difference_norm_product`` go through
-    ``s_of_prime``; s(P) = |S| at all others."""
-    if not plist:
-        return []
-    prod = difference_norm_product(plist[0].field, S)
-    return [s_of_prime(S, P) if prod % P.under_p == 0 else len(S) for P in plist]

@@ -136,7 +136,7 @@ def test_criterion_5_exact_oracle_identity():
         while t > 1:
             window = pr.window_first_t(field, t)
             state = 1
-            for P in window.primes:
+            for P in window:
                 state *= P.norm ** m
             if state <= 10 ** 6:
                 break

@@ -9,6 +9,7 @@ from visilat import counting as ct
 from visilat import density as dn
 from visilat import experiment as ex
 from visilat import ideals as il
+from visilat import numfield as nf
 from visilat.errors import ConfigError
 
 
@@ -467,6 +468,9 @@ LATE_FAILURES = [({"seed": -1, "modes": ["mc"]}, "seed must lie in [0, 2^128)"),
                   "oracle_window_t must be >= 1"),
                  ({"lemma_max_prime_norm": 1, "modes": ["lemma-check"]},
                   "lemma_max_prime_norm must be >= 2"),
+                 # the lemma check's prime sieve would take that many bytes
+                 ({"lemma_max_prime_norm": 10 ** 20, "modes": ["lemma-check"]},
+                  "lemma_max_prime_norm must be <= caps.region = 4194304"),
                  # the prime sieve behind the product would take X bytes,
                  # or overflow
                  ({"X": 10 ** 20}, "X must be <= caps.region = 4194304"),
@@ -476,7 +480,7 @@ LATE_FAILURES = [({"seed": -1, "modes": ["mc"]}, "seed must lie in [0, 2^128)"),
 
 @pytest.mark.parametrize("over, says", LATE_FAILURES, ids=[
     "seed-negative", "seed-2^128", "samples", "window", "lemma-bound",
-    "X-10^20", "X-over-region-cap"])
+    "lemma-bound-10^20", "X-10^20", "X-over-region-cap"])
 def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
     cfg = base_config(tmp_path, **over)
     with pytest.raises(ConfigError) as exc:
@@ -499,6 +503,10 @@ def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
     (["primes", "--max-norm", "1"], "--max-norm must be >= 2"),
     (["lemma-check", "--region", "cube:L=3", "--max-prime-norm", "1"],
      "--max-prime-norm must be >= 2"),
+    # a norm bound is a prime sieve of that many bytes, bounded like a region
+    (["primes", "--max-norm", str(10 ** 20)], "--max-norm must be <= 4194304"),
+    (["lemma-check", "--region", "cube:L=3", "--max-prime-norm", str(10 ** 20)],
+     "--max-prime-norm must be <= 4194304"),
     (["oracle", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--window-t", "0"],
      "--window-t must be >= 1"),
     (["oracle", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--window-t", "-1"],
@@ -512,13 +520,36 @@ def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
     (["predict", "--m", "2", "--s", "5"], "S must list points"),
     (["predict", "--m", "2", "--s", "[[0,0]]"], "S must list points")],
     ids=["count-R-1/0", "lemma-check-R-1/0", "count-seed-negative",
-         "primes-max-norm-1", "lemma-check-max-prime-norm-1", "oracle-window-t-0",
+         "primes-max-norm-1", "lemma-check-max-prime-norm-1",
+         "primes-max-norm-10^20", "lemma-check-max-prime-norm-10^20",
+         "oracle-window-t-0",
          "oracle-window-t-negative", "predict-X-10^20", "predict-X-1",
          "predict-s-number", "predict-s-flat-point"])
 def test_cli_out_of_range_argument_exit2(capsys, argv, says):
     code, out, err = run_cli(capsys, *argv, "--field", GAUSSIAN)
     assert code == 2 and out == "" and "Traceback" not in err
     assert err.startswith("invalid configuration: ") and says in err
+
+
+def test_huge_crt_window_refused_before_any_prime(capsys, tmp_path,
+                                                  monkeypatch):
+    # a state space of at least 2^(2 t) is refused before the sieve for the
+    # first t rational primes is built, by `oracle` and by `run` alike
+    def boom(t):
+        raise AssertionError("rational primes listed")
+
+    monkeypatch.setattr(nf, "first_rational_primes", boom)
+    says = ("CRT state space exceeds cap (estimated size "
+            f">= 2^{2 * 10 ** 20})")
+    code, out, err = run_cli(capsys, "oracle", "--field", GAUSSIAN, "--m", "2",
+                             "--s", "[[[0,0],[0,0]]]", "--window-t",
+                             str(10 ** 20))
+    assert code == 2 and out == "" and err == f"invalid configuration: {says}\n"
+    cfg = base_config(tmp_path, modes=["oracle"], oracle_window_t=10 ** 20)
+    code, _, err = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+    assert code == 2 and "Traceback" not in err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["oracle"] == {"error": says} and report["failed"] is True
 
 
 def test_report_helpers_match_fraction_path(gaussian):

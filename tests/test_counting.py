@@ -15,12 +15,13 @@ from visilat import numfield as nf
 from visilat import primes as pr
 from visilat.errors import CapExceeded
 
-from conftest import origin
+from conftest import origin, prime_hnf
 
 
 def test_enumerate_examples(rational, gaussian):
-    cube = ct.enumerate_region(ct.cube_region(rational, 2))
-    assert [a.coords for a in cube] == [(-2,), (-1,), (0,), (1,), (2,)]
+    cube = ct.region_coords(ct.cube_region(rational, 2)).tolist()
+    assert [rational.element(c).coords for c in cube] == [
+        (-2,), (-1,), (0,), (1,), (2,)]
     assert len(ct.region_coords(ct.ball_region(gaussian, 1))) == 5
     assert len(ct.region_coords(ct.ball_region(gaussian, 2))) == 13
 
@@ -377,12 +378,11 @@ def test_direct_and_mc_never_touch_primes(gaussian, monkeypatch):
         raise AssertionError("prime machinery used")
 
     monkeypatch.setattr(pr, "primes_up_to_norm", boom)
-    monkeypatch.setattr(pr, "reduce", boom)
     monkeypatch.setattr(pr, "residue_ids", boom)
     S = [origin(gaussian, 2), il.point(gaussian, [[1, 0], [2, 1]])]
     region = ct.cube_region(gaussian, 2)
     direct = ct.count_visible_direct(gaussian, S, 2, region)
-    pts = ct.enumerate_region(region)
+    pts = [gaussian.element(c) for c in ct.region_coords(region).tolist()]
     want = sum(1 for a in pts for b in pts
                if all(il.ideal_from_generators([a - gaussian.element(x),
                                                 b - gaussian.element(y)]).norm == 1
@@ -497,7 +497,8 @@ def test_ideal_count_check_matches_contains(request, fname, region):
     kinds = set()
     for P in pr.primes_up_to_norm(field, 30):
         kinds.add((P.e, P.f))
-        brute = sum(1 for c in rows if il.contains(P.hnf, field.element(c)))
+        hnf = prime_hnf(P)
+        brute = sum(1 for c in rows if il.contains(hnf, field.element(c)))
         assert ct.ideal_count_check(field, P, reg).count == brute, P
     want = {"gaussian": {(2, 1), (1, 2)}, "golden": {(2, 1), (1, 2)},
             "cubic": {(2, 1), (1, 2), (1, 3)}}[fname]

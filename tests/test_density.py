@@ -202,8 +202,7 @@ def test_exact_window_examples(rational, gaussian):
     ed = dn.exact_window_density(rational, [origin(rational, 2)], 2, w)
     assert ed.value == Fraction(2, 3)
 
-    w25 = pr.PrimeWindow(t=0, primes=tuple(
-        pr.split_prime(gaussian, 2) + pr.split_prime(gaussian, 5)))
+    w25 = pr.split_prime(gaussian, 2) + pr.split_prime(gaussian, 5)
     ed2 = dn.exact_window_density(gaussian, [origin(gaussian, 2)], 2, w25)
     assert ed2.value == Fraction(1728, 2500)
 
@@ -220,8 +219,23 @@ def test_exact_window_cap(rational):
     assert err.value.estimate == 900
 
 
+def test_window_density_refuses_before_splitting(rational, monkeypatch):
+    # E_3 of Q has state space 30^2 = 900; with crt_cap = 255 < 2^8 it is
+    # refused after splitting, and E_4 (2^(m t) = 256) before any split
+    S = [origin(rational, 2)]
+    assert dn.window_density(rational, S, 2, 3) == dn.exact_window_density(
+        rational, S, 2, pr.window_first_t(rational, 3))
+    with pytest.raises(CapExceeded) as err:
+        dn.window_density(rational, S, 2, 3, crt_cap=255)
+    assert err.value.estimate == 900
+    monkeypatch.setattr(pr, "window_first_t", None)
+    with pytest.raises(CapExceeded) as err:
+        dn.window_density(rational, S, 2, 4, crt_cap=255)
+    assert err.value.estimate == ">= 2^8"
+
+
 def test_exact_window_empty_rejected(rational):
-    w = pr.PrimeWindow(t=0, primes=())
+    w = ()
     with pytest.raises(ValueError):
         dn.exact_window_density(rational, [origin(rational, 2)], 2, w)
 

@@ -8,7 +8,7 @@ from visilat import ideals as il
 from visilat import numfield as nf
 from visilat import primes as pr
 
-from conftest import origin
+from conftest import origin, prime_hnf
 
 
 def test_factor_examples():
@@ -76,6 +76,12 @@ def test_factor_independent_of_global_random():
         assert random.getstate() == state
 
 
+def _digits(a, P):
+    """The residue of a mod P as f digits over F_p, read off residue_ids."""
+    code = int(pr.residue_ids(P, np.array(a.coords, dtype=object)))
+    return tuple(code // P.under_p ** j % P.under_p for j in range(P.f))
+
+
 def test_split_examples(gaussian):
     five = pr.split_prime(gaussian, 5)
     assert [(P.f, P.e, P.norm) for P in five] == [(1, 1, 5), (1, 1, 5)]
@@ -99,7 +105,7 @@ def test_split_completeness(gaussian, root2, golden, eisenstein, cubic):
             prod = il.unit_ideal(field)
             for P in primes:
                 for _ in range(P.e):
-                    prod = il.ideal_mul(prod, P.hnf)
+                    prod = il.ideal_mul(prod, prime_hnf(P))
             pideal = il.ideal_from_generators(
                 [field.element([p] + [0] * (field.degree - 1))])
             assert prod == pideal
@@ -109,9 +115,9 @@ def test_prime_hnf_is_maximal(gaussian, cubic):
     for field in (gaussian, cubic):
         for p in (2, 3, 5, 7):
             for P in pr.split_prime(field, p):
-                assert il.contains(P.hnf, field.element(
+                assert il.contains(prime_hnf(P), field.element(
                     [p] + [0] * (field.degree - 1)))
-                assert P.norm == P.hnf.norm == p ** P.f
+                assert P.norm == prime_hnf(P).norm == p ** P.f
 
 
 def _quadratic_fields():
@@ -149,13 +155,18 @@ def test_split_closed_form_matches_cantor_zassenhaus(field):
 
 
 @pytest.mark.parametrize("field", _quadratic_fields(), ids=repr)
-def test_closed_form_hnf_is_ideal_of_generators(field):
+def test_closed_form_primes_are_ideals_of_generators(field):
+    # every closed-form P is (p, g(theta)) of norm N(P), and the P above p
+    # multiply, with their e, back to (p)
     for p in SMALL_PRIMES[1:]:
         if not _disc_mod(field, p):
             continue
+        prod = il.unit_ideal(field)
         for P in pr.split_prime(field, p):
-            gen = nf.element_from_poly(field, P.gpoly)
-            assert P.hnf == il.ideal_from_generators([field.element([p, 0]), gen])
+            assert prime_hnf(P).norm == P.norm
+            for _ in range(P.e):
+                prod = il.ideal_mul(prod, prime_hnf(P))
+        assert prod == il.ideal_from_generators([field.element([p, 0])])
 
 
 def test_closed_form_path_runs(gaussian, monkeypatch):
@@ -175,7 +186,7 @@ def test_closed_form_path_runs(gaussian, monkeypatch):
     finally:
         pr._split_prime_cached.cache_clear()
     assert len(primes) == 1 + 2 * 609 + 13  # p = 2, split p < 10^4, inert p < 100
-    assert all(P.norm == P.hnf.norm for P in primes)
+    assert all(P.norm == prime_hnf(P).norm for P in primes)
 
 
 def test_primes_up_to_norm(rational, gaussian, root2):
@@ -192,19 +203,18 @@ def test_primes_sorted_deterministically(gaussian):
 
 def test_window(gaussian):
     w = pr.window_first_t(gaussian, 3)
-    assert w.t == 3
-    assert [P.under_p for P in w.primes] == [2, 3, 5, 5]
-    for p in {P.under_p for P in w.primes}:
-        assert sum(P.e * P.f for P in w.primes if P.under_p == p) == 2
+    assert [P.under_p for P in w] == [2, 3, 5, 5]
+    for p in {P.under_p for P in w}:
+        assert sum(P.e * P.f for P in w if P.under_p == p) == 2
 
 
 def test_reduce_examples(gaussian):
     P2 = pr.split_prime(gaussian, 2)[0]
-    assert pr.reduce(gaussian.element((3, 2)), P2).rep == (1,)
+    assert _digits(gaussian.element((3, 2)), P2) == (1,)
     P5 = [P for P in pr.split_prime(gaussian, 5) if P.gpoly == (3, 1)][0]
-    assert pr.reduce(gaussian.element((0, 1)), P5).rep == (2,)  # P = (5, i-2)
+    assert _digits(gaussian.element((0, 1)), P5) == (2,)  # P = (5, i-2)
     # anything in P reduces to zero
-    assert pr.reduce(gaussian.element((1, 1)), P2).is_zero()
+    assert not any(_digits(gaussian.element((1, 1)), P2))
 
 
 def test_reduce_is_ring_hom(gaussian, cubic):
@@ -217,17 +227,16 @@ def test_reduce_is_ring_hom(gaussian, cubic):
                                        for _ in range(field.degree)])
                     b = field.element([rng.randint(-9, 9)
                                        for _ in range(field.degree)])
-                    ra, rb = pr.reduce(a, P), pr.reduce(b, P)
-                    assert pr.reduce(a + b, P).rep == tuple(
-                        (x + y) % p for x, y in zip(
-                            ra.rep, rb.rep))
+                    ra, rb = _digits(a, P), _digits(b, P)
+                    assert _digits(a + b, P) == tuple(
+                        (x + y) % p for x, y in zip(ra, rb))
                     prod = [0] * (2 * P.f - 1)
-                    for i, x in enumerate(ra.rep):
-                        for j, y in enumerate(rb.rep):
+                    for i, x in enumerate(ra):
+                        for j, y in enumerate(rb):
                             prod[i + j] += x * y
                     red = pr._pmod(tuple(c % p for c in prod), P.gpoly, p)
                     red = red + (0,) * (P.f - len(red))
-                    assert pr.reduce(a * b, P).rep == red
+                    assert _digits(a * b, P) == red
 
 
 def test_reduce_zero_iff_contains(gaussian):
@@ -236,7 +245,7 @@ def test_reduce_zero_iff_contains(gaussian):
         for P in pr.split_prime(gaussian, p):
             for _ in range(30):
                 a = gaussian.element((rng.randint(-15, 15), rng.randint(-15, 15)))
-                assert pr.reduce(a, P).is_zero() == il.contains(P.hnf, a)
+                assert (not any(_digits(a, P))) == il.contains(prime_hnf(P), a)
 
 
 @pytest.mark.parametrize("fname", ["gaussian", "golden", "cubic"])
@@ -254,7 +263,7 @@ def test_residue_ids(request, fname):
             for i, a in enumerate(rows):
                 for j, b in enumerate(rows):
                     diff = field.element([x - y for x, y in zip(a, b)])
-                    assert (ids[i] == ids[j]) == il.contains(P.hnf, diff)
+                    assert (ids[i] == ids[j]) == il.contains(prime_hnf(P), diff)
             # rows of S far beyond int64 keep their exact class
             big = np.array([[x + rng.choice([1, -1]) * p * 2 ** 70
                              for x in r] for r in rows[:5]], dtype=object)
@@ -294,8 +303,15 @@ def test_s_of_prime_saturates_for_admissible_sets(gaussian):
             assert pr.s_of_prime(S, P) == len(S)
 
 
+def _lemma_s(S, plist):
+    """s(P) by the difference-ideal lemma, as the Euler product takes it."""
+    prod = pr.difference_norm_product(plist[0].field, S)
+    return [pr.s_of_prime(S, P) if prod % P.under_p == 0 else len(S)
+            for P in plist]
+
+
 @pytest.mark.parametrize("fname", ["rational", "gaussian", "golden", "cubic"])
-def test_s_of_primes_matches_s_of_prime(request, fname):
+def test_difference_lemma_matches_s_of_prime(request, fname):
     # the difference-ideal lemma against s_of_prime's residue_ids rows, on
     # every P of norm <= 10^4; the points differ by multiples of 30, 7, 2^40
     # and 2^70, so their residues collide at 2, 3, 5 and 7 at least
@@ -317,14 +333,22 @@ def test_s_of_primes_matches_s_of_prime(request, fname):
     split = ([[origin(field, 2), il.point(field, [[2, 1], [4, 2]])]]
              if fname == "gaussian" else [])
     assert {P.f for P in plist} >= ({1, 2, 3} if fname == "cubic" else {1})
-    assert pr.s_of_primes(S3[:1], plist) == [1] * len(plist)
+    assert _lemma_s(S3[:1], plist) == [1] * len(plist)
     for S in [S3[:1], S3[:2], S3, dup] + big + split:
-        got = pr.s_of_primes(S, plist)
+        got = _lemma_s(S, plist)
         assert got == [pr.s_of_prime(S, P) for P in plist]
         assert min(got) < len(S) or len(S) == 1
-    assert pr.s_of_primes(dup, plist) == pr.s_of_primes(S3[:2], plist)
+    assert _lemma_s(dup, plist) == _lemma_s(S3[:2], plist)
     for S in split:
-        assert sorted(pr.s_of_primes(S, pr.split_prime(field, 5))) == [1, 2]
+        assert sorted(_lemma_s(S, pr.split_prime(field, 5))) == [1, 2]
+
+
+def test_split_refuses_a_non_divisor(cubic, monkeypatch):
+    # x is no factor of x^3 - x - 1 mod 7, though e f still sums to 3
+    monkeypatch.setattr(pr, "poly_factor_mod_p",
+                        lambda poly, p: [((0, 1), 1), ((6, 0, 1), 1)])
+    with pytest.raises(RuntimeError, match="do not multiply"):
+        pr._split_prime_cz(cubic, 7)
 
 
 def test_is_prime():
