@@ -122,15 +122,14 @@ def main(argv=None) -> int:
 # flags whose out-of-range value is refused before any work: (dest, least,
 # greatest); a norm bound or predict's X is a prime sieve of that many bytes,
 # bounded like a region
-RANGES = {"primes": ("max_norm", 2, DEFAULT_REGION_CAP),
-          "lemma-check": ("max_prime_norm", 2, DEFAULT_REGION_CAP),
-          "oracle": ("window_t", 1, None),
-          "predict": ("X", 2, DEFAULT_REGION_CAP)}
+RANGES = {"primes": [("max_norm", 2, DEFAULT_REGION_CAP)],
+          "lemma-check": [("max_prime_norm", 2, DEFAULT_REGION_CAP)],
+          "oracle": [("window_t", 1, None), ("crt_cap", 1, ex.MAX_CRT_CAP)],
+          "predict": [("X", 2, DEFAULT_REGION_CAP)]}
 
 
 def _dispatch(args) -> int:
-    dest, lo, hi = RANGES.get(args.cmd, (None, None, None))
-    if dest:
+    for dest, lo, hi in RANGES.get(args.cmd, []):
         flag, value = f"--{dest.replace('_', '-')}", getattr(args, dest)
         if value < lo:
             raise ConfigError(f"{flag} must be >= {lo}")

@@ -2,18 +2,22 @@
 
 Three routes: a direct count (exact: every tuple of region^m, chunk by
 chunk, through the batched gcd-of-minors kernel ``ideals.visible_mask``), a
-prime-ideal sieve (exact: each residue class keeps its last coordinates as
-a W-bit set, and every prefix of the other coordinates counts the union of
-its classes' sets, block by block), and a Monte Carlo estimator (the same
-kernel on uniform samples) for regions beyond enumeration caps.  The direct
-count never touches prime ideals or residues, so sieve == direct is an
-independent check and must hold exactly.  The lemma check counts the
-points of a prime ideal in a region by the same residue ids as the sieve.
-Each count takes S as anything ``ideals.point_set`` accepts.
+prime-ideal sieve (exact: it splits only the primes dividing a norm of a
+difference between the region and S; a degree-1 prime finds the rows of a
+residue class by coset arithmetic, any other prime by scanning residue ids;
+each class keeps its last coordinates as a W-bit set, and every prefix of
+the other coordinates counts the union of its classes' sets, block by
+block), and a Monte Carlo estimator (the same kernel on uniform samples)
+for regions beyond enumeration caps.  The direct count never touches prime
+ideals or residues, so sieve == direct is an independent check and must
+hold exactly.  The lemma check counts the points of a prime ideal in a
+region by the same residue ids as the sieve.  Each count takes S as
+anything ``ideals.point_set`` accepts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +29,7 @@ import numpy as np
 from . import ideals as il
 from . import primes as pr
 from .errors import CapExceeded
-from .numfield import FieldSpec, _det_bareiss, as_int, as_real
+from .numfield import FieldSpec, _det_bareiss, as_int, as_real, rational_primes_up_to
 from .numfield import norm_of_coords  # noqa: F401 (perfbench's self-test looks it up here)
 
 DEFAULT_REGION_CAP = 2 ** 22
@@ -167,6 +171,12 @@ def region_coords(region: Region,
 
 @lru_cache(maxsize=1)
 def _region_array(region: Region) -> np.ndarray:
+    pts = _transform(region, _box_rows(region))
+    pts.flags.writeable = False
+    return pts
+
+
+def _box_rows(region: Region) -> np.ndarray:
     # one coordinate at a time, in lexicographic order: each prefix is
     # followed by c = -b..b, with b = L in a cube and b = isqrt(floor(R^2)
     # - |prefix|^2) in a ball, so no row is built only to be dropped
@@ -179,9 +189,19 @@ def _region_array(region: Region) -> np.ndarray:
         k = 2 * b + 1
         c = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k + b, k)
         pts = np.column_stack([np.repeat(pts, k, axis=0), c])
-    pts = _transform(region, pts)
-    pts.flags.writeable = False
     return pts
+
+
+@lru_cache(maxsize=1)
+def _region_key(region: Region) -> Optional[np.ndarray]:
+    # sum_i (u_i + b) (2b + 1)^(n-1-i) (b = floor(size)) ascends with the
+    # untransformed rows u; None when the box of suffixes (u_2, ..., u_n) has
+    # more points than the region, else it is below (2b + 1) W <= W^2
+    u = _box_rows(region) if region.basis_transform else _region_array(region)
+    b, n = region.L, region.field.degree
+    if (2 * b + 1) ** (n - 1) > len(u):
+        return None
+    return (u + b) @ (2 * b + 1) ** np.arange(n - 1, -1, -1)
 
 
 def _transform(region: Region, pts: np.ndarray) -> np.ndarray:
@@ -239,19 +259,20 @@ def count_visible_direct(field: FieldSpec, S, m: int, region: Region,
 def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
                         region_cap: int = DEFAULT_REGION_CAP,
                         tuple_cap: int = DEFAULT_TUPLE_CAP) -> CountResult:
-    """Exact count by sieving the residue classes of all small-norm primes.
+    """Exact count by sieving the residue classes of small-norm primes.
 
     An invisible tuple z (z != s) has all coordinates of z - s in some prime
-    P, and any nonzero coordinate bounds N(P) by its norm, so primes of norm
-    <= B := max |N(a - s_i)| suffice.  The pair (P, s) catches the tuples
-    whose every z_j lies in its selection j, the rows with s_j's residue
-    id.  A pair keeps its last selection as a W-bit set of ``uint64``
-    words.  A CSR index gives each row z_1 the pairs whose first selection
-    holds it; the prefixes (z_1, ..., z_(m-1)) of one block of z_1 rows take
-    the sets of their pairs (about ``BLOCK_BYTES`` of them), OR-reduce them
-    per prefix and add the popcounts.  No array grows with W^(m-1).
-    A B above ``region_cap`` is refused: the prime table enumerates B + 1
-    integers.
+    P, so p divides the norm of every nonzero z_j - s_j, and N(P) <= B :=
+    max |N(a - s_i)|.  Only those p are split, found by trial division of
+    the distinct norms up to sqrt(B); a point of S in region^m is caught by
+    one-row selections (N = 0).  The pair (P, s) catches the tuples whose
+    every z_j lies in its selection j, the rows with s_j's residue id, which
+    ``_selections`` finds.  A pair keeps its last selection as a W-bit set of
+    ``uint64`` words.  A CSR index gives each row z_1 the pairs whose first
+    selection holds it; the prefixes (z_1, ..., z_(m-1)) of one block of z_1
+    rows take the sets of their pairs (about ``BLOCK_BYTES`` of them),
+    OR-reduce them per prefix and add the popcounts.  No array grows with
+    W^(m-1).  A B above ``region_cap`` is refused before any prime is split.
     """
     S = _check_inputs(field, S, m, region)
     coords = region_coords(region, region_cap)
@@ -260,47 +281,52 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
     if total > tuple_cap:
         raise CapExceeded("tuple space exceeds cap", estimate=total)
 
-    B, hit = 1, {}
-    for key in set(map(tuple, S.reshape(-1, field.degree).tolist())):
+    B, hit, norms, n = 1, {}, [], field.degree
+    for key in set(map(tuple, S.reshape(-1, n).tolist())):
         N = np.abs(il.difference_norms(field, coords, key))
         B, hit[key] = max(B, int(N.max())), N == 0
+        norms.append(N)
     if B > region_cap:
         raise CapExceeded("sieve prime norm bound exceeds region cap",
                           estimate=B)
-    plist = pr.primes_up_to_norm(field, B) if B >= 2 else []
+    plist = (pr.primes_up_to_norm(field, B, _prime_divisors(np.concatenate(norms)))
+             if B >= 2 else [])
+    del norms
 
-    def selections():
-        # a point of S in region^m is caught by one-row selections (N = 0)
-        yield from ([hit[tuple(v)] for v in s] for s in S.tolist())
-        for P in plist:
-            ids = pr.residue_ids(P, coords)
-            yield from ([ids == t for t in ts] for ts in pr.residue_ids(P, S).tolist())
+    # pair q = i k + s joins the selections g = q m + j (j < m) of slot i, slot
+    # 0 being S's points and later ones the primes; g ascends over the batches
+    K = len(S) * m
+    targets = np.array([pr.residue_ids(P, S).reshape(-1) for P in plist],
+                       dtype=np.int64).reshape(-1, K)
+    batches = itertools.chain(
+        [np.nonzero(np.stack([hit[tuple(v)] for v in S.reshape(-1, n).tolist()]))],
+        ((g + K, row) for g, row in _selections(region, plist, targets)))
 
-    # pair q keeps the rows of its first selection, heads[q]; the flat ids in
-    # W^(m-2) of its middle selections' product, mids[q] ([0] when m = 2);
-    # and its last selection as the W-bit set bits[q], padding bits 0
+    # pair q keeps the rows of its first and middle selections, and its last
+    # as the W-bit set bits[q]; a pair with an empty selection adds nothing
     nw, zero = -(-W // 64), np.zeros(1, np.int64)
     bits = np.zeros((len(S) * (len(plist) + 1), nw), np.uint64)
-    heads, mids = [], []
-    for sel in selections():
-        head, mid = np.flatnonzero(sel[0]), zero
-        for x in sel[1:-1]:
-            mid = (mid[:, None] * W + np.flatnonzero(x)).reshape(-1)
-        # a pair with an empty selection is dropped; its row is overwritten
-        row = bits[len(heads)]
-        row.view(np.uint8)[:-(-W // 8)] = np.packbits(sel[-1], bitorder="little")
-        if len(head) and len(mid) and row.any():
-            heads.append(head)
-            mids.append(mid)
-    mlen = np.array([len(mid) for mid in mids], dtype=np.int64)
+    kept = [[np.zeros((2, 0), np.int32)] for _ in range(m - 1)]
+    for g, row in batches:
+        q, j = g // m, g % m
+        x = j == m - 1
+        np.bitwise_or.at(bits, (q[x], row[x] >> 6), np.uint64(1) << (row[x] & 63).astype(np.uint64))
+        for col in range(m - 1):
+            kept[col].append(np.stack((q[j == col], row[j == col])).astype(np.int32))
+    pair, first = np.concatenate(kept[0], axis=1)
+    # each pair's flat ids in W^(m-2) of its middle selections' product
+    mids = [zero] * len(bits)
+    for qc, x in (np.concatenate(kc, axis=1) for kc in kept[1:]):
+        at = np.cumsum(np.bincount(qc, minlength=len(bits)))[:-1]
+        mids = [(a[:, None] * W + y).reshape(-1) for a, y in zip(mids, np.split(x, at))]
+    mlen = np.array([len(a) for a in mids], dtype=np.int64)
     moff = np.cumsum(mlen) - mlen
-    mids = np.concatenate([zero[:0]] + mids)
+    mids = np.concatenate(mids)
+    del kept, batches
     # CSR index: the pairs of row z_1 are pair[rowptr[z_1]:rowptr[z_1 + 1]]
-    first = np.concatenate([zero[:0]] + heads)
-    pair = np.repeat(np.arange(len(heads)), [len(h) for h in heads])
     rowptr = np.concatenate((zero[:1], np.cumsum(np.bincount(first, minlength=W))))
     pair = pair[np.argsort(first, kind="stable")]
-    del heads, first
+    del first
     # blocks of z_1 rows: a block ends where the count of prefixes (z_1, ...,
     # z_(m-1)) before a row passes a multiple of cap, so it gathers fewer than
     # 2 cap bitsets, BLOCK_BYTES, unless one row alone has more than cap
@@ -324,6 +350,61 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
                        density_estimate=Fraction(visible, total),
                        method="sieve", region=region,
                        prime_norm_bound=B)
+
+
+def _prime_divisors(values: np.ndarray) -> list[int]:
+    """The primes dividing a nonzero entry of ``values`` (integers >= 0), by
+    trial division up to sqrt(max): what is left of an entry is 1 or prime."""
+    v = np.sort(values)  # np.unique's hash table would add ~1 MiB of resident code
+    v, out = v[(v > 1) & (np.diff(v, prepend=0) != 0)], set()
+    for p in rational_primes_up_to(math.isqrt(int(v.max(initial=1)))):
+        while (d := v % p == 0).any():
+            out.add(p)
+            v[d] //= p
+    return sorted(out.union(v[v > 1].tolist()))
+
+
+def _selections(region: Region, plist, targets: np.ndarray):
+    """(g, row) arrays, one entry per row of selection g = i K + r: the rows
+    with residue targets[., r] mod the prime of slot i.  Slots hold the
+    scanned primes, then the coset primes, each in the order of ``plist``.
+
+    A degree-1 P reduces a row u . T to u . rho' mod p, where rho' = T rho and
+    rho is column 0 of ``pr.reduction_rows(P)``.  When p > 2b + 1 (|u_1| <=
+    b) and rho'_1 is a unit, each suffix (u_2, ..., u_n) has at most one u_1
+    = rho'_1^-1 (t - sum_(i>=2) rho'_i u_i) mod p in [-b, b]; the region's
+    key finds its row (none outside a ball).  Chunks of these keep their temporaries under
+    ``BLOCK_BYTES``; other primes compare ``residue_ids`` over the region.
+    """
+    coords, key = _region_array(region), _region_key(region)
+    b, n, K = region.L, region.field.degree, targets.shape[1]
+    T, served, rho = region.basis_transform, [], []
+    for i, P in enumerate(plist if key is not None else []):
+        p, r = P.under_p, [row[0] for row in pr.reduction_rows(P)]
+        if T is not None:
+            r = [sum(a * x for a, x in zip(row, r)) for row in T]
+        # int64 holds every product below while n p^2 < 2^62
+        if P.f == 1 and p > 2 * b + 1 and r[0] % p and n * p * p < 2 ** 62:
+            served.append(i)
+            rho.append([x % p for x in r] + [pow(r[0], -1, p), p])
+    scan = sorted(set(range(len(plist))) - set(served))
+    for a, i in enumerate(scan):
+        g, row = np.nonzero(pr.residue_ids(plist[i], coords) == targets[i][:, None])
+        yield g + a * K, row
+    rho = np.array(rho, dtype=np.int64).reshape(-1, n + 2)
+    # the suffixes in key order, so suffix c has key c + (u_1 + b) M
+    M = (2 * b + 1) ** (n - 1)
+    sfx = np.indices((2 * b + 1,) * (n - 1)).reshape(n - 1, M).T - b
+    step = max(1, BLOCK_BYTES // (64 * K * M))
+    for lo in range(0, len(rho), step):
+        r, t = rho[lo:lo + step], targets[served[lo:lo + step]]
+        p, inv = r[:, n + 1, None, None], r[:, n, None, None]
+        u = (inv * ((t[:, :, None] - (r[:, 1:n] @ sfx.T)[:, None, :]) % p) + b) % p - b
+        at, c = np.nonzero((u <= b).reshape(-1, M))
+        want = (u.reshape(-1, M)[at, c] + b) * M + c
+        found = np.minimum(np.searchsorted(key, want), len(key) - 1)
+        ok = key[found] == want
+        yield (len(scan) + lo) * K + at[ok], found[ok]
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,8 @@ from .numfield import FieldSpec, as_int, as_real, field_from_json
 VALID_MODES = ("predict", "direct", "sieve", "mc", "oracle", "lemma-check")
 DEFAULT_TOLERANCE = 0.02
 DEFAULT_CRT_CAP = 10 ** 8
+# the oracle holds one byte per cell of the CRT state space, twice over
+MAX_CRT_CAP = 10 ** 9
 
 
 @dataclass
@@ -147,7 +149,9 @@ def load_config(data: dict) -> ExperimentConfig:
                       # and the lemma check's takes lemma_max_prime_norm
                       (cfg.lemma_max_prime_norm > cfg.region_cap,
                        "lemma_max_prime_norm must be <= caps.region = "
-                       f"{cfg.region_cap}")):
+                       f"{cfg.region_cap}"),
+                      (cfg.crt_cap > MAX_CRT_CAP,
+                       f"caps.crt must be <= {MAX_CRT_CAP}")):
         if bad:
             raise ConfigError(says)
     return cfg

@@ -9,8 +9,10 @@ reads its p, f = deg g, e and residue map, and never its Z-basis.
 
 ``residue_ids`` is the one encoder of coordinates as residues mod P:
 ``s_of_prime``, the sieve, the CRT oracle and the lemma check (a lies in P
-exactly when its id is 0) use it.  The Euler product needs it only at primes
-above a p dividing ``difference_norm_product``; s(P) = |S| at all others.
+exactly when its id is 0) use it.  The sieve's coset pass solves the same
+degree-1 map, column 0 of ``reduction_rows``, for rows, with targets from
+``residue_ids``.  The Euler product needs it only at primes above a p
+dividing ``difference_norm_product``; s(P) = |S| at all others.
 """
 
 from __future__ import annotations
@@ -342,13 +344,14 @@ def split_prime(field: FieldSpec, p: int) -> list[PrimeIdeal]:
     return list(_split_prime_cached(field, p))
 
 
-def primes_up_to_norm(field: FieldSpec, X: int) -> list[PrimeIdeal]:
-    """All prime ideals of norm <= X, sorted by (norm, p, gpoly)."""
+def primes_up_to_norm(field: FieldSpec, X: int,
+                      ps: Sequence[int] | None = None) -> list[PrimeIdeal]:
+    """All prime ideals of norm <= X, sorted by (norm, p, gpoly); only those
+    above the rational primes ``ps`` when it is given."""
     if X < 2:
         raise ValueError("X must be >= 2")
-    out = []
-    for p in numfield.rational_primes_up_to(X):
-        out.extend(P for P in split_prime(field, p) if P.norm <= X)
+    out = [P for p in (numfield.rational_primes_up_to(X) if ps is None else ps)
+           for P in split_prime(field, p) if P.norm <= X]
     out.sort(key=PrimeIdeal.sort_key)
     return out
 

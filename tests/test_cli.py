@@ -475,12 +475,15 @@ LATE_FAILURES = [({"seed": -1, "modes": ["mc"]}, "seed must lie in [0, 2^128)"),
                  # or overflow
                  ({"X": 10 ** 20}, "X must be <= caps.region = 4194304"),
                  ({"X": 1001, "caps": {"region": 1000}},
-                  "X must be <= caps.region = 1000")]
+                  "X must be <= caps.region = 1000"),
+                 # the oracle would hold that many bytes of CRT cells
+                 ({"caps": {"crt": 10 ** 20}, "modes": ["oracle"]},
+                  "caps.crt must be <= 1000000000")]
 
 
 @pytest.mark.parametrize("over, says", LATE_FAILURES, ids=[
     "seed-negative", "seed-2^128", "samples", "window", "lemma-bound",
-    "lemma-bound-10^20", "X-10^20", "X-over-region-cap"])
+    "lemma-bound-10^20", "X-10^20", "X-over-region-cap", "crt-cap-10^20"])
 def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
     cfg = base_config(tmp_path, **over)
     with pytest.raises(ConfigError) as exc:
@@ -511,6 +514,8 @@ def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
      "--window-t must be >= 1"),
     (["oracle", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--window-t", "-1"],
      "--window-t must be >= 1"),
+    (["oracle", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--crt-cap", str(10 ** 20)],
+     "--crt-cap must be <= 1000000000"),
     (["predict", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--X", str(10 ** 20)],
      "--X must be <= 4194304"),
     (["predict", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--X", "1"],
@@ -523,7 +528,8 @@ def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
          "primes-max-norm-1", "lemma-check-max-prime-norm-1",
          "primes-max-norm-10^20", "lemma-check-max-prime-norm-10^20",
          "oracle-window-t-0",
-         "oracle-window-t-negative", "predict-X-10^20", "predict-X-1",
+         "oracle-window-t-negative", "oracle-crt-cap-10^20", "predict-X-10^20",
+         "predict-X-1",
          "predict-s-number", "predict-s-flat-point"])
 def test_cli_out_of_range_argument_exit2(capsys, argv, says):
     code, out, err = run_cli(capsys, *argv, "--field", GAUSSIAN)

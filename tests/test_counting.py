@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -312,22 +313,129 @@ def test_sieve_bitsets_equal_direct(request, monkeypatch, block, fname, m, L):
     assert a.visible_count == b.visible_count
 
 
+# (field, m, b, basis transform): on Q, 5 = 2b + 1 is scanned and 7 = 2b + 3
+# is a coset prime; in Z[i], 5 = 2b + 1 and 13 = 2b + 3 split; the transform
+# has rho'_1 = 5 + 8 = 0 mod (13, theta - 8); m = 3; and degree 3
+COSET_CASES = [("rational", 2, 2, None), ("gaussian", 2, 2, None),
+               ("gaussian", 2, 5, None), ("gaussian", 3, 2, None),
+               ("gaussian", 2, 3, [[5, 1], [4, 1]]), ("cubic", 3, 1, None)]
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("fname, m, b, T", COSET_CASES)
+def test_sieve_coset_boundary_equals_direct(request, monkeypatch, block, fname,
+                                            m, b, T):
+    # S's second point is b + 3 from the origin along the first coordinate,
+    # so 2b + 1 and 2b + 3 divide difference norms; a BLOCK_BYTES of 64 puts
+    # one prime in each coset chunk
+    if block:
+        monkeypatch.setattr(ct, "BLOCK_BYTES", block)
+    field = request.getfixturevalue(fname)
+    n = field.degree
+    S = [origin(field, m),
+         il.point(field, [[b + 3] + [0] * (n - 1)] * (m - 1) + [[1] * n])]
+    for region in (ct.cube_region(field, b, T), ct.ball_region(field, b, T)):
+        a = ct.count_visible_direct(field, S, m, region)
+        c = ct.count_visible_sieve(field, S, m, region)
+        assert a.visible_count == c.visible_count, region.label()
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_coset_rows_equal_residue_scan(gaussian, cubic, monkeypatch, block):
+    # for every degree-1 prime of norm <= 200, the rows of each target are the
+    # rows a scan of residue_ids finds; primes with p <= 2b + 1 are scanned
+    # (at b = 1 the ramified prime above 2 has two rows per suffix and class),
+    # and so is (13, theta - 8) under the transform, but no other
+    if block:
+        monkeypatch.setattr(ct, "BLOCK_BYTES", block)
+    real, scanned = pr.residue_ids, []
+    monkeypatch.setattr(pr, "residue_ids",
+                        lambda P, c: scanned.append(P) or real(P, c))
+    for region, refused in [(ct.cube_region(gaussian, 1), set()),
+                            (ct.cube_region(gaussian, 4), set()),
+                            (ct.ball_region(gaussian, 5), set()),
+                            (ct.cube_region(gaussian, 3, [[5, 1], [4, 1]]), {(13, (5, 1))}),
+                            (ct.ball_region(cubic, 3), set())]:
+        coords = ct.region_coords(region)
+        plist = [P for P in pr.primes_up_to_norm(region.field, 200) if P.f == 1]
+        targets = np.array([[0, 1, 7 % P.under_p, P.under_p - 1] for P in plist])
+        scanned.clear()
+        g, rows = (np.concatenate(x) for x in zip(*ct._selections(region, plist, targets)))
+        slots = ([P for P in plist if P in scanned]
+                 + [P for P in plist if P not in scanned])
+        assert len(g) == sum((real(P, coords) == t[:, None]).sum()
+                             for P, t in zip(plist, targets))
+        for i, P in enumerate(slots):
+            ids = real(P, coords)
+            for r, t in enumerate(targets[plist.index(P)]):
+                assert sorted(rows[g == 4 * i + r]) == np.flatnonzero(ids == t).tolist()
+        assert {(P.under_p, P.gpoly) for P in scanned
+                if P.under_p > 2 * region.L + 1} == refused, region.label()
+        assert all(P in scanned for P in plist if P.under_p <= 2 * region.L + 1)
+        assert len(scanned) < len(plist)
+
+
+def test_coset_pass_memory(gaussian):
+    # the coset primes go in chunks whose temporaries stay under BLOCK_BYTES
+    region = ct.cube_region(gaussian, 30)
+    plist = [P for P in pr.primes_up_to_norm(gaussian, 4000) if P.under_p > 61]
+    targets = np.array([[0, 1, 2, 3]] * len(plist))
+    list(ct._selections(region, plist, targets))  # fills the region and residue caches
+    tracemalloc.start()
+    try:
+        rows = sum(len(g) for g, _ in ct._selections(region, plist, targets))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows > 0 and peak < ct.BLOCK_BYTES
+
+
+def _prime_factors(v):
+    out, p = set(), 2
+    while p * p <= v:
+        while v % p == 0:
+            out.add(p)
+            v //= p
+        p += 1
+    return out | ({v} if v > 1 else set())
+
+
+def test_sieve_far_point_splits_only_divisors(gaussian, monkeypatch):
+    # S far from a 25-point cube: B = 4 008 008, but only the rational primes
+    # that divide a difference norm are split, and the count takes < 1 s
+    region = ct.cube_region(gaussian, 2)
+    S = [il.point(gaussian, [[2000, 0], [2000, 0]])]
+    split = []
+    monkeypatch.setattr(pr, "split_prime",
+                        lambda f, p, real=pr.split_prime: split.append(p) or real(f, p))
+    t0 = time.perf_counter()
+    res = ct.count_visible_sieve(gaussian, S, 2, region)
+    assert time.perf_counter() - t0 < 1
+    assert res.prime_norm_bound == 4008008
+    assert res.visible_count == ct.count_visible_direct(gaussian, S, 2, region).visible_count
+    norms = {(x - 2000) ** 2 + y ** 2 for x in range(-2, 3) for y in range(-2, 3)}
+    assert sorted(split) == sorted(set().union(*map(_prime_factors, norms)))
+    assert ct._prime_divisors(np.array([0, 1, 12, 49, 2 * 97])) == [2, 3, 7, 97]
+
+
 def test_sieve_prime_bound_cap(gaussian, monkeypatch):
-    # the prime table enumerates B + 1 integers, so B is held to region_cap
-    # before any prime is enumerated
+    # B is held to region_cap before any norm is factored or prime is split
     region = ct.cube_region(gaussian, 2)
     S = [il.point(gaussian, [[20, 0], [20, 0]])]
     B = 22 ** 2 + 2 ** 2  # N(-2 + 2i - 20), the farthest difference
     assert ct.count_visible_sieve(gaussian, S, 2, region,
                                   region_cap=B).prime_norm_bound == B
     monkeypatch.setattr(pr, "primes_up_to_norm", None)  # must not be reached
+    monkeypatch.setattr(ct, "_prime_divisors", None)
     with pytest.raises(CapExceeded) as exc:
         ct.count_visible_sieve(gaussian, S, 2, region, region_cap=B - 1)
     assert exc.value.estimate == B
-    far = [il.point(gaussian, [[10 ** 6, 0], [10 ** 6, 0]])]
-    with pytest.raises(CapExceeded) as exc:
-        ct.count_visible_sieve(gaussian, far, 2, region)
-    assert exc.value.estimate == (10 ** 6 + 2) ** 2 + 4
+    # norms past int64 too: trial division would need the primes to 10^15
+    for x in (10 ** 6, 10 ** 15):
+        far = [il.point(gaussian, [[x, 0], [x, 0]])]
+        with pytest.raises(CapExceeded) as exc:
+            ct.count_visible_sieve(gaussian, far, 2, region)
+        assert exc.value.estimate == (x + 2) ** 2 + 4
 
 
 def _norm_bound_by_rows(field, S, coords):
