@@ -121,8 +121,9 @@ def main(argv=None) -> int:
 
 # flags whose out-of-range value is refused before any work: (dest, least,
 # greatest); a norm bound or predict's X is a prime sieve of that many bytes,
-# bounded like a region
+# and Monte Carlo holds samples * m points, each bounded like a region
 RANGES = {"primes": [("max_norm", 2, DEFAULT_REGION_CAP)],
+          "count": [("samples", 100, DEFAULT_REGION_CAP)],
           "lemma-check": [("max_prime_norm", 2, DEFAULT_REGION_CAP)],
           "oracle": [("window_t", 1, None), ("crt_cap", 1, ex.MAX_CRT_CAP)],
           "predict": [("X", 2, DEFAULT_REGION_CAP)]}

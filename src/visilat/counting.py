@@ -17,7 +17,6 @@ anything ``ideals.point_set`` accepts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,15 +192,12 @@ def _box_rows(region: Region) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _region_key(region: Region) -> Optional[np.ndarray]:
-    # sum_i (u_i + b) (2b + 1)^(n-1-i) (b = floor(size)) ascends with the
-    # untransformed rows u; None when the box of suffixes (u_2, ..., u_n) has
-    # more points than the region, else it is below (2b + 1) W <= W^2
+def _region_runs(region: Region) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the untransformed rows are runs u_n = -h..h, one per prefix (u_1, ...,
+    # u_(n-1)); a run starts where u_n does not rise by 1.  (prefix, h, start)
     u = _box_rows(region) if region.basis_transform else _region_array(region)
-    b, n = region.L, region.field.degree
-    if (2 * b + 1) ** (n - 1) > len(u):
-        return None
-    return (u + b) @ (2 * b + 1) ** np.arange(n - 1, -1, -1)
+    start = np.flatnonzero(np.diff(u[:, -1], prepend=u[0, -1]) != 1)
+    return u[start, :-1], -u[start, -1], start
 
 
 def _transform(region: Region, pts: np.ndarray) -> np.ndarray:
@@ -261,18 +257,20 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
                         tuple_cap: int = DEFAULT_TUPLE_CAP) -> CountResult:
     """Exact count by sieving the residue classes of small-norm primes.
 
-    An invisible tuple z (z != s) has all coordinates of z - s in some prime
-    P, so p divides the norm of every nonzero z_j - s_j, and N(P) <= B :=
-    max |N(a - s_i)|.  Only those p are split, found by trial division of
-    the distinct norms up to sqrt(B); a point of S in region^m is caught by
-    one-row selections (N = 0).  The pair (P, s) catches the tuples whose
-    every z_j lies in its selection j, the rows with s_j's residue id, which
-    ``_selections`` finds.  A pair keeps its last selection as a W-bit set of
+    An invisible tuple z has all coordinates of z - s in some prime P, so p
+    divides the norm of every nonzero z_j - s_j, and N(P) <= B := max |N(a -
+    s_i)|.  Only those p are split, found by trial division of the distinct
+    norms up to sqrt(B).  The pair (P, s) catches the tuples whose every z_j
+    lies in its selection j, the rows with s_j's residue id, which
+    ``_selections`` finds; so every pair catches z = s.  When B < 2 every
+    nonzero difference is a unit, and the prime above 2 catches exactly the
+    points of S.  A pair keeps its last selection as a W-bit set of
     ``uint64`` words.  A CSR index gives each row z_1 the pairs whose first
     selection holds it; the prefixes (z_1, ..., z_(m-1)) of one block of z_1
     rows take the sets of their pairs (about ``BLOCK_BYTES`` of them),
     OR-reduce them per prefix and add the popcounts.  No array grows with
-    W^(m-1).  A B above ``region_cap`` is refused before any prime is split.
+    W^(m-1).  A B whose square root exceeds ``region_cap`` is refused before
+    any norm is factored or prime is split.
     """
     S = _check_inputs(field, S, m, region)
     coords = region_coords(region, region_cap)
@@ -281,33 +279,27 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
     if total > tuple_cap:
         raise CapExceeded("tuple space exceeds cap", estimate=total)
 
-    B, hit, norms, n = 1, {}, [], field.degree
-    for key in set(map(tuple, S.reshape(-1, n).tolist())):
-        N = np.abs(il.difference_norms(field, coords, key))
-        B, hit[key] = max(B, int(N.max())), N == 0
-        norms.append(N)
-    if B > region_cap:
-        raise CapExceeded("sieve prime norm bound exceeds region cap",
-                          estimate=B)
+    norms = [np.abs(il.difference_norms(field, coords, key))
+             for key in set(map(tuple, S.reshape(-1, field.degree).tolist()))]
+    B = max(1, *(int(N.max()) for N in norms))
+    if math.isqrt(B) > region_cap:
+        raise CapExceeded("square root of the sieve prime norm bound exceeds "
+                          "region cap", estimate=B)
     plist = (pr.primes_up_to_norm(field, B, _prime_divisors(np.concatenate(norms)))
-             if B >= 2 else [])
+             if B >= 2 else pr.split_prime(field, 2)[:1])
     del norms
 
-    # pair q = i k + s joins the selections g = q m + j (j < m) of slot i, slot
-    # 0 being S's points and later ones the primes; g ascends over the batches
+    # pair q = i k + s joins the selections g = q m + j (j < m) of slot i
     K = len(S) * m
     targets = np.array([pr.residue_ids(P, S).reshape(-1) for P in plist],
                        dtype=np.int64).reshape(-1, K)
-    batches = itertools.chain(
-        [np.nonzero(np.stack([hit[tuple(v)] for v in S.reshape(-1, n).tolist()]))],
-        ((g + K, row) for g, row in _selections(region, plist, targets)))
 
     # pair q keeps the rows of its first and middle selections, and its last
     # as the W-bit set bits[q]; a pair with an empty selection adds nothing
     nw, zero = -(-W // 64), np.zeros(1, np.int64)
-    bits = np.zeros((len(S) * (len(plist) + 1), nw), np.uint64)
+    bits = np.zeros((len(S) * len(plist), nw), np.uint64)
     kept = [[np.zeros((2, 0), np.int32)] for _ in range(m - 1)]
-    for g, row in batches:
+    for g, row in _selections(region, plist, targets):
         q, j = g // m, g % m
         x = j == m - 1
         np.bitwise_or.at(bits, (q[x], row[x] >> 6), np.uint64(1) << (row[x] & 63).astype(np.uint64))
@@ -322,7 +314,7 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
     mlen = np.array([len(a) for a in mids], dtype=np.int64)
     moff = np.cumsum(mlen) - mlen
     mids = np.concatenate(mids)
-    del kept, batches
+    del kept
     # CSR index: the pairs of row z_1 are pair[rowptr[z_1]:rowptr[z_1 + 1]]
     rowptr = np.concatenate((zero[:1], np.cumsum(np.bincount(first, minlength=W))))
     pair = pair[np.argsort(first, kind="stable")]
@@ -370,41 +362,38 @@ def _selections(region: Region, plist, targets: np.ndarray):
     scanned primes, then the coset primes, each in the order of ``plist``.
 
     A degree-1 P reduces a row u . T to u . rho' mod p, where rho' = T rho and
-    rho is column 0 of ``pr.reduction_rows(P)``.  When p > 2b + 1 (|u_1| <=
-    b) and rho'_1 is a unit, each suffix (u_2, ..., u_n) has at most one u_1
-    = rho'_1^-1 (t - sum_(i>=2) rho'_i u_i) mod p in [-b, b]; the region's
-    key finds its row (none outside a ball).  Chunks of these keep their temporaries under
+    rho is column 0 of ``pr.reduction_rows(P)``.  The rows are runs u_n =
+    -h..h after a prefix (u_1, ..., u_(n-1)).  When p > 2b + 1 (|u_n| <= b)
+    and rho'_n is a unit, a run holds at most one row of class t: u_n =
+    rho'_n^-1 (t - sum_(i<n) rho'_i u_i) mod p, if it lies in [-h, h], at
+    index start + h + u_n.  Chunks of these keep their temporaries under
     ``BLOCK_BYTES``; other primes compare ``residue_ids`` over the region.
     """
-    coords, key = _region_array(region), _region_key(region)
+    coords, (pre, h, start) = _region_array(region), _region_runs(region)
     b, n, K = region.L, region.field.degree, targets.shape[1]
     T, served, rho = region.basis_transform, [], []
-    for i, P in enumerate(plist if key is not None else []):
+    for i, P in enumerate(plist):
         p, r = P.under_p, [row[0] for row in pr.reduction_rows(P)]
         if T is not None:
             r = [sum(a * x for a, x in zip(row, r)) for row in T]
         # int64 holds every product below while n p^2 < 2^62
-        if P.f == 1 and p > 2 * b + 1 and r[0] % p and n * p * p < 2 ** 62:
+        if P.f == 1 and p > 2 * b + 1 and r[-1] % p and n * p * p < 2 ** 62:
             served.append(i)
-            rho.append([x % p for x in r] + [pow(r[0], -1, p), p])
+            rho.append([x % p for x in r[:-1]] + [pow(r[-1], -1, p), p])
     scan = sorted(set(range(len(plist))) - set(served))
     for a, i in enumerate(scan):
         g, row = np.nonzero(pr.residue_ids(plist[i], coords) == targets[i][:, None])
         yield g + a * K, row
-    rho = np.array(rho, dtype=np.int64).reshape(-1, n + 2)
-    # the suffixes in key order, so suffix c has key c + (u_1 + b) M
-    M = (2 * b + 1) ** (n - 1)
-    sfx = np.indices((2 * b + 1,) * (n - 1)).reshape(n - 1, M).T - b
+    rho = np.array(rho, dtype=np.int64).reshape(-1, n + 1)
+    M = len(start)
     step = max(1, BLOCK_BYTES // (64 * K * M))
     for lo in range(0, len(rho), step):
         r, t = rho[lo:lo + step], targets[served[lo:lo + step]]
-        p, inv = r[:, n + 1, None, None], r[:, n, None, None]
-        u = (inv * ((t[:, :, None] - (r[:, 1:n] @ sfx.T)[:, None, :]) % p) + b) % p - b
-        at, c = np.nonzero((u <= b).reshape(-1, M))
-        want = (u.reshape(-1, M)[at, c] + b) * M + c
-        found = np.minimum(np.searchsorted(key, want), len(key) - 1)
-        ok = key[found] == want
-        yield (len(scan) + lo) * K + at[ok], found[ok]
+        p, inv = r[:, n, None, None], r[:, n - 1, None, None]
+        # u_n shifted into [-h, p - h), so u_n <= h keeps it
+        u = (inv * ((t[:, :, None] - (r[:, :n - 1] @ pre.T)[:, None, :]) % p) + h) % p - h
+        at, c = np.nonzero((u <= h).reshape(-1, M))
+        yield (len(scan) + lo) * K + at, start[c] + h[c] + u.reshape(-1, M)[at, c]
 
 
 # ----------------------------------------------------------------------

@@ -143,6 +143,9 @@ def load_config(data: dict) -> ExperimentConfig:
                       (cfg.tolerance < 0, "tolerance must be >= 0"),
                       (not 0 <= cfg.seed < 2 ** 128, "seed must lie in [0, 2^128)"),
                       (cfg.samples < 100, "samples must be >= 100"),
+                      # Monte Carlo holds samples * m points, like a region
+                      (cfg.samples > cfg.region_cap,
+                       f"samples must be <= caps.region = {cfg.region_cap}"),
                       (cfg.oracle_window_t < 1, "oracle_window_t must be >= 1"),
                       (cfg.lemma_max_prime_norm < 2,
                        "lemma_max_prime_norm must be >= 2"),

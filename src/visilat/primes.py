@@ -268,6 +268,8 @@ def _equal_degree_split(g, d, p, rng) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _split_prime_cached(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     out = _split_quadratic(field, p) or _split_prime_cz(field, p)
     if sum(P.e * P.f for P in out) != field.degree:
         raise RuntimeError(f"sum of e*f != degree at p={p}")

@@ -230,10 +230,10 @@ def test_run_transform_overflow_exit2(capsys, tmp_path):
 
 
 def test_run_sieve_prime_bound_cap_exit2(capsys, tmp_path):
-    # a point of S far outside the cube gives B ~ 10^12: the sieve is
+    # a point of S far outside the cube gives B ~ 10^30: the sieve is
     # refused before its prime table is built, and the direct row is kept
     cfg = base_config(tmp_path, field={"kind": "quadratic", "d": -1},
-                      s=[[[10 ** 6, 0], [10 ** 6, 0]]], modes=["direct", "sieve"],
+                      s=[[[10 ** 15, 0], [10 ** 15, 0]]], modes=["direct", "sieve"],
                       regions=[{"shape": "cube", "L": 2}])
     path = write_config(tmp_path, cfg)
     code, _, err = run_cli(capsys, "run", "--config", path)
@@ -464,6 +464,9 @@ def test_count_basis_transform_not_integer_exit2(capsys, T):
 LATE_FAILURES = [({"seed": -1, "modes": ["mc"]}, "seed must lie in [0, 2^128)"),
                  ({"seed": 2 ** 128, "modes": ["mc"]}, "seed must lie in [0, 2^128)"),
                  ({"samples": 5, "modes": ["mc"]}, "samples must be >= 100"),
+                 # Monte Carlo would hold samples * m points
+                 ({"samples": 10 ** 12, "modes": ["mc"]},
+                  "samples must be <= caps.region = 4194304"),
                  ({"oracle_window_t": 0, "modes": ["oracle"]},
                   "oracle_window_t must be >= 1"),
                  ({"lemma_max_prime_norm": 1, "modes": ["lemma-check"]},
@@ -482,7 +485,7 @@ LATE_FAILURES = [({"seed": -1, "modes": ["mc"]}, "seed must lie in [0, 2^128)"),
 
 
 @pytest.mark.parametrize("over, says", LATE_FAILURES, ids=[
-    "seed-negative", "seed-2^128", "samples", "window", "lemma-bound",
+    "seed-negative", "seed-2^128", "samples", "samples-10^12", "window", "lemma-bound",
     "lemma-bound-10^20", "X-10^20", "X-over-region-cap", "crt-cap-10^20"])
 def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
     cfg = base_config(tmp_path, **over)
@@ -502,6 +505,8 @@ def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
     (["lemma-check", "--region", "ball:R=1/0"], "not a finite number"),
     (["count", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--region", "cube:L=3",
       "--mode", "mc", "--seed", "-1"], "seed must lie in [0, 2^128)"),
+    (["count", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--region", "cube:L=3",
+      "--mode", "mc", "--samples", str(10 ** 12)], "--samples must be <= 4194304"),
     # refused by flag name before any work, not by the layer that would fail
     (["primes", "--max-norm", "1"], "--max-norm must be >= 2"),
     (["lemma-check", "--region", "cube:L=3", "--max-prime-norm", "1"],
@@ -525,6 +530,7 @@ def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
     (["predict", "--m", "2", "--s", "5"], "S must list points"),
     (["predict", "--m", "2", "--s", "[[0,0]]"], "S must list points")],
     ids=["count-R-1/0", "lemma-check-R-1/0", "count-seed-negative",
+         "count-samples-10^12",
          "primes-max-norm-1", "lemma-check-max-prime-norm-1",
          "primes-max-norm-10^20", "lemma-check-max-prime-norm-10^20",
          "oracle-window-t-0",

@@ -246,6 +246,18 @@ def test_sieve_equals_direct_beyond_q(request, fname, m, L):
         assert a.visible_count == b.visible_count
 
 
+def test_sieve_equals_direct_degree4_ball():
+    # x^4 - x - 1, ball R=2: 89 rows, fewer than the 125 points of the box of
+    # prefixes (u_1, u_2, u_3), so the region's runs alone locate the rows
+    field = _x_n_minus_x_minus_1(4)
+    S = [origin(field, 2), il.point(field, [[1, 0, 0, 0], [0, 1, 0, 0]])]
+    region = ct.ball_region(field, 2)
+    a = ct.count_visible_direct(field, S, 2, region)
+    b = ct.count_visible_sieve(field, S, 2, region)
+    assert a.total_tuples == 89 ** 2
+    assert a.visible_count == b.visible_count == 7302
+
+
 def test_sieve_marks_points_of_s(rational):
     # on Q, cube L=1, S = {origin}: B = 1, so no prime is sieved and the
     # origin's cell is marked only as a point of S
@@ -315,7 +327,7 @@ def test_sieve_bitsets_equal_direct(request, monkeypatch, block, fname, m, L):
 
 # (field, m, b, basis transform): on Q, 5 = 2b + 1 is scanned and 7 = 2b + 3
 # is a coset prime; in Z[i], 5 = 2b + 1 and 13 = 2b + 3 split; the transform
-# has rho'_1 = 5 + 8 = 0 mod (13, theta - 8); m = 3; and degree 3
+# has rho'_2 = 4 + 13 = 0 mod (17, theta - 13); m = 3; and degree 3
 COSET_CASES = [("rational", 2, 2, None), ("gaussian", 2, 2, None),
                ("gaussian", 2, 5, None), ("gaussian", 3, 2, None),
                ("gaussian", 2, 3, [[5, 1], [4, 1]]), ("cubic", 3, 1, None)]
@@ -344,8 +356,9 @@ def test_sieve_coset_boundary_equals_direct(request, monkeypatch, block, fname,
 def test_coset_rows_equal_residue_scan(gaussian, cubic, monkeypatch, block):
     # for every degree-1 prime of norm <= 200, the rows of each target are the
     # rows a scan of residue_ids finds; primes with p <= 2b + 1 are scanned
-    # (at b = 1 the ramified prime above 2 has two rows per suffix and class),
-    # and so is (13, theta - 8) under the transform, but no other
+    # (at b = 1 the ramified prime above 2 has two rows per run and class),
+    # and so is (17, theta - 13) under the transform, but no other; the
+    # degree-4 ball has fewer rows (89) than its box of prefixes (125)
     if block:
         monkeypatch.setattr(ct, "BLOCK_BYTES", block)
     real, scanned = pr.residue_ids, []
@@ -354,8 +367,9 @@ def test_coset_rows_equal_residue_scan(gaussian, cubic, monkeypatch, block):
     for region, refused in [(ct.cube_region(gaussian, 1), set()),
                             (ct.cube_region(gaussian, 4), set()),
                             (ct.ball_region(gaussian, 5), set()),
-                            (ct.cube_region(gaussian, 3, [[5, 1], [4, 1]]), {(13, (5, 1))}),
-                            (ct.ball_region(cubic, 3), set())]:
+                            (ct.cube_region(gaussian, 3, [[5, 1], [4, 1]]), {(17, (4, 1))}),
+                            (ct.ball_region(cubic, 3), set()),
+                            (ct.ball_region(_x_n_minus_x_minus_1(4), 2), set())]:
         coords = ct.region_coords(region)
         plist = [P for P in pr.primes_up_to_norm(region.field, 200) if P.f == 1]
         targets = np.array([[0, 1, 7 % P.under_p, P.under_p - 1] for P in plist])
@@ -419,19 +433,27 @@ def test_sieve_far_point_splits_only_divisors(gaussian, monkeypatch):
 
 
 def test_sieve_prime_bound_cap(gaussian, monkeypatch):
-    # B is held to region_cap before any norm is factored or prime is split
+    # the primes trial-dividing the norms go up to sqrt(B): sqrt(B) is held
+    # to region_cap before any norm is factored or prime is split
     region = ct.cube_region(gaussian, 2)
-    S = [il.point(gaussian, [[20, 0], [20, 0]])]
-    B = 22 ** 2 + 2 ** 2  # N(-2 + 2i - 20), the farthest difference
+    S = [il.point(gaussian, [[100, 0], [100, 0]])]
+    B = 102 ** 2 + 2 ** 2  # N(-2 + 2i - 100), the farthest difference
     assert ct.count_visible_sieve(gaussian, S, 2, region,
-                                  region_cap=B).prime_norm_bound == B
+                                  region_cap=math.isqrt(B)).prime_norm_bound == B
+    # B ~ 10^12: sqrt(B) is under the default cap, and the count is exact
+    far = [il.point(gaussian, [[10 ** 6, 0], [10 ** 6, 0]])]
+    t0 = time.perf_counter()
+    res = ct.count_visible_sieve(gaussian, far, 2, region)
+    assert time.perf_counter() - t0 < 1
+    assert res.prime_norm_bound == (10 ** 6 + 2) ** 2 + 4
+    assert res.visible_count == ct.count_visible_direct(gaussian, far, 2, region).visible_count
     monkeypatch.setattr(pr, "primes_up_to_norm", None)  # must not be reached
     monkeypatch.setattr(ct, "_prime_divisors", None)
     with pytest.raises(CapExceeded) as exc:
-        ct.count_visible_sieve(gaussian, S, 2, region, region_cap=B - 1)
+        ct.count_visible_sieve(gaussian, S, 2, region, region_cap=math.isqrt(B) - 1)
     assert exc.value.estimate == B
-    # norms past int64 too: trial division would need the primes to 10^15
-    for x in (10 ** 6, 10 ** 15):
+    # 10^15 gives norms past int64: trial division would need the primes to 10^15
+    for x in (10 ** 9, 10 ** 15):
         far = [il.point(gaussian, [[x, 0], [x, 0]])]
         with pytest.raises(CapExceeded) as exc:
             ct.count_visible_sieve(gaussian, far, 2, region)

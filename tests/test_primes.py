@@ -351,6 +351,18 @@ def test_split_refuses_a_non_divisor(cubic, monkeypatch):
         pr._split_prime_cz(cubic, 7)
 
 
+@pytest.mark.parametrize("fname", ["gaussian", "golden", "cubic"])
+def test_split_refuses_a_composite(request, fname):
+    # the closed form for quadratic fields would take 15 for a prime of norm
+    # 225; every field refuses it, and so does a norm enumeration over it
+    field = request.getfixturevalue(fname)
+    for p in (15, 21, 25):
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            pr.split_prime(field, p)
+    with pytest.raises(ValueError, match="15 is not prime"):
+        pr.primes_up_to_norm(field, 100, [15])
+
+
 def test_is_prime():
     assert pr.is_prime(2) and pr.is_prime(10 ** 9 + 7)
     assert not pr.is_prime(1) and not pr.is_prime(561) and not pr.is_prime(10 ** 9)
