@@ -165,20 +165,23 @@ def region_coords(region: Region,
            math.floor(_ball_volume_unit(n) * (region.size + half_diag) ** n) + 1)
     if est > region_cap:
         raise CapExceeded("region exceeds enumeration cap", estimate=est)
-    return _region_array(region)
+    return _region_array(region)[0]
 
 
 @lru_cache(maxsize=1)
-def _region_array(region: Region) -> np.ndarray:
-    pts = _transform(region, _box_rows(region))
+def _region_array(region: Region) -> tuple[np.ndarray, tuple]:
+    rows, runs = _box_rows(region)
+    pts = _transform(region, rows)
     pts.flags.writeable = False
-    return pts
+    return pts, runs
 
 
-def _box_rows(region: Region) -> np.ndarray:
+def _box_rows(region: Region) -> tuple[np.ndarray, tuple]:
     # one coordinate at a time, in lexicographic order: each prefix is
     # followed by c = -b..b, with b = L in a cube and b = isqrt(floor(R^2)
-    # - |prefix|^2) in a ball, so no row is built only to be dropped
+    # - |prefix|^2) in a ball, so no row is built only to be dropped.  The
+    # last pass's prefixes (u_1, ..., u_(n-1)) head the runs u_n = -h..h of
+    # the rows, h = b, returned with the rows as (prefix, h, start)
     r2 = int(region.size ** 2)
     pts = np.zeros((1, 0), dtype=np.int64)
     for _ in range(region.field.degree):
@@ -186,18 +189,11 @@ def _box_rows(region: Region) -> np.ndarray:
         b = np.array([region.L if region.shape == "cube" else
                       math.isqrt(r2 - s) for s in sq.tolist()], dtype=np.int64)[inv]
         k = 2 * b + 1
-        c = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k + b, k)
+        start = np.cumsum(k) - k
+        c = np.arange(k.sum()) - np.repeat(start + b, k)
+        runs = (pts, b, start)
         pts = np.column_stack([np.repeat(pts, k, axis=0), c])
-    return pts
-
-
-@lru_cache(maxsize=1)
-def _region_runs(region: Region) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # the untransformed rows are runs u_n = -h..h, one per prefix (u_1, ...,
-    # u_(n-1)); a run starts where u_n does not rise by 1.  (prefix, h, start)
-    u = _box_rows(region) if region.basis_transform else _region_array(region)
-    start = np.flatnonzero(np.diff(u[:, -1], prepend=u[0, -1]) != 1)
-    return u[start, :-1], -u[start, -1], start
+    return pts, runs
 
 
 def _transform(region: Region, pts: np.ndarray) -> np.ndarray:
@@ -346,13 +342,19 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
 
 def _prime_divisors(values: np.ndarray) -> list[int]:
     """The primes dividing a nonzero entry of ``values`` (integers >= 0), by
-    trial division up to sqrt(max): what is left of an entry is 1 or prime."""
+    trial division up to sqrt(max): what is left of an entry is 1 or prime.
+    The distinct entries meet the primes a block at a time, the block's
+    remainders under ``BLOCK_BYTES``; only the primes found are divided out."""
     v = np.sort(values)  # np.unique's hash table would add ~1 MiB of resident code
     v, out = v[(v > 1) & (np.diff(v, prepend=0) != 0)], set()
-    for p in rational_primes_up_to(math.isqrt(int(v.max(initial=1)))):
-        while (d := v % p == 0).any():
+    ps = np.array(rational_primes_up_to(math.isqrt(int(v.max(initial=1)))), np.int64)
+    step = max(1, BLOCK_BYTES // (8 * len(v) + 1))
+    for lo in range(0, len(ps), step):
+        block = ps[lo:lo + step]
+        for p in block[(v[:, None] % block == 0).any(axis=0)].tolist():
             out.add(p)
-            v[d] //= p
+            while (d := v % p == 0).any():
+                v[d] //= p
     return sorted(out.union(v[v > 1].tolist()))
 
 
@@ -369,7 +371,7 @@ def _selections(region: Region, plist, targets: np.ndarray):
     index start + h + u_n.  Chunks of these keep their temporaries under
     ``BLOCK_BYTES``; other primes compare ``residue_ids`` over the region.
     """
-    coords, (pre, h, start) = _region_array(region), _region_runs(region)
+    coords, (pre, h, start) = _region_array(region)
     b, n, K = region.L, region.field.degree, targets.shape[1]
     T, served, rho = region.basis_transform, [], []
     for i, P in enumerate(plist):

@@ -1,6 +1,5 @@
 """Predicted densities: truncated Euler products with rigorous tail
-intervals, Moebius-sum zeta reciprocals, and the exact finite-window CRT
-oracle.
+intervals, and the exact finite-window CRT oracle.
 
 All products and sums are exact rationals; the truncation interval [lo, hi]
 is guaranteed to contain the infinite product.  The truncated product is kept
@@ -26,6 +25,8 @@ from .ideals import point_set
 from .numfield import FieldSpec, rational_primes_up_to
 from .primes import PrimeIdeal
 
+DEFAULT_CRT_CAP = 10 ** 8  # cells of the CRT oracle's state space
+
 
 @dataclass(frozen=True)
 class PredictionInterval:
@@ -34,8 +35,8 @@ class PredictionInterval:
     hi = num/den is the truncated product itself (every omitted factor is
     <= 1), held unreduced with den = (prod N(P))^m; lo multiplies in a lower
     bound for the omitted tail, lo = hi max(0, 1 - tail) with ``tail`` the
-    relative tail bound.  ``lo``, ``hi`` and ``mid`` are built as Fractions
-    when read; ``lo_ratio`` and ``mid_ratio`` give them unreduced.  A zero
+    relative tail bound.  ``lo`` and ``hi`` are built as Fractions when read;
+    ``lo_ratio`` and ``mid_ratio`` give lo and (lo + hi) / 2 unreduced.  A zero
     certificate is a prime where S covers every residue tuple, forcing
     density exactly 0 (num = 0, den = 1).
     """
@@ -66,10 +67,6 @@ class PredictionInterval:
     @property
     def hi(self) -> Fraction:
         return Fraction(self.num, self.den)
-
-    @property
-    def mid(self) -> Fraction:
-        return Fraction(*self.mid_ratio)
 
 
 @dataclass(frozen=True)
@@ -140,37 +137,8 @@ def _product(xs: list[int]) -> int:
     return xs[0] if xs else 1
 
 
-def zeta_recip_truncated(field: FieldSpec, s: int, X: int) -> Fraction:
-    """Sum of mu(I)/N(I)^s over squarefree ideals of norm <= X.
-
-    Squarefree ideals are enumerated as products of distinct prime ideals;
-    everything else has mu = 0 and is skipped.
-    """
-    if s < 2:
-        raise ValueError("s must be >= 2")
-    if X < 1:
-        raise ValueError("X must be >= 1")
-    total = Fraction(1)  # the unit ideal
-    if X < 2:
-        return total
-    plist = pr.primes_up_to_norm(field, X)
-    norms = [P.norm for P in plist]
-
-    def walk(i: int, q: int, sign: int):
-        nonlocal total
-        for j in range(i, len(norms)):
-            nq = q * norms[j]
-            if nq > X:
-                break
-            total += Fraction(sign, nq ** s)
-            walk(j + 1, nq, -sign)
-
-    walk(0, 1, -1)
-    return total
-
-
 def window_density(field: FieldSpec, S, m: int, t: int,
-                   crt_cap: int = 10 ** 8) -> ExactDensity:
+                   crt_cap: int = DEFAULT_CRT_CAP) -> ExactDensity:
     """``exact_window_density`` over E_t, the primes above the first t
     rational primes.  Those above one p have norms multiplying to at least
     2, so the state space is at least 2^(m t): a window with m t >=
@@ -183,7 +151,7 @@ def window_density(field: FieldSpec, S, m: int, t: int,
 
 
 def exact_window_density(field: FieldSpec, S, m: int, primes: Sequence[PrimeIdeal],
-                         crt_cap: int = 10 ** 8) -> ExactDensity:
+                         crt_cap: int = DEFAULT_CRT_CAP) -> ExactDensity:
     """Density of the set visible modulo every prime of ``primes``, by
     product formula and CRT oracle.
 

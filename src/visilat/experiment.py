@@ -21,13 +21,12 @@ from . import density as dn
 from . import ideals as il
 from . import primes as pr
 from .counting import DEFAULT_REGION_CAP, DEFAULT_TUPLE_CAP, Region
-from .density import decimal_str
+from .density import DEFAULT_CRT_CAP, decimal_str
 from .errors import CapExceeded, ConfigError
 from .numfield import FieldSpec, as_int, as_real, field_from_json
 
 VALID_MODES = ("predict", "direct", "sieve", "mc", "oracle", "lemma-check")
 DEFAULT_TOLERANCE = 0.02
-DEFAULT_CRT_CAP = 10 ** 8
 # the oracle holds one byte per cell of the CRT state space, twice over
 MAX_CRT_CAP = 10 ** 9
 

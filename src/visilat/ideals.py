@@ -1,10 +1,11 @@
-"""Ideal arithmetic in Hermite normal form, point sets and the
-mutual-visibility test.
+"""Point sets, the mutual-visibility test, and ideals in Hermite normal form.
 
-Ideals are canonical upper-triangular integer matrices whose rows generate
-the ideal as a Z-module over the field basis: positive diagonal, entries
-above the diagonal reduced into [0, diag of their column).  Canonical form
-makes equality exact matrix equality and the norm the diagonal product.
+``ideal_from_generators`` builds the ideal a list of elements generates as a
+canonical upper-triangular integer matrix whose rows generate it as a
+Z-module over the field basis: positive diagonal, entries above the diagonal
+reduced into [0, diag of their column).  Canonical form makes equality exact
+matrix equality and the norm the diagonal product.  The reference product
+and membership test that tests check it against live in ``tests/oracles.py``.
 
 Visibility is decided by one batched kernel, ``visible_mask``, instead of an
 HNF per tuple.  The ideal (d_1, ..., d_m) is the Z-span of the m*n rows
@@ -140,48 +141,6 @@ def ideal_from_generators(gens: Sequence[AlgInt]) -> IdealHNF:
             e[i] = 1
             rows.append(list(mul_coords(field, g.coords, e)))
     return _from_rows(field, rows)
-
-
-def unit_ideal(field: FieldSpec) -> IdealHNF:
-    return ideal_from_generators([field.one()])
-
-
-def ideal_sum(I: IdealHNF, J: IdealHNF) -> IdealHNF:
-    """I + J, the ideal gcd."""
-    if I.field != J.field:
-        raise ValueError("ideals over different fields")
-    if I.is_zero:
-        return J
-    if J.is_zero:
-        return I
-    return _from_rows(I.field, [list(r) for r in I.hnf + J.hnf])
-
-
-def ideal_mul(I: IdealHNF, J: IdealHNF) -> IdealHNF:
-    if I.field != J.field:
-        raise ValueError("ideals over different fields")
-    if I.is_zero or J.is_zero:
-        return _from_rows(I.field, [[0] * I.field.degree])
-    rows = [list(mul_coords(I.field, a, b)) for a in I.hnf for b in J.hnf]
-    return _from_rows(I.field, rows)
-
-
-def contains(I: IdealHNF, a: AlgInt) -> bool:
-    """Whether the element a lies in I (exact triangular solve over Z)."""
-    if I.field != a.field:
-        raise ValueError("mismatched field")
-    if I.is_zero:
-        return a.is_zero()
-    n = I.field.degree
-    c = list(a.coords)
-    for i in range(n):
-        q, r = divmod(c[i], I.hnf[i][i])
-        if r:
-            return False
-        if q:
-            for j in range(i, n):
-                c[j] -= q * I.hnf[i][j]
-    return True
 
 
 # ----------------------------------------------------------------------

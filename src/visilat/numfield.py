@@ -1,4 +1,4 @@
-"""Number fields with a power integral basis and exact ring arithmetic.
+"""Number fields with a power integral basis and exact coordinate arithmetic.
 
 Three kinds of field are supported:
 
@@ -10,7 +10,7 @@ Three kinds of field are supported:
   under the caller's assertion that Z[theta] is the full ring of integers.
 
 Elements are integer coordinate vectors over the fixed basis {1, theta, ...,
-theta^(n-1)}; all arithmetic is exact arbitrary-precision integer work.
+theta^(n-1)}, multiplied by ``mul_coords`` in exact Python integers.
 Polynomials are coefficient tuples, constant term first.  Every kind is built
 from the minimal polynomial f of theta alone: the multiplication tensor is
 theta^(i+j) mod f, a norm is the determinant of multiplication by the element,
@@ -25,6 +25,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .errors import FieldError
 
@@ -65,12 +67,6 @@ class FieldSpec:
                 f"expected {self.degree} coordinates, got {len(coords)}")
         return AlgInt(self, coords)
 
-    def zero(self) -> "AlgInt":
-        return AlgInt(self, (0,) * self.degree)
-
-    def one(self) -> "AlgInt":
-        return AlgInt(self, (1,) + (0,) * (self.degree - 1))
-
     def to_json(self) -> dict:
         if self.kind == "rational":
             return {"kind": "rational"}
@@ -89,30 +85,11 @@ class AlgInt:
     field: FieldSpec
     coords: tuple[int, ...]
 
-    def _check(self, other: "AlgInt"):
+    def __sub__(self, other: "AlgInt") -> "AlgInt":
         if self.field != other.field:
             raise ValueError("elements belong to different fields")
-
-    def __add__(self, other: "AlgInt") -> "AlgInt":
-        self._check(other)
-        return AlgInt(self.field,
-                      tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "AlgInt") -> "AlgInt":
-        self._check(other)
         return AlgInt(self.field,
                       tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "AlgInt":
-        return AlgInt(self.field, tuple(-a for a in self.coords))
-
-    def __mul__(self, other: "AlgInt") -> "AlgInt":
-        self._check(other)
-        return AlgInt(self.field,
-                      mul_coords(self.field, self.coords, other.coords))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def norm(self) -> int:
         """Field norm: det of the multiplication-by-self matrix (signed)."""
@@ -339,4 +316,4 @@ def rational_primes_up_to(x: int) -> list[int]:
     for p in range(2, math.isqrt(x) + 1):
         if mark[p]:
             mark[p * p::p] = bytearray(len(mark[p * p::p]))
-    return [i for i in range(2, x + 1) if mark[i]]
+    return np.flatnonzero(np.frombuffer(mark, np.uint8)).tolist()

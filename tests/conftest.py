@@ -45,10 +45,3 @@ def cubic():
 
 def origin(field, m):
     return il.point(field, [[0] * field.degree for _ in range(m)])
-
-
-def prime_hnf(P):
-    """(p, g(theta)) built by the reference HNF, apart from the splitting."""
-    p, n = P.under_p, P.field.degree
-    return il.ideal_from_generators([P.field.element([p] + [0] * (n - 1)),
-                                     nf.element_from_poly(P.field, P.gpoly)])

@@ -17,6 +17,7 @@ from visilat import numfield as nf
 from visilat import primes as pr
 
 from conftest import origin
+from oracles import zeta_recip_truncated
 
 
 def report(k, ok, detail):
@@ -200,7 +201,7 @@ def test_criterion_7_counting_lemmas():
 def test_criterion_8_zeta_cross_check():
     field = nf.make_field("rational")
     X = 1000
-    z = dn.zeta_recip_truncated(field, 2, X)
+    z = zeta_recip_truncated(field, 2, X)
     iv = dn.predicted_density(field, [origin(field, 2)], 2, X)
     mid = (iv.lo + iv.hi) / 2
     # Moebius tail over Q: one ideal per norm, |tail| <= 1/((s-1) X^(s-1));

@@ -16,7 +16,8 @@ from visilat import numfield as nf
 from visilat import primes as pr
 from visilat.errors import CapExceeded
 
-from conftest import origin, prime_hnf
+from conftest import origin
+from oracles import contains, prime_hnf
 
 
 def test_enumerate_examples(rational, gaussian):
@@ -143,7 +144,7 @@ def test_degree6_ball_within_default_cap(monkeypatch):
     # x^6 - x - 1, R = 8: 1 395 261 points, a third of the default cap
     region = ct.ball_region(_x_n_minus_x_minus_1(6), 8)
     assert _ball_count(6, 8) == 1395261
-    monkeypatch.setattr(ct, "_region_array", lambda r: "built")
+    monkeypatch.setattr(ct, "_region_array", lambda r: ("built", None))
     assert ct.region_coords(region) == "built"
     with pytest.raises(CapExceeded) as err:
         ct.region_coords(region, region_cap=1395260)
@@ -389,6 +390,20 @@ def test_coset_rows_equal_residue_scan(gaussian, cubic, monkeypatch, block):
         assert len(scanned) < len(plist)
 
 
+def test_sieve_enumerates_a_sheared_cube_once(gaussian, monkeypatch):
+    # the run table of the coset pass comes with the rows, so a transformed
+    # region's box is built once, not again for its runs
+    region = ct.cube_region(gaussian, 4, [[1, 1], [0, 1]])
+    built = []
+    monkeypatch.setattr(ct, "_box_rows",
+                        lambda r, real=ct._box_rows: built.append(r) or real(r))
+    ct._region_array.cache_clear()
+    res = ct.count_visible_sieve(gaussian, [origin(gaussian, 2)], 2, region)
+    assert built == [region]
+    assert res.visible_count == ct.count_visible_direct(
+        gaussian, [origin(gaussian, 2)], 2, region).visible_count
+
+
 def test_coset_pass_memory(gaussian):
     # the coset primes go in chunks whose temporaries stay under BLOCK_BYTES
     region = ct.cube_region(gaussian, 30)
@@ -430,6 +445,21 @@ def test_sieve_far_point_splits_only_divisors(gaussian, monkeypatch):
     norms = {(x - 2000) ** 2 + y ** 2 for x in range(-2, 3) for y in range(-2, 3)}
     assert sorted(split) == sorted(set().union(*map(_prime_factors, norms)))
     assert ct._prime_divisors(np.array([0, 1, 12, 49, 2 * 97])) == [2, 3, 7, 97]
+
+
+@pytest.mark.parametrize("block_bytes", [64, ct.BLOCK_BYTES])
+def test_prime_divisors_match_brute_factorization(monkeypatch, block_bytes):
+    # one prime per block, and every prime in one block: 0, 1, a square, a
+    # prime cofactor above sqrt(max), repeats and values divided many times
+    rng = random.Random(41)
+    vals = [0, 1, 97 ** 2, 2 ** 10 * 3 ** 5 * 5 ** 3, 7 ** 4 * 11 ** 2,
+            1000003, 2 * 1000003, 3 ** 14]
+    vals += [rng.randrange(2, 10 ** 7) for _ in range(200)]
+    vals += vals[::7]
+    monkeypatch.setattr(ct, "BLOCK_BYTES", block_bytes)
+    got = ct._prime_divisors(np.array(vals, dtype=np.int64))
+    assert got == sorted(set().union(*map(_prime_factors, vals)))
+    assert 1000003 in got
 
 
 def test_sieve_prime_bound_cap(gaussian, monkeypatch):
@@ -628,7 +658,7 @@ def test_ideal_count_check_matches_contains(request, fname, region):
     for P in pr.primes_up_to_norm(field, 30):
         kinds.add((P.e, P.f))
         hnf = prime_hnf(P)
-        brute = sum(1 for c in rows if il.contains(hnf, field.element(c)))
+        brute = sum(1 for c in rows if contains(hnf, field.element(c)))
         assert ct.ideal_count_check(field, P, reg).count == brute, P
     want = {"gaussian": {(2, 1), (1, 2)}, "golden": {(2, 1), (1, 2)},
             "cubic": {(2, 1), (1, 2), (1, 3)}}[fname]

@@ -11,6 +11,7 @@ from visilat import primes as pr
 from visilat.errors import CapExceeded
 
 from conftest import origin
+from oracles import zeta_recip_truncated
 
 
 def inv_zeta2():
@@ -33,7 +34,7 @@ def test_inv_zeta2_bracket(rational):
 def test_zero_certificate(rational):
     S = [il.point(rational, [[a], [b]]) for a in (0, 1) for b in (0, 1)]
     iv = dn.predicted_density(rational, S, 2, 100)
-    assert iv.lo == iv.hi == iv.mid == 0
+    assert iv.lo == iv.hi == Fraction(*iv.mid_ratio) == 0
     assert iv.zero_certificate is not None
     assert iv.zero_certificate.under_p == 2
 
@@ -50,7 +51,7 @@ def test_mid_is_mean_of_endpoints(request, fname, size):
     for X in (2, 50, 10 ** 3):
         iv = dn.predicted_density(field, S, 2, X)
         assert iv.lo == iv.hi * max(0, 1 - iv.tail)
-        assert isinstance(iv.mid, Fraction) and iv.mid == (iv.lo + iv.hi) / 2
+        assert Fraction(*iv.mid_ratio) == (iv.lo + iv.hi) / 2
 
 
 def reference_product(field, S, m, X):
@@ -112,7 +113,8 @@ def test_zero_certificate_smallest_norm_first(gaussian):
     by_p = {P.under_p: P for P in pr.primes_up_to_norm(gaussian, 9)}
     assert pr.s_of_prime(S, by_p[2]) == 1 and pr.s_of_prime(S, by_p[3]) == 81
     iv = assert_matches_reference(gaussian, S, 2, 50)
-    assert iv.zero_certificate.norm == 5 and iv.lo == iv.hi == iv.mid == 0
+    assert iv.zero_certificate.norm == 5
+    assert iv.lo == iv.hi == Fraction(*iv.mid_ratio) == 0
     # 10 (u + vi) over every residue pair mod 3: only the inert 3 certifies,
     # and it divides no difference norm, so p^m <= |S| alone finds it
     S = [[[10 * a, 10 * b], [10 * c, 10 * d]]
@@ -188,11 +190,11 @@ def test_admissible_factors(rational):
 
 
 def test_zeta_recip_truncated(rational, gaussian):
-    assert dn.zeta_recip_truncated(rational, 2, 1) == 1
-    z = dn.zeta_recip_truncated(rational, 2, 1000)
+    assert zeta_recip_truncated(rational, 2, 1) == 1
+    z = zeta_recip_truncated(rational, 2, 1000)
     assert abs(float(z) - float(inv_zeta2())) < 2e-3
     # cross-method consistency for Q(i)
-    zi = dn.zeta_recip_truncated(gaussian, 2, 1000)
+    zi = zeta_recip_truncated(gaussian, 2, 1000)
     iv = dn.predicted_density(gaussian, [origin(gaussian, 2)], 2, 1000)
     assert abs(float(zi) - float((iv.lo + iv.hi) / 2)) < 8e-3
 

@@ -8,7 +8,8 @@ from visilat import ideals as il
 from visilat import numfield as nf
 from visilat import primes as pr
 
-from conftest import origin, prime_hnf
+from conftest import origin
+from oracles import contains, ideal_mul, prime_hnf
 
 
 def test_factor_examples():
@@ -102,10 +103,11 @@ def test_split_completeness(gaussian, root2, golden, eisenstein, cubic):
         for p in (2, 3, 5, 7, 11, 13, 17, 19):
             primes = pr.split_prime(field, p)
             assert sum(P.e * P.f for P in primes) == field.degree
-            prod = il.unit_ideal(field)
+            prod = il.ideal_from_generators(
+                [field.element([1] + [0] * (field.degree - 1))])
             for P in primes:
                 for _ in range(P.e):
-                    prod = il.ideal_mul(prod, prime_hnf(P))
+                    prod = ideal_mul(prod, prime_hnf(P))
             pideal = il.ideal_from_generators(
                 [field.element([p] + [0] * (field.degree - 1))])
             assert prod == pideal
@@ -115,7 +117,7 @@ def test_prime_hnf_is_maximal(gaussian, cubic):
     for field in (gaussian, cubic):
         for p in (2, 3, 5, 7):
             for P in pr.split_prime(field, p):
-                assert il.contains(prime_hnf(P), field.element(
+                assert contains(prime_hnf(P), field.element(
                     [p] + [0] * (field.degree - 1)))
                 assert P.norm == prime_hnf(P).norm == p ** P.f
 
@@ -161,11 +163,11 @@ def test_closed_form_primes_are_ideals_of_generators(field):
     for p in SMALL_PRIMES[1:]:
         if not _disc_mod(field, p):
             continue
-        prod = il.unit_ideal(field)
+        prod = il.ideal_from_generators([field.element([1, 0])])
         for P in pr.split_prime(field, p):
             assert prime_hnf(P).norm == P.norm
             for _ in range(P.e):
-                prod = il.ideal_mul(prod, prime_hnf(P))
+                prod = ideal_mul(prod, prime_hnf(P))
         assert prod == il.ideal_from_generators([field.element([p, 0])])
 
 
@@ -228,7 +230,8 @@ def test_reduce_is_ring_hom(gaussian, cubic):
                     b = field.element([rng.randint(-9, 9)
                                        for _ in range(field.degree)])
                     ra, rb = _digits(a, P), _digits(b, P)
-                    assert _digits(a + b, P) == tuple(
+                    a_plus_b = field.element([x + y for x, y in zip(a.coords, b.coords)])
+                    assert _digits(a_plus_b, P) == tuple(
                         (x + y) % p for x, y in zip(ra, rb))
                     prod = [0] * (2 * P.f - 1)
                     for i, x in enumerate(ra):
@@ -236,7 +239,8 @@ def test_reduce_is_ring_hom(gaussian, cubic):
                             prod[i + j] += x * y
                     red = pr._pmod(tuple(c % p for c in prod), P.gpoly, p)
                     red = red + (0,) * (P.f - len(red))
-                    assert _digits(a * b, P) == red
+                    ab = field.element(nf.mul_coords(field, a.coords, b.coords))
+                    assert _digits(ab, P) == red
 
 
 def test_reduce_zero_iff_contains(gaussian):
@@ -245,7 +249,7 @@ def test_reduce_zero_iff_contains(gaussian):
         for P in pr.split_prime(gaussian, p):
             for _ in range(30):
                 a = gaussian.element((rng.randint(-15, 15), rng.randint(-15, 15)))
-                assert (not any(_digits(a, P))) == il.contains(prime_hnf(P), a)
+                assert (not any(_digits(a, P))) == contains(prime_hnf(P), a)
 
 
 @pytest.mark.parametrize("fname", ["gaussian", "golden", "cubic"])
@@ -263,7 +267,7 @@ def test_residue_ids(request, fname):
             for i, a in enumerate(rows):
                 for j, b in enumerate(rows):
                     diff = field.element([x - y for x, y in zip(a, b)])
-                    assert (ids[i] == ids[j]) == il.contains(prime_hnf(P), diff)
+                    assert (ids[i] == ids[j]) == contains(prime_hnf(P), diff)
             # rows of S far beyond int64 keep their exact class
             big = np.array([[x + rng.choice([1, -1]) * p * 2 ** 70
                              for x in r] for r in rows[:5]], dtype=object)
@@ -297,7 +301,7 @@ def test_s_of_prime_saturates_for_admissible_sets(gaussian):
     bound = max(abs(d.norm())
                 for s, t in [(S[0], S[1])]
                 for d in (gaussian.element(a) - gaussian.element(b)
-                          for a, b in zip(s, t)) if not d.is_zero())
+                          for a, b in zip(s, t)) if any(d.coords))
     for P in pr.primes_up_to_norm(gaussian, 50):
         if P.norm ** 2 > bound:
             assert pr.s_of_prime(S, P) == len(S)
