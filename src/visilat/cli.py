@@ -5,7 +5,9 @@ All structured output is JSON; `run` additionally exports CSV on request.
 Exit codes for `run`: 0 success, 1 tolerance failure, 2 invalid config, a
 file that cannot be read or written, or a cap refused part of the run (the
 partial report is still written), 3 unsupported field.  Only `count` takes
---seed, for its Monte Carlo stream; prime splitting is deterministic.
+--seed, for its Monte Carlo stream; prime splitting is deterministic.  The
+subcommands read S, parse a region, count and run the lemma check by the
+``experiment`` functions that `run` uses; only their output is their own.
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ import json
 import sys
 import time
 
-from . import counting as ct
 from . import density as dn
 from . import experiment as ex
-from . import ideals as il
 from . import primes as pr
-from .counting import DEFAULT_REGION_CAP
 from .density import decimal_str
 from .errors import ConfigError, FieldError
 from .numfield import FieldSpec, field_from_json
+
+DEFAULTS = ex.ExperimentConfig  # a flag's default is its setting's in `run`
 
 
 def _load_field(text: str) -> FieldSpec:
@@ -34,14 +35,20 @@ def _load_field(text: str) -> FieldSpec:
 
 
 def _load_points(field, args):
-    if args.s_file:
-        with open(args.s_file) as fh:
-            data = json.load(fh)
-    elif args.s:
-        data = json.loads(args.s)
-    else:
+    if not (args.s or args.s_file):
         raise ConfigError("provide S via --s or --s-file")
-    return il.point_set(field, data, args.m)
+    if args.s_file:
+        return ex.load_points(field, args.m, None, args.s_file)[0]
+    return ex.load_points(field, args.m, json.loads(args.s))[0]
+
+
+def _emit(text: str, path):
+    """Write ``text`` to the file ``path``, or print it when there is none."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def _add_field_arg(p):
@@ -73,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_arg(p)
     _add_s_args(p)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--X", type=int, default=10 ** 4)
+    p.add_argument("--X", type=int, default=DEFAULTS.X)
 
     p = sub.add_parser("count", help="count visible tuples over one region")
     _add_field_arg(p)
@@ -81,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--region", required=True, help="cube:L=20 or ball:R=30")
     p.add_argument("--mode", choices=["direct", "sieve", "mc"], default="sieve")
-    p.add_argument("--samples", type=int, default=10 ** 4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=DEFAULTS.samples)
+    p.add_argument("--seed", type=int, default=DEFAULTS.seed)
     p.add_argument("--basis-transform", help="JSON matrix, rows = new basis")
     p.add_argument("--out", help="write the report JSON here instead of stdout")
 
@@ -90,9 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_arg(p)
     _add_s_args(p)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--window-t", type=int, default=3,
+    p.add_argument("--window-t", type=int, default=DEFAULTS.oracle_window_t,
                    help="use primes above the first t rational primes")
-    p.add_argument("--crt-cap", type=int, default=ex.DEFAULT_CRT_CAP)
+    p.add_argument("--crt-cap", type=int, default=DEFAULTS.crt_cap)
 
     p = sub.add_parser("lemma-check",
                        help="ideal-point counts vs volume/N over a region")
@@ -122,11 +129,11 @@ def main(argv=None) -> int:
 # flags whose out-of-range value is refused before any work: (dest, least,
 # greatest); a norm bound or predict's X is a prime sieve of that many bytes,
 # and Monte Carlo holds samples * m points, each bounded like a region
-RANGES = {"primes": [("max_norm", 2, DEFAULT_REGION_CAP)],
-          "count": [("samples", 100, DEFAULT_REGION_CAP)],
-          "lemma-check": [("max_prime_norm", 2, DEFAULT_REGION_CAP)],
+RANGES = {"primes": [("max_norm", 2, DEFAULTS.region_cap)],
+          "count": [("samples", 100, DEFAULTS.region_cap)],
+          "lemma-check": [("max_prime_norm", 2, DEFAULTS.region_cap)],
           "oracle": [("window_t", 1, None), ("crt_cap", 1, ex.MAX_CRT_CAP)],
-          "predict": [("X", 2, DEFAULT_REGION_CAP)]}
+          "predict": [("X", 2, DEFAULTS.region_cap)]}
 
 
 def _dispatch(args) -> int:
@@ -136,8 +143,21 @@ def _dispatch(args) -> int:
             raise ConfigError(f"{flag} must be >= {lo}")
         if hi is not None and value > hi:
             raise ConfigError(f"{flag} must be <= {hi}")
+    if args.cmd == "run":
+        with open(args.config) as fh:
+            raw = json.load(fh)
+        cfg = ex.load_config(raw)
+        report = ex.run_experiment(cfg)
+        _emit(ex.report_json(report), args.out or cfg.out)
+        if args.csv:
+            ex.emit_csv(report, args.csv)
+        if any("error" in row for row in report["counts"] + [
+                report["oracle"] or {}, report["lemma_check"] or {}]):
+            return 2  # a cap refused some computation; partial report kept
+        return 1 if report["failed"] else 0
+
+    f = _load_field(args.field)
     if args.cmd == "field":
-        f = _load_field(args.field)
         print(json.dumps({
             "kind": f.kind,
             "degree": f.degree,
@@ -148,7 +168,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "primes":
-        f = _load_field(args.field)
         for P in pr.primes_up_to_norm(f, args.max_norm):
             print(json.dumps({"norm": P.norm, "p": P.under_p, "f": P.f,
                               "e": P.e, "g": list(P.gpoly)},
@@ -156,38 +175,25 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "predict":
-        f = _load_field(args.field)
         S = _load_points(f, args)
         iv = dn.predicted_density(f, S, args.m, args.X)
         print(json.dumps(ex.prediction_to_json(iv), sort_keys=True))
         return 0
 
     if args.cmd == "count":
-        f = _load_field(args.field)
         S = _load_points(f, args)
         T = json.loads(args.basis_transform) if args.basis_transform else None
         region = ex.parse_region_arg(f, args.region, basis_transform=T)
         t0 = time.perf_counter()
-        if args.mode == "direct":
-            res = ct.count_visible_direct(f, S, args.m, region)
-        elif args.mode == "sieve":
-            res = ct.count_visible_sieve(f, S, args.m, region)
-        else:
-            res = ct.mc_estimate(f, S, args.m, region, args.samples,
-                                 args.seed)
+        res = ex.count_region(f, S, args.m, region, args.mode, args.samples,
+                              args.seed)
         wall = time.perf_counter() - t0
         row = ex.count_to_json(res, None, 0.0)
         row["wall_time_s"] = round(wall, 6)
-        text = json.dumps(row, sort_keys=True, indent=2)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _emit(json.dumps(row, sort_keys=True, indent=2), args.out)
         return 0
 
     if args.cmd == "oracle":
-        f = _load_field(args.field)
         S = _load_points(f, args)
         ed = dn.window_density(f, S, args.m, args.window_t, args.crt_cap)
         print(json.dumps({"num": str(ed.value.numerator),
@@ -195,10 +201,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "lemma-check":
-        f = _load_field(args.field)
         region = ex.parse_region_arg(f, args.region)
-        for P in pr.primes_up_to_norm(f, args.max_prime_norm):
-            chk = ct.ideal_count_check(f, P, region)
+        for P, chk in ex.lemma_checks(f, region, args.max_prime_norm):
             print(json.dumps({
                 "p": P.under_p, "g": list(P.gpoly), "norm": P.norm,
                 "count": chk.count,
@@ -207,26 +211,6 @@ def _dispatch(args) -> int:
                 "normalized_error": format(chk.normalized_error, ".12g"),
             }, sort_keys=True))
         return 0
-
-    if args.cmd == "run":
-        with open(args.config) as fh:
-            raw = json.load(fh)
-        cfg = ex.load_config(raw)
-        if args.out:
-            cfg.out = args.out
-        report = ex.run_experiment(cfg)
-        text = ex.report_json(report)
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        if args.csv:
-            ex.emit_csv(report, args.csv)
-        if any("error" in row for row in report["counts"] + [
-                report["oracle"] or {}, report["lemma_check"] or {}]):
-            return 2  # a cap refused some computation; partial report kept
-        return 1 if report["failed"] else 0
 
     raise ConfigError(f"unknown command {args.cmd}")
 

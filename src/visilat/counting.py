@@ -227,12 +227,8 @@ def count_visible_direct(field: FieldSpec, S, m: int, region: Region,
     held.  No prime ideal is consulted, which keeps this count an
     independent check on the sieve.
     """
-    S = _check_inputs(field, S, m, region)
-    coords = region_coords(region, region_cap)
+    S, coords, total = _tuple_space(field, S, m, region, region_cap, tuple_cap)
     W = len(coords)
-    total = W ** m
-    if total > tuple_cap:
-        raise CapExceeded("tuple space exceeds cap", estimate=total)
     visible = 0
     for lo in range(0, total, il.CHUNK):
         idx = np.unravel_index(np.arange(lo, min(lo + il.CHUNK, total)),
@@ -268,12 +264,8 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
     W^(m-1).  A B whose square root exceeds ``region_cap`` is refused before
     any norm is factored or prime is split.
     """
-    S = _check_inputs(field, S, m, region)
-    coords = region_coords(region, region_cap)
+    S, coords, total = _tuple_space(field, S, m, region, region_cap, tuple_cap)
     W = len(coords)
-    total = W ** m
-    if total > tuple_cap:
-        raise CapExceeded("tuple space exceeds cap", estimate=total)
 
     norms = [np.abs(il.difference_norms(field, coords, key))
              for key in set(map(tuple, S.reshape(-1, field.degree).tolist()))]
@@ -458,7 +450,7 @@ def ideal_count_check(field: FieldSpec, P: pr.PrimeIdeal, region: Region,
     for balls and by (2L/N^(1/n) + 1)^(n-1) for cubes, the shape the
     counting bound says is O(1) uniformly in the prime and the region size.
     """
-    if P.field != field:
+    if P.field != field or region.field != field:
         raise ValueError("mismatched field")
     coords = region_coords(region, region_cap)
     count = sum(int((pr.residue_ids(P, coords[lo:lo + 2 ** 14]) == 0).sum())
@@ -474,6 +466,18 @@ def ideal_count_check(field: FieldSpec, P: pr.PrimeIdeal, region: Region,
         denom = (2 * radius_ratio + 1) ** (n - 1)
     return IdealCountCheck(count=count, main_term=main, error=error,
                            normalized_error=float(error) / denom)
+
+
+def _tuple_space(field: FieldSpec, S, m: int, region: Region, region_cap: int,
+                 tuple_cap: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """S checked, the region's rows and W^m, for an exact count of region^m;
+    a W^m over ``tuple_cap`` is refused."""
+    S = _check_inputs(field, S, m, region)
+    coords = region_coords(region, region_cap)
+    total = len(coords) ** m
+    if total > tuple_cap:
+        raise CapExceeded("tuple space exceeds cap", estimate=total)
+    return S, coords, total
 
 
 def _check_inputs(field: FieldSpec, S, m: int, region: Region) -> np.ndarray:

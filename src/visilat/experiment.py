@@ -26,14 +26,15 @@ from .errors import CapExceeded, ConfigError
 from .numfield import FieldSpec, as_int, as_real, field_from_json
 
 VALID_MODES = ("predict", "direct", "sieve", "mc", "oracle", "lemma-check")
-DEFAULT_TOLERANCE = 0.02
 # the oracle holds one byte per cell of the CRT state space, twice over
 MAX_CRT_CAP = 10 ** 9
+# X's prime sieve takes X bytes, so at most 64 MiB
+MAX_REGION_CAP = 2 ** 26
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Validated experiment description; the defaults of `run` and the flags."""
 
     field: FieldSpec
     field_json: dict
@@ -45,7 +46,7 @@ class ExperimentConfig:
     modes: tuple[str, ...] = ("predict", "sieve")
     seed: int = 0
     samples: int = 10 ** 4
-    tolerance: float = DEFAULT_TOLERANCE
+    tolerance: float = 0.02
     out: Optional[str] = None
     region_cap: int = DEFAULT_REGION_CAP
     tuple_cap: int = DEFAULT_TUPLE_CAP
@@ -83,26 +84,15 @@ def load_config(data: dict) -> ExperimentConfig:
     if not isinstance(m, int) or m < 2:
         raise ConfigError("m must be an integer >= 2")
 
-    if "s_file" in data:
-        with open(data["s_file"]) as fh:
-            s_json = json.load(fh)
-    else:
-        s_json = data.get("s")
-    if not s_json:
-        raise ConfigError("S must be nonempty (inline 's' or 's_file')")
-    try:
-        S = il.point_set(field, s_json, m)
-    except ValueError as exc:
-        raise ConfigError(f"bad S: {exc}")
-    if len(S) < len(s_json):
-        warnings.warn("duplicate points in S were dropped", stacklevel=2)
+    S, s_json = load_points(field, m, data.get("s"), data.get("s_file"))
 
     raw_regions = data.get("regions")
     if not raw_regions:
         raise ConfigError("region schedule must be nonempty")
     regions = [parse_region_dict(field, r) for r in raw_regions]
 
-    modes = data.get("modes", ["predict", "sieve"])
+    D = ExperimentConfig  # the default of each setting left out
+    modes = data.get("modes", list(D.modes))
     if not isinstance(modes, list):
         raise ConfigError("modes must be a JSON list")
     bad = [mo for mo in modes if mo not in VALID_MODES]
@@ -116,17 +106,17 @@ def load_config(data: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(
             field=field, field_json=fjson, m=m, S=S, s_json=s_json,
             regions=regions,
-            X=as_int(data.get("X", 10 ** 4)),
+            X=as_int(data.get("X", D.X)),
             modes=tuple(modes),
-            seed=as_int(data.get("seed", 0)),
-            samples=as_int(data.get("samples", 10 ** 4)),
-            tolerance=float(as_real(data.get("tolerance", DEFAULT_TOLERANCE))),
+            seed=as_int(data.get("seed", D.seed)),
+            samples=as_int(data.get("samples", D.samples)),
+            tolerance=float(as_real(data.get("tolerance", D.tolerance))),
             out=data.get("out"),
-            region_cap=as_int(caps.get("region", DEFAULT_REGION_CAP)),
-            tuple_cap=as_int(caps.get("tuple", DEFAULT_TUPLE_CAP)),
-            crt_cap=as_int(caps.get("crt", DEFAULT_CRT_CAP)),
-            oracle_window_t=as_int(data.get("oracle_window_t", 3)),
-            lemma_max_prime_norm=as_int(data.get("lemma_max_prime_norm", 30)),
+            region_cap=as_int(caps.get("region", D.region_cap)),
+            tuple_cap=as_int(caps.get("tuple", D.tuple_cap)),
+            crt_cap=as_int(caps.get("crt", D.crt_cap)),
+            oracle_window_t=as_int(data.get("oracle_window_t", D.oracle_window_t)),
+            lemma_max_prime_norm=as_int(data.get("lemma_max_prime_norm", D.lemma_max_prime_norm)),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         # null, a list, a non-numeric string, a bool, a fraction for an
@@ -135,7 +125,9 @@ def load_config(data: dict) -> ExperimentConfig:
                           f"and lemma_max_prime_norm must be numbers: {exc}"
                           ) from None
     # refused here: a run would fail on each only after its counts
-    for bad, says in ((cfg.X < 2, "X must be >= 2"),
+    for bad, says in ((cfg.region_cap > MAX_REGION_CAP,
+                       f"caps.region must be <= {MAX_REGION_CAP}"),
+                      (cfg.X < 2, "X must be >= 2"),
                       # the prime sieve behind the product takes X bytes
                       (cfg.X > cfg.region_cap,
                        f"X must be <= caps.region = {cfg.region_cap}"),
@@ -159,6 +151,22 @@ def load_config(data: dict) -> ExperimentConfig:
     return cfg
 
 
+def load_points(field: FieldSpec, m: int, s_json, s_file=None):
+    """S and its JSON, read from the file ``s_file`` if given, else ``s_json``."""
+    if s_file is not None:
+        with open(s_file) as fh:
+            s_json = json.load(fh)
+    if not s_json:
+        raise ConfigError("S must be nonempty (inline 's' or 's_file')")
+    try:
+        S = il.point_set(field, s_json, m)
+    except ValueError as exc:
+        raise ConfigError(f"bad S: {exc}")
+    if len(S) < len(s_json):
+        warnings.warn("duplicate points in S were dropped", stacklevel=3)
+    return S, s_json
+
+
 def parse_region_dict(field: FieldSpec, r: dict) -> Region:
     try:
         shape = r["shape"]
@@ -169,24 +177,23 @@ def parse_region_dict(field: FieldSpec, r: dict) -> Region:
             return ct.ball_region(field, r["R"], basis_transform=T)
     except ConfigError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"bad region {r}: missing key {exc}")
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad region {r}: {exc}")
     raise ConfigError(f"unknown region shape {shape!r}")
 
 
 def parse_region_arg(field: FieldSpec, text: str,
                      basis_transform=None) -> Region:
-    """Parse CLI region syntax 'cube:L=20' or 'ball:R=30'."""
+    """Parse CLI region syntax 'cube:L=20' or 'ball:R=30' by ``parse_region_dict``."""
     try:
         shape, assign = text.split(":", 1)
         key, value = assign.split("=", 1)
     except ValueError:
         raise ConfigError(f"bad region syntax {text!r}")
-    if shape == "cube" and key == "L":
-        return ct.cube_region(field, value, basis_transform)
-    if shape == "ball" and key == "R":
-        return ct.ball_region(field, value, basis_transform)
-    raise ConfigError(f"bad region syntax {text!r}")
+    return parse_region_dict(field, {"shape": shape, key: value,
+                                     "basis_transform": basis_transform})
 
 
 # ----------------------------------------------------------------------
@@ -267,18 +274,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 continue
             t0 = time.perf_counter()
             try:
-                if mode == "direct":
-                    res = ct.count_visible_direct(
-                        cfg.field, cfg.S, cfg.m, region,
-                        region_cap=cfg.region_cap, tuple_cap=cfg.tuple_cap)
-                elif mode == "sieve":
-                    res = ct.count_visible_sieve(
-                        cfg.field, cfg.S, cfg.m, region,
-                        region_cap=cfg.region_cap, tuple_cap=cfg.tuple_cap)
-                else:
-                    res = ct.mc_estimate(
-                        cfg.field, cfg.S, cfg.m, region, cfg.samples,
-                        cfg.seed)
+                res = count_region(cfg.field, cfg.S, cfg.m, region, mode,
+                                   cfg.samples, cfg.seed, cfg.region_cap,
+                                   cfg.tuple_cap)
             except CapExceeded as exc:
                 # keep partial results; the report carries the failure
                 report["counts"].append({"region": region.label(),
@@ -308,6 +306,24 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return report
 
 
+def count_region(field: FieldSpec, S, m: int, region: Region, mode: str,
+                 samples: int, seed: int, region_cap: int = DEFAULT_REGION_CAP,
+                 tuple_cap: int = DEFAULT_TUPLE_CAP) -> ct.CountResult:
+    """Count region^m by ``mode``: "direct", "sieve" or "mc" (uncapped)."""
+    if mode == "direct":
+        return ct.count_visible_direct(field, S, m, region, region_cap, tuple_cap)
+    if mode == "sieve":
+        return ct.count_visible_sieve(field, S, m, region, region_cap, tuple_cap)
+    return ct.mc_estimate(field, S, m, region, samples, seed)
+
+
+def lemma_checks(field: FieldSpec, region: Region, max_prime_norm: int,
+                 region_cap: int = DEFAULT_REGION_CAP):
+    """(P, its ``ideal_count_check``) for each P of norm <= ``max_prime_norm``."""
+    for P in pr.primes_up_to_norm(field, max_prime_norm):
+        yield P, ct.ideal_count_check(field, P, region, region_cap)
+
+
 def _oracle(cfg: ExperimentConfig) -> dict:
     """Window product against the CRT oracle over the first t primes."""
     ed = dn.window_density(cfg.field, cfg.S, cfg.m, cfg.oracle_window_t,
@@ -328,9 +344,8 @@ def _lemma_check(cfg: ExperimentConfig) -> dict:
     rows = []
     worst = 0.0
     for region in cfg.regions:
-        for P in pr.primes_up_to_norm(cfg.field, cfg.lemma_max_prime_norm):
-            chk = ct.ideal_count_check(cfg.field, P, region,
-                                       region_cap=cfg.region_cap)
+        for P, chk in lemma_checks(cfg.field, region, cfg.lemma_max_prime_norm,
+                                   cfg.region_cap):
             worst = max(worst, chk.normalized_error)
             rows.append({"region": region.label(), "p": P.under_p,
                          "g": list(P.gpoly), "norm": P.norm,

@@ -118,11 +118,14 @@ def test_lemma_check_subcommand(capsys):
     assert all("normalized_error" in r for r in rows)
 
 
-def test_bad_region_syntax(capsys):
+@pytest.mark.parametrize("region, says", [
+    ("pyramid:Z=3", "unknown region shape"), ("cube:R=3", "missing key 'L'"),
+    ("cube3", "bad region syntax")])
+def test_bad_region_syntax(capsys, region, says):
     code, _, err = run_cli(capsys, "count", "--field", RATIONAL, "--m", "2",
-                           "--s", "[[[0],[0]]]", "--region", "pyramid:Z=3")
+                           "--s", "[[[0],[0]]]", "--region", region)
     assert code == 2
-    assert "invalid configuration" in err
+    assert "invalid configuration" in err and says in err
 
 
 def base_config(tmp_path, **over):
@@ -450,13 +453,44 @@ def test_run_bool_or_nonfinite_number_exit2(capsys, tmp_path, key, value):
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("T", ["[[1.5,0],[0,1]]", "[[true,0],[0,1]]"])
-def test_count_basis_transform_not_integer_exit2(capsys, T):
+# a transform that is not a matrix of integers is refused as in a config
+@pytest.mark.parametrize("T, says", [
+    ("[[1.5,0],[0,1]]", "not an integer"), ("[[true,0],[0,1]]", "not an integer"),
+    ("5", "bad region"), ("[1,2]", "bad region"), ("[[1,0],[0,null]]", "bad region"),
+    ("[[1,0],[0,[1]]]", "bad region")])
+def test_count_bad_basis_transform_exit2(capsys, T, says):
     code, out, err = run_cli(capsys, "count", "--field", GAUSSIAN, "--m", "2",
                              "--s", "[[[0,0],[0,0]]]", "--region", "cube:L=3",
                              "--basis-transform", T)
-    assert code == 2 and out == ""
-    assert err.startswith("invalid configuration: ") and "not an integer" in err
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("invalid configuration: ") and says in err
+
+
+def test_subcommands_match_run(capsys, tmp_path):
+    # count and lemma-check give run's rows: one S loader, region parser,
+    # count dispatch and lemma loop serve both
+    s, region = "[[[0,0],[0,0]],[[1,2],[-1,1]]]", "ball:R=4"
+    cfg = base_config(tmp_path, field=json.loads(GAUSSIAN), s=json.loads(s),
+                      regions=[{"shape": "ball", "R": 4}], samples=300, seed=5,
+                      modes=["direct", "sieve", "mc", "lemma-check"],
+                      lemma_max_prime_norm=13)
+    code, _, _ = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [r["mode"] for r in report["counts"]] == ["direct", "sieve", "mc"]
+    for want in report["counts"]:
+        code, out, _ = run_cli(capsys, "count", "--field", GAUSSIAN, "--m", "2",
+                               "--s", s, "--region", region, "--mode", want["mode"],
+                               "--samples", "300", "--seed", "5")
+        row = json.loads(out)
+        del row["wall_time_s"]
+        assert code == 0 and row == want
+    code, out, _ = run_cli(capsys, "lemma-check", "--field", GAUSSIAN,
+                           "--region", region, "--max-prime-norm", "13")
+    keys = ("p", "g", "norm", "count")
+    got = [tuple(json.loads(line)[k] for k in keys) for line in out.splitlines()]
+    want = [tuple(r[k] for k in keys) for r in report["lemma_check"]["rows"]]
+    assert code == 0 and got == want and len(got) == 6
 
 
 # settings out of range are refused when the config loads: a run would fail
@@ -481,12 +515,16 @@ LATE_FAILURES = [({"seed": -1, "modes": ["mc"]}, "seed must lie in [0, 2^128)"),
                   "X must be <= caps.region = 1000"),
                  # the oracle would hold that many bytes of CRT cells
                  ({"caps": {"crt": 10 ** 20}, "modes": ["oracle"]},
-                  "caps.crt must be <= 1000000000")]
+                  "caps.crt must be <= 1000000000"),
+                 # X's prime sieve would be bounded by that cap alone
+                 ({"X": 10 ** 20, "caps": {"region": 10 ** 21}, "modes": ["predict"]},
+                  "caps.region must be <= 67108864")]
 
 
 @pytest.mark.parametrize("over, says", LATE_FAILURES, ids=[
     "seed-negative", "seed-2^128", "samples", "samples-10^12", "window", "lemma-bound",
-    "lemma-bound-10^20", "X-10^20", "X-over-region-cap", "crt-cap-10^20"])
+    "lemma-bound-10^20", "X-10^20", "X-over-region-cap", "crt-cap-10^20",
+    "region-cap-10^21"])
 def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
     cfg = base_config(tmp_path, **over)
     with pytest.raises(ConfigError) as exc:
@@ -497,6 +535,11 @@ def test_run_out_of_range_setting_exit2(capsys, tmp_path, over, says):
     assert err.startswith("invalid configuration: ") and err.count("\n") == 1
     assert says in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_run_region_cap_at_its_bound_loads(tmp_path):
+    cfg = ex.load_config(base_config(tmp_path, caps={"region": 2 ** 26}))
+    assert cfg.region_cap == ex.MAX_REGION_CAP == 2 ** 26
 
 
 @pytest.mark.parametrize("argv, says", [

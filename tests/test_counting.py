@@ -645,6 +645,12 @@ def test_ideal_count_check_examples(rational, gaussian):
         ct.ideal_count_check(rational, onepi, ct.cube_region(rational, 10))
 
 
+def test_ideal_count_check_refuses_region_of_other_field(gaussian, sqrt_m7):
+    P = pr.split_prime(gaussian, 5)[0]
+    with pytest.raises(ValueError, match="mismatched field"):
+        ct.ideal_count_check(gaussian, P, ct.cube_region(sqrt_m7, 10))
+
+
 @pytest.mark.parametrize("fname, region", [
     ("gaussian", ("ball", 6)), ("golden", ("cube", 5)), ("cubic", ("cube", 4))],
     ids=["gaussian", "golden", "cubic"])
