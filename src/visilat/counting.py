@@ -267,7 +267,7 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
     S, coords, total = _tuple_space(field, S, m, region, region_cap, tuple_cap)
     W = len(coords)
 
-    norms = [np.abs(il.difference_norms(field, coords, key))
+    norms = [il.ideal_index(field, coords[:, None], key)
              for key in set(map(tuple, S.reshape(-1, field.degree).tolist()))]
     B = max(1, *(int(N.max()) for N in norms))
     if math.isqrt(B) > region_cap:
@@ -448,7 +448,8 @@ def ideal_count_check(field: FieldSpec, P: pr.PrimeIdeal, region: Region,
     ``pr.residue_ids`` is 0, taken 2^14 rows at a time so that no temporary
     grows with the region.  The normalized error divides by (R/N^(1/n))^(n-1)
     for balls and by (2L/N^(1/n) + 1)^(n-1) for cubes, the shape the
-    counting bound says is O(1) uniformly in the prime and the region size.
+    counting bound says is O(1) uniformly in the prime and the region size;
+    it is inf when that divisor underflows to 0.0 on a tiny ball.
     """
     if P.field != field or region.field != field:
         raise ValueError("mismatched field")
@@ -464,8 +465,9 @@ def ideal_count_check(field: FieldSpec, P: pr.PrimeIdeal, region: Region,
         denom = radius_ratio ** (n - 1)
     else:
         denom = (2 * radius_ratio + 1) ** (n - 1)
+    normalized = float(error) / denom if denom else math.inf
     return IdealCountCheck(count=count, main_term=main, error=error,
-                           normalized_error=float(error) / denom)
+                           normalized_error=normalized)
 
 
 def _tuple_space(field: FieldSpec, S, m: int, region: Region, region_cap: int,

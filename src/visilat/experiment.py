@@ -86,7 +86,9 @@ def load_config(data: dict) -> ExperimentConfig:
 
     S, s_json = load_points(field, m, data.get("s"), data.get("s_file"))
 
-    raw_regions = data.get("regions")
+    raw_regions = data.get("regions", [])
+    if not isinstance(raw_regions, list):
+        raise ConfigError("regions must be a JSON list")
     if not raw_regions:
         raise ConfigError("region schedule must be nonempty")
     regions = [parse_region_dict(field, r) for r in raw_regions]
@@ -102,6 +104,9 @@ def load_config(data: dict) -> ExperimentConfig:
     caps = data.get("caps", {})
     if not isinstance(caps, dict):
         raise ConfigError("caps must be a JSON object")
+    out = data.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError("out must be a JSON string or null")
     try:
         cfg = ExperimentConfig(
             field=field, field_json=fjson, m=m, S=S, s_json=s_json,
@@ -111,7 +116,7 @@ def load_config(data: dict) -> ExperimentConfig:
             seed=as_int(data.get("seed", D.seed)),
             samples=as_int(data.get("samples", D.samples)),
             tolerance=float(as_real(data.get("tolerance", D.tolerance))),
-            out=data.get("out"),
+            out=out,
             region_cap=as_int(caps.get("region", D.region_cap)),
             tuple_cap=as_int(caps.get("tuple", D.tuple_cap)),
             crt_cap=as_int(caps.get("crt", D.crt_cap)),

@@ -1,17 +1,19 @@
-"""Point sets, the mutual-visibility test, and ideals in Hermite normal form.
+"""Point sets, the ideal-index kernel, and ideals in Hermite normal form.
+
+One kernel, ``ideal_index``, computes the index |O/(d_1, ..., d_r)| of the
+ideal a few differences generate, for a whole batch of lanes at once.  The
+ideal is the Z-span of the r*n rows d_i * e_j, and the index of a full-rank
+sublattice of Z^n is the gcd of the n x n minors of any generating matrix;
+the gcd is 0 only when every d_i is 0.  Visibility asks whether the index is
+1, the sieve's prime bound takes it with r = 1 (|N(d)|), and ``predict``'s
+difference-ideal lemma takes it over the pairs of S.
 
 ``ideal_from_generators`` builds the ideal a list of elements generates as a
 canonical upper-triangular integer matrix whose rows generate it as a
 Z-module over the field basis: positive diagonal, entries above the diagonal
-reduced into [0, diag of their column).  Canonical form makes equality exact
-matrix equality and the norm the diagonal product.  The reference product
-and membership test that tests check it against live in ``tests/oracles.py``.
-
-Visibility is decided by one batched kernel, ``visible_mask``, instead of an
-HNF per tuple.  The ideal (d_1, ..., d_m) is the Z-span of the m*n rows
-d_i * e_j, and the index of a full-rank sublattice of Z^n is the gcd of the
-n x n minors of any generating matrix.  So the differences generate O
-exactly when that gcd is 1; it is 0 only when every d_i is 0.
+reduced into [0, diag of their column).  No command runs it: it is the
+independent reference the tests check the kernel against, with the product
+and membership test in ``tests/oracles.py``.
 
 Points are coordinate vectors over the field basis, and S is one read-only
 (k, m, n) array from ``point_set``; callers pass the field along with it.
@@ -176,17 +178,9 @@ def visible_mask(field: FieldSpec, z: np.ndarray, S: np.ndarray) -> np.ndarray:
     """For each lane z[k] of a (lanes, m, n) integer array: is it in V(S)?
 
     S is a ``point_set`` array (k, m, n).  Lanes are tested ``CHUNK`` at a
-    time and only while still visible from the points of S tested so far.
-    The arithmetic is int64 when the entries' bound proves every minor and
-    partial sum fits, else exact Python integers (``dtype=object``); the
-    code is the same either way.
+    time and only while still visible from the points of S tested so far;
+    a lane sees s when ``ideal_index`` of its differences is 1.
     """
-    dtype, T = _exact_dtype(field, z, S.flat)
-    z, S = z.astype(dtype, copy=False), S.astype(dtype, copy=False)
-    m, n = S.shape[1:]
-    blocks = [tuple(range(i * n, (i + 1) * n)) for i in range(m)]
-    minors = blocks + [c for c in itertools.combinations(range(m * n), n)
-                       if c not in blocks]
     ok = np.ones(len(z), dtype=bool)
     for lo in range(0, len(z), CHUNK):
         part = ok[lo:lo + CHUNK]  # a view: writes land in ok
@@ -194,35 +188,52 @@ def visible_mask(field: FieldSpec, z: np.ndarray, S: np.ndarray) -> np.ndarray:
             live = np.flatnonzero(part)
             if not len(live):
                 break
-            part[live] = _unit_ideal_lanes(z[lo + live] - s, T, minors)
+            part[live] = ideal_index(field, z[lo + live], s) == 1
     return ok
 
 
-def difference_norms(field: FieldSpec, z: np.ndarray,
-                     s: Sequence[int]) -> np.ndarray:
-    """N(z[k] - s) for every row of a (lanes, n) integer array, exactly: the
-    kernel's block minor, under its int64 rule, else on Python integers."""
-    dtype, T = _exact_dtype(field, z, s)
-    d = z.astype(dtype) - np.array(s, dtype=dtype)
-    return _det(np.tensordot(d, T, axes=([1], [0])), range(field.degree))
+def ideal_index(field: FieldSpec, z: np.ndarray, s) -> np.ndarray:
+    """The index |O/I| of the ideal I = (z_1 - s_1, ..., z_r - s_r) for each
+    lane z[k] of a (lanes, r, n) integer array; s broadcasts against z (one
+    point, or one per lane).
 
-
-def _exact_dtype(field: FieldSpec, z: np.ndarray, s_entries):
-    """The dtype for the minors of differences z - s (int64 when n! E^n <
-    2^63, else ``object``) and T in that dtype.
-
-    E = (max|z| + max|s|) max_{j,k} sum_a |T[a][j][k]| bounds every entry
-    sum_a d[a] T[a][j][k] of a multiplication row, so E^n bounds every
-    Leibniz term of a minor and n! E^n every partial sum.
+    I is the Z-span of the r*n rows (z_i - s_i) e_j, and the index is the
+    gcd of their n x n minors: 0 when every difference is 0, |N(z_1 - s_1)|
+    when r = 1.  The block minors (+-N(z_i - s_i)) come first, then the
+    mixed ones; a lane leaves as soon as its gcd reaches 1.  The arithmetic
+    is int64 when n! E^n < 2^63, else exact Python integers (``dtype=object``,
+    as is the result); E = (max|z| + max|s|) max_{j,k} sum_a |T[a][j][k]|
+    bounds every entry of a row, so E^n bounds every Leibniz term of a minor
+    and n! E^n every partial sum.
     """
-    n = field.degree
+    k, r, n = z.shape
     T = np.array(field.mult_tensor, dtype=object)
+    s = np.array(s, dtype=object)
     # min/max as Python ints: -(-2^63) does not wrap
     zmax = max(-int(z.min(initial=0)), int(z.max(initial=0)))
-    smax = max(map(abs, s_entries), default=0)
-    E = (zmax + smax) * int(np.abs(T).sum(axis=0).max())
+    E = (zmax + max(map(abs, s.flat), default=0)) * int(np.abs(T).sum(axis=0).max())
     dtype = np.int64 if math.factorial(n) * E ** n < 2 ** 63 else object
-    return dtype, T.astype(dtype)
+    d = z.astype(dtype, copy=False) - s.astype(dtype)
+    rows = np.tensordot(d, T.astype(dtype), axes=([2], [0])).reshape(k, r * n, n)
+    out = np.ones(k, dtype=dtype)  # a lane that leaves has index 1
+    g = np.zeros(k, dtype=dtype)
+    left = np.arange(k)
+    for rs in _minors(r, n):
+        g = np.gcd(g, _det(rows, rs))
+        more = g != 1
+        rows, g, left = rows[more], g[more], left[more]
+        if not len(left):
+            break
+    out[left] = g
+    return out
+
+
+@lru_cache(maxsize=None)
+def _minors(r: int, n: int) -> tuple:
+    """The row sets of the n x n minors of r blocks of n rows, blocks first."""
+    blocks = [tuple(range(i * n, (i + 1) * n)) for i in range(r)]
+    return tuple(blocks + [c for c in itertools.combinations(range(r * n), n)
+                           if c not in blocks])
 
 
 def _det(rows: np.ndarray, rs) -> np.ndarray:
@@ -236,24 +247,3 @@ def _leibniz(n: int) -> tuple:
     """The terms (sign, permutation) of an n x n determinant."""
     return tuple(((-1) ** sum(a > b for a, b in itertools.combinations(p, 2)), p)
                  for p in itertools.permutations(range(n)))
-
-
-def _unit_ideal_lanes(d: np.ndarray, T: np.ndarray, minors) -> np.ndarray:
-    """Whether each lane's differences d[k] (m x n) generate O.
-
-    Row j of block i is d_i * e_j.  The block minors (+-N(d_i)) come first,
-    then the mixed ones; a lane leaves as soon as its gcd reaches 1.
-    """
-    k, m, n = d.shape
-    rows = np.tensordot(d, T, axes=([2], [0])).reshape(k, m * n, n)
-    g = np.zeros(k, dtype=d.dtype)
-    left = np.arange(k)
-    for rs in minors:
-        g = np.gcd(g, _det(rows, rs))
-        more = g != 1
-        rows, g, left = rows[more], g[more], left[more]
-        if not len(left):
-            break
-    out = np.ones(k, dtype=bool)
-    out[left] = False
-    return out

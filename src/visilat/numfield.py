@@ -55,10 +55,11 @@ class FieldSpec:
 
     @property
     def discriminant(self) -> int:
-        """disc(f) = (-1)^(n(n-1)/2) N(f'(theta)) of the power basis."""
+        """disc(f) = (-1)^(n(n-1)/2) N(f'(theta)) of the power basis; f' has
+        degree n - 1, so its coefficients are f'(theta)'s coordinates."""
         f, n = self.gen_minpoly, self.degree
         fprime = [i * f[i] for i in range(1, n + 1)]
-        return (-1) ** (n * (n - 1) // 2) * element_from_poly(self, fprime).norm()
+        return (-1) ** (n * (n - 1) // 2) * norm_of_coords(self, fprime)
 
     def element(self, coords: Sequence[int]) -> "AlgInt":
         coords = tuple(as_int(c) for c in coords)
@@ -259,13 +260,6 @@ def _power_basis_tensor(minpoly: tuple[int, ...]) -> tuple:
     powers = _theta_powers(minpoly, 2 * n - 1)
     return tuple(tuple(tuple(powers[i + j]) for j in range(n))
                  for i in range(n))
-
-
-def element_from_poly(field: FieldSpec, coeffs: Sequence[int]) -> AlgInt:
-    """Evaluate an integer polynomial (constant first) at the basis generator."""
-    powers = _theta_powers(field.gen_minpoly, len(coeffs))
-    return AlgInt(field, tuple(sum(c * pw[k] for c, pw in zip(coeffs, powers))
-                               for k in range(field.degree)))
 
 
 # ----------------------------------------------------------------------

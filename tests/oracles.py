@@ -1,10 +1,14 @@
 """Reference implementations the tests check the program against.
 
 None of these runs in a `visilat` command: the HNF product of two ideals,
-exact ideal membership, the Moebius sum for 1/zeta_K(s), and a prime ideal
-P = (p, g(theta)) rebuilt as an HNF from its splitting data.
+exact ideal membership, the Moebius sum for 1/zeta_K(s), a polynomial
+evaluated at the basis generator, a prime ideal P = (p, g(theta)) rebuilt as
+an HNF from its splitting data, and the difference-ideal norm product built
+from one HNF per pair of points.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 from visilat import ideals as il
@@ -68,8 +72,22 @@ def zeta_recip_truncated(field, s: int, X: int) -> Fraction:
     return total
 
 
+def element_from_poly(field, coeffs):
+    """Evaluate an integer polynomial (constant first) at the basis generator."""
+    powers = nf._theta_powers(field.gen_minpoly, len(coeffs))
+    return nf.AlgInt(field, tuple(sum(c * pw[k] for c, pw in zip(coeffs, powers))
+                                  for k in range(field.degree)))
+
+
 def prime_hnf(P):
     """(p, g(theta)) built by the reference HNF, apart from the splitting."""
     p, n = P.under_p, P.field.degree
     return il.ideal_from_generators([P.field.element([p] + [0] * (n - 1)),
-                                     nf.element_from_poly(P.field, P.gpoly)])
+                                     element_from_poly(P.field, P.gpoly)])
+
+
+def difference_norm_product(field, S):
+    """The product of N(D_st) over the pairs of S, one HNF per pair."""
+    diffs = ([field.element(a) - field.element(b) for a, b in zip(s, t)]
+             for s, t in itertools.combinations(S, 2))
+    return math.prod(il.ideal_from_generators(d).norm for d in diffs)

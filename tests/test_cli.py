@@ -10,6 +10,7 @@ from visilat import density as dn
 from visilat import experiment as ex
 from visilat import ideals as il
 from visilat import numfield as nf
+from visilat import primes as pr
 from visilat.errors import ConfigError
 
 
@@ -116,6 +117,26 @@ def test_lemma_check_subcommand(capsys):
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert [r["norm"] for r in rows] == [2, 5, 5, 9]
     assert all("normalized_error" in r for r in rows)
+
+
+@pytest.mark.filterwarnings("ignore:.*class-number-one")
+def test_lemma_check_tiny_ball_is_inf(capsys, tmp_path):
+    # the normalized error's divisor underflows to 0.0 on both doors
+    cubic = '{"kind":"monogenic","minpoly":[-1,-1,0,1]}'
+    for field, R in ((cubic, "1e-200"), (GAUSSIAN, "1e-400")):
+        code, out, err = run_cli(capsys, "lemma-check", "--field", field, "--region",
+                                 f"ball:R={R}", "--max-prime-norm", "5")
+        assert code == 0 and "Traceback" not in err
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert rows and all(r["normalized_error"] == "inf" for r in rows)
+    cfg = base_config(tmp_path, field=json.loads(GAUSSIAN), s=[[[0, 0], [0, 0]]],
+                      regions=[{"shape": "ball", "R": "1e-400"}],
+                      modes=["lemma-check"], lemma_max_prime_norm=5)
+    code, _, err = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+    assert code == 0 and "Traceback" not in err
+    report = json.loads((tmp_path / "report.json").read_text())
+    rows = report["lemma_check"]["rows"]
+    assert rows and all(r["normalized_error"] == "inf" for r in rows)
 
 
 @pytest.mark.parametrize("region, says", [
@@ -369,12 +390,21 @@ BAD_NUMBERS = {"X": None, "seed": [1], "samples": None, "tolerance": [0.1],
                "caps.region": None, "caps.tuple": [1], "caps.crt": "many"}
 
 
+# settings that are not numbers, of the wrong JSON type
+BAD_KINDS = {"regions=5": "regions must be a JSON list",
+             "regions=true": "regions must be a JSON list",
+             'regions="cube"': "regions must be a JSON list",
+             "out=true": "out must be a JSON string or null",
+             "out=5": "out must be a JSON string or null",
+             "out=[1]": "out must be a JSON string or null"}
+
+
 @pytest.mark.parametrize("case, says", [
     ("config", "no-such-dir"), ("s_file", "no-such-dir"),
     ("csv", "no-such-dir"), ("out", "no-such-dir"),
     ("caps", "caps must be a JSON object"),
     ("modes", "modes must be a JSON list")] + [
-    (key, "must be numbers") for key in BAD_NUMBERS])
+    (key, "must be numbers") for key in BAD_NUMBERS] + list(BAD_KINDS.items()))
 def test_run_bad_input_exit2(capsys, tmp_path, case, says):
     # each input error gives one "invalid configuration" line, not a crash
     missing = str(tmp_path / "no-such-dir" / "file")
@@ -391,6 +421,9 @@ def test_run_bad_input_exit2(capsys, tmp_path, case, says):
         cfg["caps"] = [1, 2]
     elif case == "modes":
         cfg["modes"] = "sieve"
+    elif case in BAD_KINDS:
+        key, value = case.split("=")
+        cfg[key] = json.loads(value)
     elif case in BAD_NUMBERS:
         *caps, key = case.split(".")
         (cfg.setdefault("caps", {}) if caps else cfg)[key] = BAD_NUMBERS[case]
@@ -491,6 +524,24 @@ def test_subcommands_match_run(capsys, tmp_path):
     got = [tuple(json.loads(line)[k] for k in keys) for line in out.splitlines()]
     want = [tuple(r[k] for k in keys) for r in report["lemma_check"]["rows"]]
     assert code == 0 and got == want and len(got) == 6
+
+
+def test_no_command_builds_an_hnf(capsys, tmp_path, monkeypatch):
+    # the HNF engine is the tests' reference; every mode takes ideal_index
+    def boom(*args):
+        raise AssertionError("an HNF was built")
+
+    monkeypatch.setattr(il, "ideal_from_generators", boom)
+    monkeypatch.setattr(pr, "ideal_from_generators", boom)
+    cfg = base_config(tmp_path, field={"kind": "quadratic", "d": -7},
+                      s=[[[0, 0], [0, 0]], [[1, 2], [-1, 1]], [[2, 0], [0, 2]]],
+                      regions=[{"shape": "cube", "L": 3}], samples=300,
+                      modes=list(ex.VALID_MODES), lemma_max_prime_norm=11)
+    code, _, err = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+    assert code == 0, err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [r["mode"] for r in report["counts"]] == ["direct", "sieve", "mc"]
+    assert report["prediction"] and report["oracle"] and report["lemma_check"]["rows"]
 
 
 # settings out of range are refused when the config loads: a run would fail

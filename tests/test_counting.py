@@ -517,17 +517,17 @@ def test_prime_norm_bound_matches_rows(request, fname):
     for region in regions:
         coords = ct.region_coords(region)
         for key in keys:
-            norms = il.difference_norms(field, coords, key)
+            norms = il.ideal_index(field, coords[:, None], key)
             assert norms.dtype == (object if region.basis_transform else np.int64)
             assert norms.tolist() == [
-                nf.norm_of_coords(field, [x - y for x, y in zip(c, key)])
+                abs(nf.norm_of_coords(field, [x - y for x, y in zip(c, key)]))
                 for c in coords.tolist()]
         want = _norm_bound_by_rows(field, S, coords)
         if region.basis_transform is None:
             assert ct.count_visible_sieve(field, S, 2, region).prime_norm_bound == want
         else:
             # a B this large cannot be sieved with: the sieve's max, taken here
-            assert want == max(int(np.abs(il.difference_norms(field, coords, key)).max())
+            assert want == max(int(il.ideal_index(field, coords[:, None], key).max())
                                for key in keys)
 
 
@@ -643,6 +643,16 @@ def test_ideal_count_check_examples(rational, gaussian):
 
     with pytest.raises(ValueError):
         ct.ideal_count_check(rational, onepi, ct.cube_region(rational, 10))
+
+
+@pytest.mark.parametrize("fname, R", [("cubic", "1e-200"), ("gaussian", "1e-400")])
+def test_ideal_count_check_tiny_ball(request, fname, R):
+    # (R / N^(1/n))^(n-1) underflows to 0.0: the normalized error is inf
+    field = request.getfixturevalue(fname)
+    for P in pr.primes_up_to_norm(field, 5):
+        chk = ct.ideal_count_check(field, P, ct.ball_region(field, R))
+        assert chk.count == 1 and chk.error == 1 - chk.main_term
+        assert chk.normalized_error == math.inf
 
 
 def test_ideal_count_check_refuses_region_of_other_field(gaussian, sqrt_m7):

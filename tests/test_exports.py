@@ -14,7 +14,8 @@ GONE = [(il, "unit_ideal"), (il, "ideal_sum"), (il, "ideal_mul"),
         (il, "contains"), (dn, "zeta_recip_truncated"),
         (dn.PredictionInterval, "mid"), (nf.AlgInt, "__add__"),
         (nf.AlgInt, "__neg__"), (nf.AlgInt, "__mul__"),
-        (nf.AlgInt, "is_zero"), (nf.FieldSpec, "zero"), (nf.FieldSpec, "one")]
+        (nf.AlgInt, "is_zero"), (nf.FieldSpec, "zero"), (nf.FieldSpec, "one"),
+        (nf, "element_from_poly")]
 
 
 def test_all_names_resolve():

@@ -148,7 +148,7 @@ KERNEL_FIELDS = [("rational", {}), ("quadratic", {"d": -1}),
                  ("monogenic", {"minpoly": [-1, -1, 0, 1]})]
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("kind,kw", KERNEL_FIELDS)
 def test_kernel_matches_hnf(kind, kw, m, monkeypatch):
     with warnings.catch_warnings():
@@ -158,13 +158,14 @@ def test_kernel_matches_hnf(kind, kw, m, monkeypatch):
     # a tiny chunk makes the lanes below straddle several chunk boundaries
     monkeypatch.setattr(il, "CHUNK", 7)
     dtypes = []
-    kernel = il._unit_ideal_lanes
+    kernel = il.ideal_index
 
-    def spy(d, *args):
-        dtypes.append(d.dtype)
-        return kernel(d, *args)
+    def spy(*args):
+        out = kernel(*args)
+        dtypes.append(out.dtype)
+        return out
 
-    monkeypatch.setattr(il, "_unit_ideal_lanes", spy)
+    monkeypatch.setattr(il, "ideal_index", spy)
     rng = random.Random(f"{kind}{kw}{m}")
 
     def multiples(g, size):
@@ -186,19 +187,24 @@ def test_kernel_matches_hnf(kind, kw, m, monkeypatch):
             diffs += [multiples(g, 3), multiples(one, 6)]
             if base:  # int64 minors of these would overflow
                 diffs.append(multiples(g, base >> 2))
-        lanes = [[[a + b for a, b in zip(d, c)] for d, c in zip(lane, s)]
-                 for lane in diffs]
+        lanes = np.array([[[a + b for a, b in zip(d, c)] for d, c in zip(lane, s)]
+                          for lane in diffs], dtype=object)
         x = il.point(field, s)
         del dtypes[:]
-        got = il.visible_mask(field, np.array(lanes, dtype=object),
-                              il.point_set(field, [x], m))
-        want = [il.ideal_from_generators(
-            [field.element(d) for d in lane]).norm == 1 for lane in diffs]
-        assert got.tolist() == want
+        got = il.visible_mask(field, lanes, il.point_set(field, [x], m))
+        want = [il.ideal_from_generators([field.element(d) for d in lane]).norm
+                for lane in diffs]
+        assert got.tolist() == [w == 1 for w in want]
         assert not got[0]
-        assert 0 < sum(want) < len(want)
         assert len(dtypes) == -(-len(lanes) // 7)
         assert set(dtypes) == {np.dtype(object if base else np.int64)}
+        index = kernel(field, lanes, x)
+        assert index.tolist() == want
+        assert index[0] == 0 and len(set(want)) > 3
+        if m == 1:  # the index is |N|; a random element is seldom a unit
+            assert want == [abs(nf.norm_of_coords(field, d)) for (d,) in diffs]
+        else:
+            assert 0 < sum(got) < len(want)
 
 
 def test_is_visible_from_all(rational):

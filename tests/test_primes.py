@@ -9,7 +9,7 @@ from visilat import numfield as nf
 from visilat import primes as pr
 
 from conftest import origin
-from oracles import contains, ideal_mul, prime_hnf
+from oracles import contains, difference_norm_product, ideal_mul, prime_hnf
 
 
 def test_factor_examples():
@@ -345,6 +345,39 @@ def test_difference_lemma_matches_s_of_prime(request, fname):
     assert _lemma_s(dup, plist) == _lemma_s(S3[:2], plist)
     for S in split:
         assert sorted(_lemma_s(S, pr.split_prime(field, 5))) == [1, 2]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kind, kw", [
+    ("rational", {}), ("quadratic", {"d": -1}),
+    ("monogenic", {"minpoly": [-1, -1, 0, 1]}), ("monogenic", {"minpoly": [1, 0, 0, 0, 1]})],
+    ids=["degree1", "degree2", "degree3", "degree4"])
+def test_difference_norm_product_matches_hnf(kind, kw, m):
+    # the kernel's one call over the pairs of S against one HNF per pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = nf.make_field(kind, **kw)
+    n = field.degree
+    rng = random.Random(f"{kind}{kw}{m}")
+
+    def near(a, g):
+        """a + g c for a random cofactor c: differences lie in (g)."""
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        return [x + y for x, y in zip(a, nf.mul_coords(field, g, c))]
+
+    wants = []
+    for base in (0, 2 ** 40):  # near 2^40 a degree >= 2 takes the object path
+        for k in (2, 3, 4):
+            g = [rng.randint(1, 3)] + [rng.randint(-1, 1) for _ in range(n - 1)]
+            a = [[base + rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            S = [[near(r, g) for r in a] for _ in range(k)]
+            want = difference_norm_product(field, S)
+            assert pr.difference_norm_product(field, S) == want
+            wants.append(want)
+        assert pr.difference_norm_product(field, S + S[:1]) == 0
+    assert len(set(wants)) > 3
+    lanes = np.array(S[:2], dtype=object)
+    assert il.ideal_index(field, lanes, S[2]).dtype == (object if n > 1 else np.int64)
 
 
 def test_split_refuses_a_non_divisor(cubic, monkeypatch):
