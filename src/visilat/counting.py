@@ -11,8 +11,8 @@ block), and a Monte Carlo estimator (the same kernel on uniform samples)
 for regions beyond enumeration caps.  The direct count never touches prime
 ideals or residues, so sieve == direct is an independent check and must
 hold exactly.  The lemma check counts the points of a prime ideal in a
-region by the same residue ids as the sieve.  Each count takes S as
-anything ``ideals.point_set`` accepts.
+region in closed form, run by run of the last coordinate, and never builds
+the rows.  Each count takes S as anything ``ideals.point_set`` accepts.
 """
 
 from __future__ import annotations
@@ -150,50 +150,53 @@ class IdealCountCheck:
 
 def region_coords(region: Region,
                   region_cap: int = DEFAULT_REGION_CAP) -> np.ndarray:
-    """The region's coordinate vectors as a read-only ``(W, n)`` int64 array.
+    """The region's rows, lexicographic in the untransformed coordinates, as
+    a read-only ``(W, n)`` int64 array, after ``_check_cap``; the latest
+    region's is cached (callers loop region-major)."""
+    _check_cap(region, region_cap)
+    return _region_array(region)
 
-    Rows are in lexicographic order of the untransformed coordinates; the
-    cap is checked on an upper bound of W before anything is built.  For a
-    ball it is V_n (R + sqrt(n)/2)^n, as the disjoint unit cubes centred on
-    the points all lie in that ball; sqrt(n)/2 is rounded up and the floor
-    gets 1 added, so rounding cannot undercount.
-    The array of the latest region is cached (callers loop region-major).
-    """
+
+def _check_cap(region: Region, region_cap: int) -> None:
+    """Refuse, before anything is built, a region whose bound on W passes the
+    cap: for a ball V_n (R + sqrt(n)/2)^n, as the disjoint unit cubes centred
+    on the points lie in that ball (sqrt(n)/2 rounded up, the floor + 1)."""
     n = region.field.degree
     half_diag = Fraction(math.isqrt(n * 10 ** 8) + 1, 2 * 10 ** 4)
     est = ((2 * region.L + 1) ** n if region.shape == "cube" else
            math.floor(_ball_volume_unit(n) * (region.size + half_diag) ** n) + 1)
     if est > region_cap:
         raise CapExceeded("region exceeds enumeration cap", estimate=est)
-    return _region_array(region)[0]
 
 
 @lru_cache(maxsize=1)
-def _region_array(region: Region) -> tuple[np.ndarray, tuple]:
-    rows, runs = _box_rows(region)
-    pts = _transform(region, rows)
+def _region_array(region: Region) -> np.ndarray:
+    pts = _transform(region, _run_rows(*_region_runs(region)))
     pts.flags.writeable = False
-    return pts, runs
+    return pts
 
 
-def _box_rows(region: Region) -> tuple[np.ndarray, tuple]:
-    # one coordinate at a time, in lexicographic order: each prefix is
-    # followed by c = -b..b, with b = L in a cube and b = isqrt(floor(R^2)
-    # - |prefix|^2) in a ball, so no row is built only to be dropped.  The
-    # last pass's prefixes (u_1, ..., u_(n-1)) head the runs u_n = -h..h of
-    # the rows, h = b, returned with the rows as (prefix, h, start)
+@lru_cache(maxsize=1)
+def _region_runs(region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """The region's rows as runs (prefix, h) of the last coordinate: run i is
+    the rows (prefix[i], -h[i]..h[i]) in lexicographic order (n = 1: one run,
+    empty prefix).  A prefix grown one coordinate at a time is followed by
+    c = -b..b, b = L in a cube and isqrt(floor(R^2) - |prefix|^2) in a ball."""
     r2 = int(region.size ** 2)
-    pts = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(region.field.degree):
-        sq, inv = np.unique((pts * pts).sum(axis=1), return_inverse=True)
-        b = np.array([region.L if region.shape == "cube" else
+    pre = np.zeros((1, 0), dtype=np.int64)
+    while True:
+        sq, inv = np.unique((pre * pre).sum(axis=1), return_inverse=True)
+        h = np.array([region.L if region.shape == "cube" else
                       math.isqrt(r2 - s) for s in sq.tolist()], dtype=np.int64)[inv]
-        k = 2 * b + 1
-        start = np.cumsum(k) - k
-        c = np.arange(k.sum()) - np.repeat(start + b, k)
-        runs = (pts, b, start)
-        pts = np.column_stack([np.repeat(pts, k, axis=0), c])
-    return pts, runs
+        if pre.shape[1] == region.field.degree - 1:
+            return pre, h
+        pre = _run_rows(pre, h)
+
+
+def _run_rows(pre: np.ndarray, h: np.ndarray) -> np.ndarray:
+    k = 2 * h + 1
+    c = np.arange(k.sum()) - np.repeat(np.cumsum(k) - h - 1, k)
+    return np.column_stack([np.repeat(pre, k, axis=0), c])
 
 
 def _transform(region: Region, pts: np.ndarray) -> np.ndarray:
@@ -211,6 +214,17 @@ def _transform(region: Region, pts: np.ndarray) -> np.ndarray:
         raise CapExceeded("basis transform would overflow int64",
                           estimate=bound)
     return pts @ np.array(T, dtype=np.int64)
+
+
+def _reduced_basis(region: Region, P: pr.PrimeIdeal):
+    """rho' = T rho mod p, n rows of f residues, rho = ``pr.reduction_rows(P)``:
+    a row u . T of the region lies in the class sum_l u_l rho'_l of O/P."""
+    rho = pr.reduction_rows(P)
+    if region.basis_transform is None:
+        return rho
+    T = _transform(region, np.eye(len(rho), dtype=np.int64)).tolist()
+    return [[sum(a * r[k] for a, r in zip(row, rho)) % P.under_p
+             for k in range(P.f)] for row in T]
 
 
 # ----------------------------------------------------------------------
@@ -355,31 +369,30 @@ def _selections(region: Region, plist, targets: np.ndarray):
     with residue targets[., r] mod the prime of slot i.  Slots hold the
     scanned primes, then the coset primes, each in the order of ``plist``.
 
-    A degree-1 P reduces a row u . T to u . rho' mod p, where rho' = T rho and
-    rho is column 0 of ``pr.reduction_rows(P)``.  The rows are runs u_n =
-    -h..h after a prefix (u_1, ..., u_(n-1)).  When p > 2b + 1 (|u_n| <= b)
+    A degree-1 P reduces a row u . T to u . rho' mod p, rho' column 0 of
+    ``_reduced_basis``.  The rows are the runs u_n = -h..h after a prefix
+    (u_1, ..., u_(n-1)) of ``_region_runs``.  When p > 2b + 1 (|u_n| <= b)
     and rho'_n is a unit, a run holds at most one row of class t: u_n =
     rho'_n^-1 (t - sum_(i<n) rho'_i u_i) mod p, if it lies in [-h, h], at
-    index start + h + u_n.  Chunks of these keep their temporaries under
-    ``BLOCK_BYTES``; other primes compare ``residue_ids`` over the region.
+    index mid + u_n (mid: the run's row u_n = 0).  Chunks of these keep
+    their temporaries under ``BLOCK_BYTES``; other primes compare
+    ``residue_ids`` over the region.
     """
-    coords, (pre, h, start) = _region_array(region)
+    coords, (pre, h) = _region_array(region), _region_runs(region)
     b, n, K = region.L, region.field.degree, targets.shape[1]
-    T, served, rho = region.basis_transform, [], []
+    served, rho = [], []
     for i, P in enumerate(plist):
-        p, r = P.under_p, [row[0] for row in pr.reduction_rows(P)]
-        if T is not None:
-            r = [sum(a * x for a, x in zip(row, r)) for row in T]
+        p, r = P.under_p, [row[0] for row in _reduced_basis(region, P)]
         # int64 holds every product below while n p^2 < 2^62
-        if P.f == 1 and p > 2 * b + 1 and r[-1] % p and n * p * p < 2 ** 62:
+        if P.f == 1 and p > 2 * b + 1 and r[-1] and n * p * p < 2 ** 62:
             served.append(i)
-            rho.append([x % p for x in r[:-1]] + [pow(r[-1], -1, p), p])
+            rho.append(r[:-1] + [pow(r[-1], -1, p), p])
     scan = sorted(set(range(len(plist))) - set(served))
     for a, i in enumerate(scan):
         g, row = np.nonzero(pr.residue_ids(plist[i], coords) == targets[i][:, None])
         yield g + a * K, row
     rho = np.array(rho, dtype=np.int64).reshape(-1, n + 1)
-    M = len(start)
+    M, mid = len(h), np.cumsum(2 * h + 1) - h - 1
     step = max(1, BLOCK_BYTES // (64 * K * M))
     for lo in range(0, len(rho), step):
         r, t = rho[lo:lo + step], targets[served[lo:lo + step]]
@@ -387,7 +400,7 @@ def _selections(region: Region, plist, targets: np.ndarray):
         # u_n shifted into [-h, p - h), so u_n <= h keeps it
         u = (inv * ((t[:, :, None] - (r[:, :n - 1] @ pre.T)[:, None, :]) % p) + h) % p - h
         at, c = np.nonzero((u <= h).reshape(-1, M))
-        yield (len(scan) + lo) * K + at, start[c] + h[c] + u.reshape(-1, M)[at, c]
+        yield (len(scan) + lo) * K + at, mid[c] + u.reshape(-1, M)[at, c]
 
 
 # ----------------------------------------------------------------------
@@ -443,28 +456,33 @@ def ideal_count_check(field: FieldSpec, P: pr.PrimeIdeal, region: Region,
                       region_cap: int = DEFAULT_REGION_CAP) -> IdealCountCheck:
     """Count |P ∩ region| and compare with volume/N(P).
 
-    a lies in P exactly when its residue id is 0 (the id packs the digits of
-    a mod P base p), so the count is the rows of ``region_coords`` whose
-    ``pr.residue_ids`` is 0, taken 2^14 rows at a time so that no temporary
-    grows with the region.  The normalized error divides by (R/N^(1/n))^(n-1)
-    for balls and by (2L/N^(1/n) + 1)^(n-1) for cubes, the shape the
-    counting bound says is O(1) uniformly in the prime and the region size;
-    it is inf when that divisor underflows to 0.0 on a tiny ball.
+    Run by run of ``_region_runs``, with no rows built: u . T lies in P when
+    c + u_n v = 0 in F_p^f (c = sum_(l<n) u_l rho'_l, v = rho'_n, from
+    ``_reduced_basis``).  If c + tau v = 0, a run adds its u_n = tau mod q in
+    [-h, h]: tau := -c_j / v_j mod q = p for a v_j != 0, and tau = 0 mod q = 1
+    (all 2h + 1) if v = 0.  Sums stay below n (p-1)^2: int64 if that fits.
+    The normalized error divides by (R/N^(1/n))^(n-1) for balls and by
+    (2L/N^(1/n) + 1)^(n-1) for cubes, the shape the counting bound says is
+    O(1) uniformly in the prime and the region size; it is inf when that
+    divisor underflows to 0.0 on a tiny ball.
     """
     if P.field != field or region.field != field:
         raise ValueError("mismatched field")
-    coords = region_coords(region, region_cap)
-    count = sum(int((pr.residue_ids(P, coords[lo:lo + 2 ** 14]) == 0).sum())
-                for lo in range(0, len(coords), 2 ** 14))
-    n = field.degree
-    vol = region.volume()
-    main = vol / P.norm
+    _check_cap(region, region_cap)
+    p, n = P.under_p, field.degree
+    dt = np.int64 if n * (p - 1) ** 2 < 2 ** 63 else object
+    rho = np.array(_reduced_basis(region, P), dtype=dt)
+    pre, h = _region_runs(region)
+    c, v = pre % np.array(p, dtype=dt) @ rho[:-1] % p, rho[-1]
+    j = np.flatnonzero(v)[:1]
+    q, tau = (p, -c[:, j[0]] * pow(int(v[j[0]]), -1, p) % p) if len(j) else (1, 0 * h)
+    hit = ((c + tau[:, None] * v) % p == 0).all(axis=1)
+    count = int(((h - tau) // q - (-h - 1 - tau) // q)[hit].sum())
+    main = region.volume() / P.norm
     error = abs(Fraction(count) - main)
     radius_ratio = float(region.size) / P.norm ** (1.0 / n)
-    if region.shape == "ball":
-        denom = radius_ratio ** (n - 1)
-    else:
-        denom = (2 * radius_ratio + 1) ** (n - 1)
+    denom = (radius_ratio if region.shape == "ball" else
+             2 * radius_ratio + 1) ** (n - 1)
     normalized = float(error) / denom if denom else math.inf
     return IdealCountCheck(count=count, main_term=main, error=error,
                            normalized_error=normalized)

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -238,7 +239,7 @@ def _minors(r: int, n: int) -> tuple:
 
 def _det(rows: np.ndarray, rs) -> np.ndarray:
     """Leibniz determinant of the rows ``rs`` of each lane of (lanes, *, n)."""
-    return sum(sign * np.prod([rows[:, r, c] for r, c in zip(rs, p)], axis=0)
+    return sum(sign * reduce(operator.mul, (rows[:, r, c] for r, c in zip(rs, p)))
                for sign, p in _leibniz(rows.shape[2]))
 
 

@@ -8,10 +8,11 @@ tuples, constant term first, coefficients in [0, p).  A prime ideal is
 reads its p, f = deg g, e and residue map, and never its Z-basis.
 
 ``residue_ids`` is the one encoder of coordinates as residues mod P:
-``s_of_prime``, the sieve, the CRT oracle and the lemma check (a lies in P
-exactly when its id is 0) use it.  The sieve's coset pass solves the same
-degree-1 map, column 0 of ``reduction_rows``, for rows, with targets from
-``residue_ids``.  The Euler product needs it only at primes above a p
+``s_of_prime``, the sieve and the CRT oracle use it (a lies in P exactly
+when its id is 0).  The sieve's coset pass solves the same degree-1 map,
+column 0 of ``reduction_rows``, for rows, with targets from
+``residue_ids``, and the lemma check counts the solutions of the whole map
+run by run.  The Euler product needs it only at primes above a p
 dividing ``difference_norm_product``; s(P) = |S| at all others.
 """
 

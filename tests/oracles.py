@@ -3,14 +3,15 @@
 None of these runs in a `visilat` command: the HNF product of two ideals,
 exact ideal membership, the Moebius sum for 1/zeta_K(s), a polynomial
 evaluated at the basis generator, a prime ideal P = (p, g(theta)) rebuilt as
-an HNF from its splitting data, and the difference-ideal norm product built
-from one HNF per pair of points.
+an HNF from its splitting data, the difference-ideal norm product built
+from one HNF per pair of points, and |P ∩ region| by a scan of every row.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+from visilat import counting as ct
 from visilat import ideals as il
 from visilat import numfield as nf
 from visilat import primes as pr
@@ -91,3 +92,8 @@ def difference_norm_product(field, S):
     diffs = ([field.element(a) - field.element(b) for a, b in zip(s, t)]
              for s, t in itertools.combinations(S, 2))
     return math.prod(il.ideal_from_generators(d).norm for d in diffs)
+
+
+def ideal_count(P, region):
+    """|P ∩ region|: the rows of ``region_coords`` whose residue id is 0."""
+    return int((pr.residue_ids(P, ct.region_coords(region)) == 0).sum())

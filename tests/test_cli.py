@@ -544,6 +544,23 @@ def test_no_command_builds_an_hnf(capsys, tmp_path, monkeypatch):
     assert report["prediction"] and report["oracle"] and report["lemma_check"]["rows"]
 
 
+def test_lemma_check_builds_no_rows(capsys, tmp_path, monkeypatch):
+    # the lemma check counts over the runs of the last coordinate alone
+    def boom(region):
+        raise AssertionError("the region's rows were built")
+
+    monkeypatch.setattr(ct, "_region_array", boom)
+    cfg = base_config(tmp_path, field={"kind": "monogenic", "minpoly": [-1, -1, 0, 1]},
+                      s=[[[0, 0, 0], [0, 0, 0]]], modes=["lemma-check"],
+                      regions=[{"shape": "cube", "L": 6}, {"shape": "ball", "R": 7}],
+                      lemma_max_prime_norm=30)
+    code, _, err = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+    assert code == 0, err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(report["lemma_check"]["rows"]) == 2 * len(pr.primes_up_to_norm(
+        nf.make_field("monogenic", minpoly=[-1, -1, 0, 1]), 30))
+
+
 # settings out of range are refused when the config loads: a run would fail
 # on them only after the prediction and counts
 LATE_FAILURES = [({"seed": -1, "modes": ["mc"]}, "seed must lie in [0, 2^128)"),

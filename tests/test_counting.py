@@ -17,7 +17,7 @@ from visilat import primes as pr
 from visilat.errors import CapExceeded
 
 from conftest import origin
-from oracles import contains, prime_hnf
+from oracles import contains, ideal_count, prime_hnf
 
 
 def test_enumerate_examples(rational, gaussian):
@@ -144,7 +144,7 @@ def test_degree6_ball_within_default_cap(monkeypatch):
     # x^6 - x - 1, R = 8: 1 395 261 points, a third of the default cap
     region = ct.ball_region(_x_n_minus_x_minus_1(6), 8)
     assert _ball_count(6, 8) == 1395261
-    monkeypatch.setattr(ct, "_region_array", lambda r: ("built", None))
+    monkeypatch.setattr(ct, "_region_array", lambda r: "built")
     assert ct.region_coords(region) == "built"
     with pytest.raises(CapExceeded) as err:
         ct.region_coords(region, region_cap=1395260)
@@ -390,16 +390,15 @@ def test_coset_rows_equal_residue_scan(gaussian, cubic, monkeypatch, block):
         assert len(scanned) < len(plist)
 
 
-def test_sieve_enumerates_a_sheared_cube_once(gaussian, monkeypatch):
-    # the run table of the coset pass comes with the rows, so a transformed
-    # region's box is built once, not again for its runs
+def test_sieve_enumerates_a_sheared_cube_once(gaussian):
+    # the rows are built from the cached run table of the coset pass, so a
+    # transformed region's runs and rows are each built once
     region = ct.cube_region(gaussian, 4, [[1, 1], [0, 1]])
-    built = []
-    monkeypatch.setattr(ct, "_box_rows",
-                        lambda r, real=ct._box_rows: built.append(r) or real(r))
     ct._region_array.cache_clear()
+    ct._region_runs.cache_clear()
     res = ct.count_visible_sieve(gaussian, [origin(gaussian, 2)], 2, region)
-    assert built == [region]
+    assert ct._region_runs.cache_info().misses == 1
+    assert ct._region_array.cache_info().misses == 1
     assert res.visible_count == ct.count_visible_direct(
         gaussian, [origin(gaussian, 2)], 2, region).visible_count
 
@@ -682,13 +681,48 @@ def test_ideal_count_check_matches_contains(request, fname, region):
 
 
 def test_ideal_count_check_spans_blocks(gaussian):
-    # 141^2 = 19 881 rows: more than one block of 2^14
+    # 141^2 = 19 881 rows in 141 runs, against the scan of every row
     cube = ct.cube_region(gaussian, 70)
-    coords = ct.region_coords(cube)
-    assert len(coords) > 2 ** 14
+    assert len(ct.region_coords(cube)) > 2 ** 14
     for P in pr.primes_up_to_norm(gaussian, 30):
-        whole = int((pr.residue_ids(P, coords) == 0).sum())
-        assert ct.ideal_count_check(gaussian, P, cube).count == whole, P
+        assert ct.ideal_count_check(gaussian, P, cube).count == ideal_count(P, cube), P
+
+
+def test_ideal_count_check_matches_scan():
+    # the closed form over the runs against the scan of every row: f = 1, 2,
+    # 3, ramified primes, v = rho'_n = 0 mod p ((5, theta) in Q(sqrt-5), (2,
+    # theta) for x^3 - 2, and a transform whose last row P contains), cubes,
+    # balls with R < 1 and R = 2.5, and seeded unimodular transforms
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fields = [nf.make_field("rational")] + [
+            nf.make_field("quadratic", d=d) for d in (-1, -5, 2)] + [
+            nf.make_field("monogenic", minpoly=f)
+            for f in ([-1, -1, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1])]
+    rng = random.Random(1951)
+    kinds, zero_v = set(), 0
+    for field in fields:
+        n = field.degree
+        for P in pr.primes_up_to_norm(field, 30):
+            kinds.add((P.e, P.f))
+            # upper unitriangular with small entries: unimodular
+            T = [[int(i == j) or (rng.randint(-3, 3) if j > i else 0)
+                  for j in range(n)] for i in range(n)]
+            regions = [ct.cube_region(field, rng.randint(1, 5)),
+                       ct.ball_region(field, "0.7"), ct.ball_region(field, "2.5"),
+                       ct.cube_region(field, rng.randint(1, 4), T),
+                       ct.ball_region(field, rng.randint(2, 6), T)]
+            if P.f == 1 and n > 1:
+                # last row e_n - rho_n e_1: its residue is 0 mod P
+                T0 = [[int(i == j) for j in range(n)] for i in range(n)]
+                T0[-1][0] = -pr.reduction_rows(P)[-1][0]
+                regions.append(ct.ball_region(field, 4, T0))
+            for region in regions:
+                zero_v += not any(ct._reduced_basis(region, P)[-1])
+                assert (ct.ideal_count_check(field, P, region).count
+                        == ideal_count(P, region)), (P, region)
+    assert {(1, 1), (2, 1), (1, 2), (1, 3), (3, 1)} <= kinds
+    assert zero_v >= 20
 
 
 def test_basis_transform_counts(gaussian):
