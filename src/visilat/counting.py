@@ -3,16 +3,16 @@
 Three routes: a direct count (exact: every tuple of region^m, chunk by
 chunk, through the batched gcd-of-minors kernel ``ideals.visible_mask``), a
 prime-ideal sieve (exact: it splits only the primes dividing a norm of a
-difference between the region and S; a degree-1 prime finds the rows of a
-residue class by coset arithmetic, any other prime by scanning residue ids;
-each class keeps its last coordinates as a W-bit set, and every prefix of
-the other coordinates counts the union of its classes' sets, block by
-block), and a Monte Carlo estimator (the same kernel on uniform samples)
-for regions beyond enumeration caps.  The direct count never touches prime
-ideals or residues, so sieve == direct is an independent check and must
-hold exactly.  The lemma check counts the points of a prime ideal in a
-region in closed form, run by run of the last coordinate, and never builds
-the rows.  Each count takes S as anything ``ideals.point_set`` accepts.
+difference between the region and S; each residue class of S keeps its
+last coordinates as a W-bit set, and every prefix of the other coordinates
+counts the union of its classes' sets, block by block), and a Monte Carlo
+estimator (the same kernel on uniform samples) for regions beyond
+enumeration caps.  The direct count never touches prime ideals or
+residues, so sieve == direct is an independent check and must hold
+exactly.  One closed form, run by run of the last coordinate, finds a
+residue class's rows mod any prime: the sieve expands it for the classes
+of S, and the lemma check sums it for the class of 0, the points of the
+prime.  Each count takes S as anything ``ideals.point_set`` accepts.
 """
 
 from __future__ import annotations
@@ -216,15 +216,51 @@ def _transform(region: Region, pts: np.ndarray) -> np.ndarray:
     return pts @ np.array(T, dtype=np.int64)
 
 
-def _reduced_basis(region: Region, P: pr.PrimeIdeal):
-    """rho' = T rho mod p, n rows of f residues, rho = ``pr.reduction_rows(P)``:
-    a row u . T of the region lies in the class sum_l u_l rho'_l of O/P."""
-    rho = pr.reduction_rows(P)
-    if region.basis_transform is None:
-        return rho
-    T = _transform(region, np.eye(len(rho), dtype=np.int64)).tolist()
-    return [[sum(a * r[k] for a, r in zip(row, rho)) % P.under_p
-             for k in range(P.f)] for row in T]
+def _reduced_basis(region: Region, plist, S: np.ndarray):
+    """(p, rho', t) for the primes of plist, stacked: rho' = T rho mod p, n
+    rows, and t = S rho mod p, a row per point of the (K, n) array S, each
+    of F residues, rho = ``pr.reduction_rows(P)`` padded with zeros to the
+    largest f.  A row u . T of the region lies in the class sum_l u_l
+    rho'_l of O/P.  T and S are reduced mod p first; a region coordinate is
+    at most b = L in size, so every sum of products of ``_class_runs`` stays
+    under n (p-1) max(p-1, b): int64 while that fits, else Python integers."""
+    n, F, p = region.field.degree, max(P.f for P in plist), [P.under_p for P in plist]
+    dt = np.int64 if n * (max(p) - 1) * max(max(p) - 1, region.L) < 2 ** 63 else object
+    p = np.array(p, dtype=dt)[:, None, None]
+    rho = np.zeros((len(plist), n, F), dtype=dt)
+    for i, P in enumerate(plist):
+        rho[i, :, :P.f] = pr.reduction_rows(P)
+    TS = np.concatenate((_transform(region, np.eye(n, dtype=np.int64)), S))
+    red = (TS % p).astype(dt) @ rho % p
+    return p, red[:, :n], red[:, n:]
+
+
+def _class_runs(region: Region, plist, S: np.ndarray):
+    """(u0, q, count): the rows of run r of ``_region_runs`` in the class t
+    of S[k] mod plist[i] are count of its u_n, from u0 in steps of q, with
+    u0 and count at [i, k, r] and q at [i].
+
+    They are the u_n in [-h, h] with c + u_n v = t in F_p^f, c = sum_(l<n)
+    u_l rho'_l and v = rho'_n (``_reduced_basis``).  If v != 0, q = p and
+    tau = (t_j - c_j) / v_j for its first v_j != 0; if v = 0, q = 1 and tau
+    = 0.  The run has rows in the class when c + tau v = t: its u_n = tau
+    mod q, for any p, f and h (a small p gives a run several rows).
+    """
+    pre, h = _region_runs(region)
+    p, rho, t = _reduced_basis(region, plist, S)
+    c, v = pre @ rho[:, :-1] % p, rho[:, -1]
+    C = np.arange(len(plist))
+    j = (v == 0).argmin(axis=1)
+    q = np.where(v[C, j] != 0, p[:, 0, 0], 1)[:, None, None]
+    inv = np.array([pow(int(a), -1, int(b)) if a else 0
+                    for a, b in zip(v[C, j].tolist(), p.ravel().tolist())],
+                   dtype=p.dtype)[:, None, None]
+    tau = (t[C, :, j][:, :, None] - c[C, :, j][:, None]) * inv % p
+    # one residue coordinate at a time keeps the temporaries (C, K, M)
+    hit = np.logical_and.reduce([(c[:, None, :, f] + tau * v[:, None, None, f]
+                                  - t[:, :, None, f]) % p == 0 for f in range(v.shape[1])])
+    r = (tau + h) % q
+    return r - h, q, np.where(hit, (2 * h - r) // q + 1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +303,7 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
     divides the norm of every nonzero z_j - s_j, and N(P) <= B := max |N(a -
     s_i)|.  Only those p are split, found by trial division of the distinct
     norms up to sqrt(B).  The pair (P, s) catches the tuples whose every z_j
-    lies in its selection j, the rows with s_j's residue id, which
+    lies in its selection j, the rows in the class of s_j mod P, which
     ``_selections`` finds; so every pair catches z = s.  When B < 2 every
     nonzero difference is a unit, and the prime above 2 catches exactly the
     points of S.  A pair keeps its last selection as a W-bit set of
@@ -291,17 +327,13 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
              if B >= 2 else pr.split_prime(field, 2)[:1])
     del norms
 
-    # pair q = i k + s joins the selections g = q m + j (j < m) of slot i
-    K = len(S) * m
-    targets = np.array([pr.residue_ids(P, S).reshape(-1) for P in plist],
-                       dtype=np.int64).reshape(-1, K)
-
+    # pair q = i k + s joins the selections g = q m + j (j < m) of plist[i]
     # pair q keeps the rows of its first and middle selections, and its last
     # as the W-bit set bits[q]; a pair with an empty selection adds nothing
     nw, zero = -(-W // 64), np.zeros(1, np.int64)
     bits = np.zeros((len(S) * len(plist), nw), np.uint64)
     kept = [[np.zeros((2, 0), np.int32)] for _ in range(m - 1)]
-    for g, row in _selections(region, plist, targets):
+    for g, row in _selections(region, plist, S.reshape(-1, field.degree)):
         q, j = g // m, g % m
         x = j == m - 1
         np.bitwise_or.at(bits, (q[x], row[x] >> 6), np.uint64(1) << (row[x] & 63).astype(np.uint64))
@@ -364,43 +396,29 @@ def _prime_divisors(values: np.ndarray) -> list[int]:
     return sorted(out.union(v[v > 1].tolist()))
 
 
-def _selections(region: Region, plist, targets: np.ndarray):
-    """(g, row) arrays, one entry per row of selection g = i K + r: the rows
-    with residue targets[., r] mod the prime of slot i.  Slots hold the
-    scanned primes, then the coset primes, each in the order of ``plist``.
-
-    A degree-1 P reduces a row u . T to u . rho' mod p, rho' column 0 of
-    ``_reduced_basis``.  The rows are the runs u_n = -h..h after a prefix
-    (u_1, ..., u_(n-1)) of ``_region_runs``.  When p > 2b + 1 (|u_n| <= b)
-    and rho'_n is a unit, a run holds at most one row of class t: u_n =
-    rho'_n^-1 (t - sum_(i<n) rho'_i u_i) mod p, if it lies in [-h, h], at
-    index mid + u_n (mid: the run's row u_n = 0).  Chunks of these keep
-    their temporaries under ``BLOCK_BYTES``; other primes compare
-    ``residue_ids`` over the region.
-    """
-    coords, (pre, h) = _region_array(region), _region_runs(region)
-    b, n, K = region.L, region.field.degree, targets.shape[1]
-    served, rho = [], []
-    for i, P in enumerate(plist):
-        p, r = P.under_p, [row[0] for row in _reduced_basis(region, P)]
-        # int64 holds every product below while n p^2 < 2^62
-        if P.f == 1 and p > 2 * b + 1 and r[-1] and n * p * p < 2 ** 62:
-            served.append(i)
-            rho.append(r[:-1] + [pow(r[-1], -1, p), p])
-    scan = sorted(set(range(len(plist))) - set(served))
-    for a, i in enumerate(scan):
-        g, row = np.nonzero(pr.residue_ids(plist[i], coords) == targets[i][:, None])
-        yield g + a * K, row
-    rho = np.array(rho, dtype=np.int64).reshape(-1, n + 1)
-    M, mid = len(h), np.cumsum(2 * h + 1) - h - 1
-    step = max(1, BLOCK_BYTES // (64 * K * M))
-    for lo in range(0, len(rho), step):
-        r, t = rho[lo:lo + step], targets[served[lo:lo + step]]
-        p, inv = r[:, n, None, None], r[:, n - 1, None, None]
-        # u_n shifted into [-h, p - h), so u_n <= h keeps it
-        u = (inv * ((t[:, :, None] - (r[:, :n - 1] @ pre.T)[:, None, :]) % p) + h) % p - h
-        at, c = np.nonzero((u <= h).reshape(-1, M))
-        yield (len(scan) + lo) * K + at, mid[c] + u.reshape(-1, M)[at, c]
+def _selections(region: Region, plist, S: np.ndarray):
+    """(g, row) arrays, one entry per row of selection g = i K + k: the rows
+    in the class of S[k] mod plist[i], from ``_class_runs``, a run's u_n at
+    row mid + u_n (mid: the run's row u_n = 0).  A prime costs K (M + W /
+    N(P)) units of 64 bytes, for its K M run solutions and about its rows; a
+    chunk of primes ends where the cost before a prime passes a multiple of
+    cap, half of ``BLOCK_BYTES``, so it stays under ``BLOCK_BYTES`` unless
+    its last prime alone costs more than cap."""
+    h = _region_runs(region)[1]
+    K, M, W = len(S), len(h), int((2 * h + 1).sum())
+    mid, cap = np.cumsum(2 * h + 1) - h - 1, max(1, BLOCK_BYTES // 128)
+    cost = np.array([K * (M + W // P.norm) for P in plist], dtype=np.int64)
+    cuts = np.flatnonzero(np.diff((np.cumsum(cost) - cost) // cap, prepend=-1)).tolist()
+    for a, b in zip(cuts, cuts[1:] + [len(plist)]):
+        u0, q, count = _class_runs(region, plist[a:b], S)
+        i, k, r = np.nonzero(count)
+        cnt = count[i, k, r].astype(np.int64)
+        # a run with two rows or more has q <= 2h < W, so W stands in for a
+        # larger q, which no run steps by
+        step = np.minimum(q[i, 0, 0], W).astype(np.int64)
+        at = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        yield (np.repeat((a + i) * K + k, cnt),
+               np.repeat(mid[r] + u0[i, k, r].astype(np.int64), cnt) + at * np.repeat(step, cnt))
 
 
 # ----------------------------------------------------------------------
@@ -456,11 +474,9 @@ def ideal_count_check(field: FieldSpec, P: pr.PrimeIdeal, region: Region,
                       region_cap: int = DEFAULT_REGION_CAP) -> IdealCountCheck:
     """Count |P ∩ region| and compare with volume/N(P).
 
-    Run by run of ``_region_runs``, with no rows built: u . T lies in P when
-    c + u_n v = 0 in F_p^f (c = sum_(l<n) u_l rho'_l, v = rho'_n, from
-    ``_reduced_basis``).  If c + tau v = 0, a run adds its u_n = tau mod q in
-    [-h, h]: tau := -c_j / v_j mod q = p for a v_j != 0, and tau = 0 mod q = 1
-    (all 2h + 1) if v = 0.  Sums stay below n (p-1)^2: int64 if that fits.
+    Run by run of ``_region_runs``, with no rows built: the points of P are
+    the class of 0, and ``_class_runs`` counts each run's rows in it, the
+    closed form the sieve solves for its classes.
     The normalized error divides by (R/N^(1/n))^(n-1) for balls and by
     (2L/N^(1/n) + 1)^(n-1) for cubes, the shape the counting bound says is
     O(1) uniformly in the prime and the region size; it is inf when that
@@ -469,15 +485,8 @@ def ideal_count_check(field: FieldSpec, P: pr.PrimeIdeal, region: Region,
     if P.field != field or region.field != field:
         raise ValueError("mismatched field")
     _check_cap(region, region_cap)
-    p, n = P.under_p, field.degree
-    dt = np.int64 if n * (p - 1) ** 2 < 2 ** 63 else object
-    rho = np.array(_reduced_basis(region, P), dtype=dt)
-    pre, h = _region_runs(region)
-    c, v = pre % np.array(p, dtype=dt) @ rho[:-1] % p, rho[-1]
-    j = np.flatnonzero(v)[:1]
-    q, tau = (p, -c[:, j[0]] * pow(int(v[j[0]]), -1, p) % p) if len(j) else (1, 0 * h)
-    hit = ((c + tau[:, None] * v) % p == 0).all(axis=1)
-    count = int(((h - tau) // q - (-h - 1 - tau) // q)[hit].sum())
+    n = field.degree
+    count = int(_class_runs(region, [P], np.zeros((1, n), dtype=np.int64))[2].sum())
     main = region.volume() / P.norm
     error = abs(Fraction(count) - main)
     radius_ratio = float(region.size) / P.norm ** (1.0 / n)

@@ -8,12 +8,12 @@ tuples, constant term first, coefficients in [0, p).  A prime ideal is
 reads its p, f = deg g, e and residue map, and never its Z-basis.
 
 ``residue_ids`` is the one encoder of coordinates as residues mod P:
-``s_of_prime``, the sieve and the CRT oracle use it (a lies in P exactly
-when its id is 0).  The sieve's coset pass solves the same degree-1 map,
-column 0 of ``reduction_rows``, for rows, with targets from
-``residue_ids``, and the lemma check counts the solutions of the whole map
-run by run.  The Euler product needs it only at primes above a p
-dividing ``difference_norm_product``; s(P) = |S| at all others.
+``s_of_prime`` and the CRT oracle use it (a lies in P exactly when its id
+is 0).  The sieve and the lemma check solve the same map, ``reduction_rows``
+over F_p^f, for the rows of a residue class, in one closed form run by run
+of the region (``counting._class_runs``).  The Euler product needs s(P)
+only at primes above a p dividing ``difference_norm_product``; s(P) = |S|
+at all others.
 """
 
 from __future__ import annotations
@@ -390,24 +390,15 @@ def residue_ids(P: PrimeIdeal, coords: np.ndarray) -> np.ndarray:
 
     Each class is packed base p into [0, N(P)), so two rows share an id
     exactly when their difference lies in P; the shape is coords.shape[:-1].
-    An int64 array whose entries are at most A in size, with n A (p-1) <
-    2^63, goes straight into the product with ``reduction_rows``.  Otherwise
-    coordinates are reduced mod p first, so huge entries stay exact; then a
+    Coordinates are reduced mod p first, so huge entries stay exact; then a
     row times ``reduction_rows`` is <= n (p-1)^2 and the packing < N(P).
     The work is int64 when those fit, else Python integers (``object``).
     A degree-1 prime's id is its one residue; nothing is packed.
     """
     p, n = P.under_p, P.field.degree
-    r = np.asarray(coords)
-    # min/max as Python ints: -(-2^63) does not wrap
-    if (r.dtype == np.int64 and r.size and P.norm <= 2 ** 63 and n * (p - 1)
-            * max(-int(r.min()), int(r.max())) < 2 ** 63):
-        dtype = np.int64
-    else:
-        fits = n * (p - 1) ** 2 < 2 ** 63 and P.norm <= 2 ** 63
-        dtype = np.int64 if fits else object
-        # a 0-d p of the working dtype makes object rows reduce exactly
-        r = (r % np.array(p, dtype=dtype)).astype(dtype, copy=False)
+    dtype = np.int64 if n * (p - 1) ** 2 < 2 ** 63 and P.norm <= 2 ** 63 else object
+    # a 0-d p of the working dtype makes object rows reduce exactly
+    r = (np.asarray(coords) % np.array(p, dtype=dtype)).astype(dtype, copy=False)
     red = np.array(reduction_rows(P), dtype=dtype)
     # scaled adds, as numpy's integer matmul is slower; x - x // p * p is x % p
     # (numpy divides by a scalar faster than it takes remainders; wraps cancel)

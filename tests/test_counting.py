@@ -211,21 +211,6 @@ def test_sieve_equals_direct_examples(rational, gaussian):
     assert a.visible_count == b.visible_count
 
 
-def test_sieve_equals_direct_randomized():
-    rng = random.Random(2024)
-    for _ in range(6):
-        d = rng.choice([-1, -2, -3, 2, 5])
-        field = nf.make_field("quadratic", d=d)
-        L = rng.randint(2, 4)
-        S = [il.point(field, [[rng.randint(-4, 4), rng.randint(-4, 4)]
-                              for _ in range(2)])
-             for _ in range(rng.randint(1, 2))]
-        region = ct.cube_region(field, L)
-        a = ct.count_visible_direct(field, S, 2, region)
-        b = ct.count_visible_sieve(field, S, 2, region)
-        assert a.visible_count == b.visible_count
-
-
 def test_sieve_equals_direct_m3(rational):
     S = [origin(rational, 3), il.point(rational, [[1], [2], [1]])]
     region = ct.cube_region(rational, 4)
@@ -326,9 +311,10 @@ def test_sieve_bitsets_equal_direct(request, monkeypatch, block, fname, m, L):
     assert a.visible_count == b.visible_count
 
 
-# (field, m, b, basis transform): on Q, 5 = 2b + 1 is scanned and 7 = 2b + 3
-# is a coset prime; in Z[i], 5 = 2b + 1 and 13 = 2b + 3 split; the transform
-# has rho'_2 = 4 + 13 = 0 mod (17, theta - 13); m = 3; and degree 3
+# (field, m, b, basis transform): on Q, a run of 2b + 1 rows meets a class
+# mod 5 = 2b + 1 once or twice and mod 7 = 2b + 3 at most once; in Z[i], 5 =
+# 2b + 1 and 13 = 2b + 3 split; the transform has rho'_2 = 4 + 13 = 0 mod
+# (17, theta - 13); m = 3; and degree 3
 COSET_CASES = [("rational", 2, 2, None), ("gaussian", 2, 2, None),
                ("gaussian", 2, 5, None), ("gaussian", 3, 2, None),
                ("gaussian", 2, 3, [[5, 1], [4, 1]]), ("cubic", 3, 1, None)]
@@ -340,7 +326,7 @@ def test_sieve_coset_boundary_equals_direct(request, monkeypatch, block, fname,
                                             m, b, T):
     # S's second point is b + 3 from the origin along the first coordinate,
     # so 2b + 1 and 2b + 3 divide difference norms; a BLOCK_BYTES of 64 puts
-    # one prime in each coset chunk
+    # one prime in each chunk of _selections
     if block:
         monkeypatch.setattr(ct, "BLOCK_BYTES", block)
     field = request.getfixturevalue(fname)
@@ -353,46 +339,86 @@ def test_sieve_coset_boundary_equals_direct(request, monkeypatch, block, fname,
         assert a.visible_count == c.visible_count, region.label()
 
 
+def test_sieve_equals_direct_randomized(monkeypatch):
+    # seeded random configs, sieve == direct exactly: degrees 1 to 4, m = 2
+    # and 3, cubes and balls, unimodular transforms, and S near the region,
+    # so that primes with p <= 2b + 1 and with f >= 2 are among those sieved
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fields = [nf.make_field("rational"), _x_n_minus_x_minus_1(3),
+                  _x_n_minus_x_minus_1(4)] + [
+            nf.make_field("quadratic", d=d) for d in (-1, -2, -3, -5, 2, 5)]
+    sieved, real = [], ct._selections
+    monkeypatch.setattr(ct, "_selections", lambda region, plist, S: sieved.extend(
+        (region.L, P) for P in plist) or real(region, plist, S))
+    rng = random.Random(1515)
+    for trial in range(90):
+        field = fields[trial % len(fields)]
+        n = field.degree
+        T = None
+        if rng.random() < 0.5:
+            # lower times upper unitriangular: unimodular
+            lo, up = ([[int(i == j) or (rng.randint(-2, 2) if (j < i) == low else 0)
+                        for j in range(n)] for i in range(n)] for low in (True, False))
+            T = [[sum(lo[i][k] * up[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+        b = rng.randint(1, {1: 10, 2: 2}.get(n, 1))
+        region = (ct.cube_region(field, b, T) if rng.random() < 0.5 else
+                  ct.ball_region(field, Fraction(rng.randint(2 * b, 2 * b + 1), 2), T))
+        W = len(ct.region_coords(region))
+        m = 3 if W ** 3 <= 20000 and rng.random() < 0.5 else 2
+        S = [il.point(field, [[rng.randint(-b - 2, b + 2) for _ in range(n)]
+                              for _ in range(m)]) for _ in range(rng.randint(1, 3))]
+        a = ct.count_visible_direct(field, S, m, region)
+        c = ct.count_visible_sieve(field, S, m, region)
+        assert a.visible_count == c.visible_count, (trial, region.label(), m, S)
+    assert any(P.f >= 2 for _, P in sieved)
+    assert any(P.under_p <= 2 * b + 1 for b, P in sieved)
+
+
 @pytest.mark.parametrize("block", [None, 64])
-def test_coset_rows_equal_residue_scan(gaussian, cubic, monkeypatch, block):
-    # for every degree-1 prime of norm <= 200, the rows of each target are the
-    # rows a scan of residue_ids finds; primes with p <= 2b + 1 are scanned
-    # (at b = 1 the ramified prime above 2 has two rows per run and class),
-    # and so is (17, theta - 13) under the transform, but no other; the
-    # degree-4 ball has fewer rows (89) than its box of prefixes (125)
+def test_class_rows_equal_residue_scan(gaussian, cubic, monkeypatch, block):
+    # for every prime of norm <= 200 and every point of S, the rows of its
+    # selection are the rows a scan of residue_ids finds: p <= 2b + 1 (at b =
+    # 1 the ramified prime above 2 has two rows per run and class), f = 2 and
+    # 3, v = rho'_n = 0 mod P (under [[5, 1], [4, 1]] at (17, theta - 13), and
+    # under T0 at a prime above 5), a coordinate of S past 2^63, and the
+    # degree-4 ball, which has fewer rows (89) than its box of prefixes (125)
     if block:
         monkeypatch.setattr(ct, "BLOCK_BYTES", block)
-    real, scanned = pr.residue_ids, []
-    monkeypatch.setattr(pr, "residue_ids",
-                        lambda P, c: scanned.append(P) or real(P, c))
-    for region, refused in [(ct.cube_region(gaussian, 1), set()),
-                            (ct.cube_region(gaussian, 4), set()),
-                            (ct.ball_region(gaussian, 5), set()),
-                            (ct.cube_region(gaussian, 3, [[5, 1], [4, 1]]), {(17, (4, 1))}),
-                            (ct.ball_region(cubic, 3), set()),
-                            (ct.ball_region(_x_n_minus_x_minus_1(4), 2), set())]:
+    five = pr.split_prime(gaussian, 5)[0]
+    T0 = [[1, 0], [-pr.reduction_rows(five)[1][0], 1]]
+    v_zero, degrees = set(), set()
+    for region in [ct.cube_region(gaussian, 1), ct.cube_region(gaussian, 4),
+                   ct.ball_region(gaussian, 5),
+                   ct.cube_region(gaussian, 3, [[5, 1], [4, 1]]),
+                   ct.ball_region(gaussian, 4, T0), ct.ball_region(cubic, 3),
+                   ct.ball_region(_x_n_minus_x_minus_1(4), 2)]:
+        n = region.field.degree
         coords = ct.region_coords(region)
-        plist = [P for P in pr.primes_up_to_norm(region.field, 200) if P.f == 1]
-        targets = np.array([[0, 1, 7 % P.under_p, P.under_p - 1] for P in plist])
-        scanned.clear()
-        g, rows = (np.concatenate(x) for x in zip(*ct._selections(region, plist, targets)))
-        slots = ([P for P in plist if P in scanned]
-                 + [P for P in plist if P not in scanned])
-        assert len(g) == sum((real(P, coords) == t[:, None]).sum()
-                             for P, t in zip(plist, targets))
-        for i, P in enumerate(slots):
-            ids = real(P, coords)
-            for r, t in enumerate(targets[plist.index(P)]):
-                assert sorted(rows[g == 4 * i + r]) == np.flatnonzero(ids == t).tolist()
-        assert {(P.under_p, P.gpoly) for P in scanned
-                if P.under_p > 2 * region.L + 1} == refused, region.label()
-        assert all(P in scanned for P in plist if P.under_p <= 2 * region.L + 1)
-        assert len(scanned) < len(plist)
+        S = np.array([[0] * n, [1] + [0] * (n - 1), [7] + [0] * (n - 1),
+                      [-1] * n, [2, -3, 5, 1][:n], [10 ** 20 + 3] + [1] * (n - 1)],
+                     dtype=object)
+        plist = pr.primes_up_to_norm(region.field, 200)
+        g, rows = (np.concatenate(x) for x in zip(*ct._selections(region, plist, S)))
+        want = 0
+        for i, P in enumerate(plist):
+            ids = pr.residue_ids(P, coords)
+            for k, t in enumerate(pr.residue_ids(P, S).tolist()):
+                assert sorted(rows[g == len(S) * i + k]) == np.flatnonzero(ids == t).tolist(), (P, k)
+                want += int((ids == t).sum())
+            if not ct._reduced_basis(region, [P], S[:0])[1][0, -1].any():
+                v_zero.add((region, P))
+        assert len(g) == want
+        degrees |= {P.f for P in plist}
+    assert degrees == {1, 2, 3, 4}
+    assert {(P.under_p, r.basis_transform) for r, P in v_zero} >= {
+        (17, ((5, 1), (4, 1))), (5, tuple(map(tuple, T0)))}
 
 
 def test_sieve_enumerates_a_sheared_cube_once(gaussian):
-    # the rows are built from the cached run table of the coset pass, so a
-    # transformed region's runs and rows are each built once
+    # the rows and the closed form's runs come from one cached run table, so
+    # a transformed region's runs and rows are each built once
     region = ct.cube_region(gaussian, 4, [[1, 1], [0, 1]])
     ct._region_array.cache_clear()
     ct._region_runs.cache_clear()
@@ -403,19 +429,20 @@ def test_sieve_enumerates_a_sheared_cube_once(gaussian):
         gaussian, [origin(gaussian, 2)], 2, region).visible_count
 
 
-def test_coset_pass_memory(gaussian):
-    # the coset primes go in chunks whose temporaries stay under BLOCK_BYTES
+def test_class_rows_memory(gaussian):
+    # every prime of norm <= 4000, the small ones with many rows per run
+    # included, goes in chunks whose temporaries stay under BLOCK_BYTES
     region = ct.cube_region(gaussian, 30)
-    plist = [P for P in pr.primes_up_to_norm(gaussian, 4000) if P.under_p > 61]
-    targets = np.array([[0, 1, 2, 3]] * len(plist))
-    list(ct._selections(region, plist, targets))  # fills the region and residue caches
+    plist = pr.primes_up_to_norm(gaussian, 4000)
+    S = np.array([[0, 0], [1, 0], [2, 0], [3, 0]], dtype=object)
+    list(ct._selections(region, plist, S))  # fills the region and residue caches
     tracemalloc.start()
     try:
-        rows = sum(len(g) for g, _ in ct._selections(region, plist, targets))
+        rows = sum(len(g) for g, _ in ct._selections(region, plist, S))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows > 0 and peak < ct.BLOCK_BYTES
+    assert rows > 4 * 61 ** 2 and peak < ct.BLOCK_BYTES
 
 
 def _prime_factors(v):
@@ -718,7 +745,7 @@ def test_ideal_count_check_matches_scan():
                 T0[-1][0] = -pr.reduction_rows(P)[-1][0]
                 regions.append(ct.ball_region(field, 4, T0))
             for region in regions:
-                zero_v += not any(ct._reduced_basis(region, P)[-1])
+                zero_v += not ct._reduced_basis(region, [P], np.zeros((0, n), np.int64))[1][0, -1].any()
                 assert (ct.ideal_count_check(field, P, region).count
                         == ideal_count(P, region)), (P, region)
     assert {(1, 1), (2, 1), (1, 2), (1, 3), (3, 1)} <= kinds
