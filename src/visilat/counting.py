@@ -10,9 +10,10 @@ estimator (the same kernel on uniform samples) for regions beyond
 enumeration caps.  The direct count never touches prime ideals or
 residues, so sieve == direct is an independent check and must hold
 exactly.  One closed form, run by run of the last coordinate, finds a
-residue class's rows mod any prime: the sieve expands it for the classes
-of S, and the lemma check sums it for the class of 0, the points of the
-prime.  Each count takes S as anything ``ideals.point_set`` accepts.
+residue class's rows mod any prime from the ``primes.residues`` of the
+region's basis and of S: the sieve expands it for the classes of S, and the
+lemma check sums it for the class of 0, the points of the prime.  Each
+count takes S as anything ``ideals.point_set`` accepts.
 """
 
 from __future__ import annotations
@@ -216,38 +217,24 @@ def _transform(region: Region, pts: np.ndarray) -> np.ndarray:
     return pts @ np.array(T, dtype=np.int64)
 
 
-def _reduced_basis(region: Region, plist, S: np.ndarray):
-    """(p, rho', t) for the primes of plist, stacked: rho' = T rho mod p, n
-    rows, and t = S rho mod p, a row per point of the (K, n) array S, each
-    of F residues, rho = ``pr.reduction_rows(P)`` padded with zeros to the
-    largest f.  A row u . T of the region lies in the class sum_l u_l
-    rho'_l of O/P.  T and S are reduced mod p first; a region coordinate is
-    at most b = L in size, so every sum of products of ``_class_runs`` stays
-    under n (p-1) max(p-1, b): int64 while that fits, else Python integers."""
-    n, F, p = region.field.degree, max(P.f for P in plist), [P.under_p for P in plist]
-    dt = np.int64 if n * (max(p) - 1) * max(max(p) - 1, region.L) < 2 ** 63 else object
-    p = np.array(p, dtype=dt)[:, None, None]
-    rho = np.zeros((len(plist), n, F), dtype=dt)
-    for i, P in enumerate(plist):
-        rho[i, :, :P.f] = pr.reduction_rows(P)
-    TS = np.concatenate((_transform(region, np.eye(n, dtype=np.int64)), S))
-    red = (TS % p).astype(dt) @ rho % p
-    return p, red[:, :n], red[:, n:]
-
-
 def _class_runs(region: Region, plist, S: np.ndarray):
     """(u0, q, count): the rows of run r of ``_region_runs`` in the class t
     of S[k] mod plist[i] are count of its u_n, from u0 in steps of q, with
     u0 and count at [i, k, r] and q at [i].
 
-    They are the u_n in [-h, h] with c + u_n v = t in F_p^f, c = sum_(l<n)
-    u_l rho'_l and v = rho'_n (``_reduced_basis``).  If v != 0, q = p and
-    tau = (t_j - c_j) / v_j for its first v_j != 0; if v = 0, q = 1 and tau
-    = 0.  The run has rows in the class when c + tau v = t: its u_n = tau
-    mod q, for any p, f and h (a small p gives a run several rows).
+    They are the u_n in [-h, h] with c + u_n v = t in F_p^f, where rho'_l and
+    t are the ``pr.residues`` of the rows of T and of S, c = sum_(l<n) u_l
+    rho'_l and v = rho'_n (a row u . T lies in the class sum_l u_l rho'_l).
+    If v != 0, q = p and tau = (t_j - c_j) / v_j for its first v_j != 0; if
+    v = 0, q = 1 and tau = 0.  The run has rows in the class when c + tau v =
+    t: its u_n = tau mod q, for any p, f and h (a small p gives a run several
+    rows).  The u_l are at most L in size, the b of ``pr.residues``.
     """
     pre, h = _region_runs(region)
-    p, rho, t = _reduced_basis(region, plist, S)
+    n = region.field.degree
+    TS = np.concatenate((_transform(region, np.eye(n, dtype=np.int64)), S))
+    p, red = pr.residues(plist, TS, region.L)
+    rho, t = red[:, :n], red[:, n:]
     c, v = pre @ rho[:, :-1] % p, rho[:, -1]
     C = np.arange(len(plist))
     j = (v == 0).argmin(axis=1)

@@ -176,12 +176,12 @@ def exact_window_density(field: FieldSpec, S, m: int, primes: Sequence[PrimeIdea
 
     # oracle: mark each prime's forbidden residue m-tuples, then AND the
     # allowed masks cell-wise across the whole product space and count.  A
-    # tuple of residue ids (each in [0, N)) is one cell code in [0, N^m).
+    # tuple's m f residues in F_p, base p, are one cell code in [0, N^m).
     acc = None
     for P in primes:
-        N = P.norm
-        allowed = np.ones(N ** m, dtype=bool)
-        allowed[pr.residue_ids(P, S) @ N ** np.arange(m)] = False
+        allowed = np.ones(P.norm ** m, dtype=bool)
+        r = pr.residues([P], S.reshape(-1, field.degree))[1][0]
+        allowed[r.reshape(len(S), -1) @ P.under_p ** np.arange(m * P.f)] = False
         acc = allowed if acc is None else (acc[:, None] & allowed[None, :]).reshape(-1)
     count = int(acc.sum())
     value_b = Fraction(count, state)

@@ -86,16 +86,6 @@ class AlgInt:
     field: FieldSpec
     coords: tuple[int, ...]
 
-    def __sub__(self, other: "AlgInt") -> "AlgInt":
-        if self.field != other.field:
-            raise ValueError("elements belong to different fields")
-        return AlgInt(self.field,
-                      tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def norm(self) -> int:
-        """Field norm: det of the multiplication-by-self matrix (signed)."""
-        return norm_of_coords(self.field, self.coords)
-
     def __repr__(self):
         return f"AlgInt{self.coords}"
 

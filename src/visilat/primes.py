@@ -7,13 +7,13 @@ tuples, constant term first, coefficients in [0, p).  A prime ideal is
 (p, g(theta)) for an irreducible factor g of multiplicity e: the program
 reads its p, f = deg g, e and residue map, and never its Z-basis.
 
-``residue_ids`` is the one encoder of coordinates as residues mod P:
-``s_of_prime`` and the CRT oracle use it (a lies in P exactly when its id
-is 0).  The sieve and the lemma check solve the same map, ``reduction_rows``
-over F_p^f, for the rows of a residue class, in one closed form run by run
-of the region (``counting._class_runs``).  The Euler product needs s(P)
-only at primes above a p dividing ``difference_norm_product``; s(P) = |S|
-at all others.
+``residues`` is the one encoder of coordinates as residues in F_p^f, for a
+chunk of primes at once (a lies in P exactly when its residue is 0):
+``s_of_prime`` and the CRT oracle reduce the points of S with it, and the
+sieve and the lemma check the rows of the region's basis and of S, from
+which one closed form finds a residue class's rows run by run of the region
+(``counting._class_runs``).  The Euler product needs s(P) only at primes
+above a p dividing ``difference_norm_product``; s(P) = |S| at all others.
 """
 
 from __future__ import annotations
@@ -385,33 +385,30 @@ def reduction_rows(P: PrimeIdeal) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def residue_ids(P: PrimeIdeal, coords: np.ndarray) -> np.ndarray:
-    """Residue class mod P of every row of an ``(..., n)`` coordinate array.
-
-    Each class is packed base p into [0, N(P)), so two rows share an id
-    exactly when their difference lies in P; the shape is coords.shape[:-1].
-    Coordinates are reduced mod p first, so huge entries stay exact; then a
-    row times ``reduction_rows`` is <= n (p-1)^2 and the packing < N(P).
-    The work is int64 when those fit, else Python integers (``object``).
-    A degree-1 prime's id is its one residue; nothing is packed.
+def residues(plist: Sequence[PrimeIdeal], coords: np.ndarray, b: int = 0):
+    """(p, r): the residues in F_p^f of the rows of an ``(R, n)`` coordinate
+    array mod each prime of plist, r of shape (len(plist), R, F) zero-padded
+    to the largest f, and p the rational primes, of shape (len(plist), 1, 1).
+    Rows share a class mod P when their residues agree; P is the class of 0.
+    Coordinates are reduced mod p first, so huge entries stay exact.  A sum
+    of n products of residues and integers up to max(p-1, b) in size, here or
+    in a caller's later products, is below n (p-1) max(p-1, b): the work is
+    int64 while that is below 2^63, else Python integers (``object``).
     """
-    p, n = P.under_p, P.field.degree
-    dtype = np.int64 if n * (p - 1) ** 2 < 2 ** 63 and P.norm <= 2 ** 63 else object
-    # a 0-d p of the working dtype makes object rows reduce exactly
-    r = (np.asarray(coords) % np.array(p, dtype=dtype)).astype(dtype, copy=False)
-    red = np.array(reduction_rows(P), dtype=dtype)
-    # scaled adds, as numpy's integer matmul is slower; x - x // p * p is x % p
-    # (numpy divides by a scalar faster than it takes remainders; wraps cancel)
-    x = sum((r[..., i, None] * red[i] for i in range(1, n)), r[..., :1] * red[0])
-    x = x - x // p * p
-    return x[..., 0] if P.f == 1 else x @ p ** np.arange(P.f, dtype=dtype)
+    n, F, top = np.shape(coords)[1], max(P.f for P in plist), max(P.under_p for P in plist)
+    dt = np.int64 if n * (top - 1) * max(top - 1, b) < 2 ** 63 else object
+    p = np.array([P.under_p for P in plist], dtype=dt)[:, None, None]
+    rho = np.zeros((len(plist), n, F), dtype=dt)
+    for i, P in enumerate(plist):
+        rho[i, :, :P.f] = reduction_rows(P)
+    return p, (coords % p).astype(dt) @ rho % p
 
 
 def s_of_prime(S, P: PrimeIdeal) -> int:
-    """s(p): the number of distinct rows of ``residue_ids`` mod P over the
+    """s(P): the number of distinct residue tuples mod P (``residues``) of the
     points of S, a ``point_set`` array (k, m, n) or a list of points."""
-    ids = residue_ids(P, np.asarray(S, dtype=object))
-    return len({tuple(row) for row in ids.tolist()})
+    r = residues([P], np.array(S, dtype=object).reshape(-1, P.field.degree))[1][0]
+    return len({tuple(row) for row in r.reshape(len(S), -1).tolist()})
 
 
 def difference_norm_product(field: FieldSpec, S) -> int:

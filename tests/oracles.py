@@ -3,13 +3,17 @@
 None of these runs in a `visilat` command: the HNF product of two ideals,
 exact ideal membership, the Moebius sum for 1/zeta_K(s), a polynomial
 evaluated at the basis generator, a prime ideal P = (p, g(theta)) rebuilt as
-an HNF from its splitting data, the difference-ideal norm product built
-from one HNF per pair of points, and |P ∩ region| by a scan of every row.
+an HNF from its splitting data, the difference of two elements, the
+difference-ideal norm product built from one HNF per pair of points, each
+coordinate row's residue class mod P packed base p by scaled adds, and
+|P ∩ region| by a scan of every row.
 """
 
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from visilat import counting as ct
 from visilat import ideals as il
@@ -87,13 +91,40 @@ def prime_hnf(P):
                                      element_from_poly(P.field, P.gpoly)])
 
 
+def sub(a, b):
+    """a - b for elements a and b of one field."""
+    return nf.AlgInt(a.field, tuple(x - y for x, y in zip(a.coords, b.coords)))
+
+
 def difference_norm_product(field, S):
     """The product of N(D_st) over the pairs of S, one HNF per pair."""
-    diffs = ([field.element(a) - field.element(b) for a, b in zip(s, t)]
+    diffs = ([sub(field.element(a), field.element(b)) for a, b in zip(s, t)]
              for s, t in itertools.combinations(S, 2))
     return math.prod(il.ideal_from_generators(d).norm for d in diffs)
 
 
+def residue_ids(P, coords):
+    """Residue class mod P of every row of an ``(..., n)`` coordinate array.
+
+    Each class is packed base p into [0, N(P)), so two rows share an id
+    exactly when their difference lies in P; the shape is coords.shape[:-1].
+    Coordinates are reduced mod p first, so huge entries stay exact; then a
+    row times ``reduction_rows`` is <= n (p-1)^2 and the packing < N(P).
+    The work is int64 when those fit, else Python integers (``object``).
+    A degree-1 prime's id is its one residue; nothing is packed.
+    """
+    p, n = P.under_p, P.field.degree
+    dtype = np.int64 if n * (p - 1) ** 2 < 2 ** 63 and P.norm <= 2 ** 63 else object
+    # a 0-d p of the working dtype makes object rows reduce exactly
+    r = (np.asarray(coords) % np.array(p, dtype=dtype)).astype(dtype, copy=False)
+    red = np.array(pr.reduction_rows(P), dtype=dtype)
+    # scaled adds, as numpy's integer matmul is slower; x - x // p * p is x % p
+    # (numpy divides by a scalar faster than it takes remainders; wraps cancel)
+    x = sum((r[..., i, None] * red[i] for i in range(1, n)), r[..., :1] * red[0])
+    x = x - x // p * p
+    return x[..., 0] if P.f == 1 else x @ p ** np.arange(P.f, dtype=dtype)
+
+
 def ideal_count(P, region):
     """|P ∩ region|: the rows of ``region_coords`` whose residue id is 0."""
-    return int((pr.residue_ids(P, ct.region_coords(region)) == 0).sum())
+    return int((residue_ids(P, ct.region_coords(region)) == 0).sum())

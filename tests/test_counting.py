@@ -17,7 +17,7 @@ from visilat import primes as pr
 from visilat.errors import CapExceeded
 
 from conftest import origin
-from oracles import contains, ideal_count, prime_hnf
+from oracles import contains, ideal_count, prime_hnf, residue_ids, sub
 
 
 def test_enumerate_examples(rational, gaussian):
@@ -376,14 +376,21 @@ def test_sieve_equals_direct_randomized(monkeypatch):
     assert any(P.under_p <= 2 * b + 1 for b, P in sieved)
 
 
+def _last_basis_residue(region, P):
+    """rho'_n: the residue mod P of the region's last basis row."""
+    n = region.field.degree
+    return pr.residues([P], ct._transform(region, np.eye(n, dtype=np.int64))[-1:])[1][0, 0]
+
+
 @pytest.mark.parametrize("block", [None, 64])
 def test_class_rows_equal_residue_scan(gaussian, cubic, monkeypatch, block):
     # for every prime of norm <= 200 and every point of S, the rows of its
-    # selection are the rows a scan of residue_ids finds: p <= 2b + 1 (at b =
-    # 1 the ramified prime above 2 has two rows per run and class), f = 2 and
-    # 3, v = rho'_n = 0 mod P (under [[5, 1], [4, 1]] at (17, theta - 13), and
-    # under T0 at a prime above 5), a coordinate of S past 2^63, and the
-    # degree-4 ball, which has fewer rows (89) than its box of prefixes (125)
+    # selection are the rows a scan of oracles.residue_ids finds: p <= 2b + 1
+    # (at b = 1 the ramified prime above 2 has two rows per run and class), f
+    # = 2 and 3, v = rho'_n = 0 mod P (under [[5, 1], [4, 1]] at (17, theta -
+    # 13), and under T0 at a prime above 5), a coordinate of S past 2^63, and
+    # the degree-4 ball, which has fewer rows (89) than its box of prefixes
+    # (125)
     if block:
         monkeypatch.setattr(ct, "BLOCK_BYTES", block)
     five = pr.split_prime(gaussian, 5)[0]
@@ -403,11 +410,11 @@ def test_class_rows_equal_residue_scan(gaussian, cubic, monkeypatch, block):
         g, rows = (np.concatenate(x) for x in zip(*ct._selections(region, plist, S)))
         want = 0
         for i, P in enumerate(plist):
-            ids = pr.residue_ids(P, coords)
-            for k, t in enumerate(pr.residue_ids(P, S).tolist()):
+            ids = residue_ids(P, coords)
+            for k, t in enumerate(residue_ids(P, S).tolist()):
                 assert sorted(rows[g == len(S) * i + k]) == np.flatnonzero(ids == t).tolist(), (P, k)
                 want += int((ids == t).sum())
-            if not ct._reduced_basis(region, [P], S[:0])[1][0, -1].any():
+            if not _last_basis_residue(region, P).any():
                 v_zero.add((region, P))
         assert len(g) == want
         degrees |= {P.f for P in plist}
@@ -564,14 +571,14 @@ def test_direct_and_mc_never_touch_primes(gaussian, monkeypatch):
         raise AssertionError("prime machinery used")
 
     monkeypatch.setattr(pr, "primes_up_to_norm", boom)
-    monkeypatch.setattr(pr, "residue_ids", boom)
+    monkeypatch.setattr(pr, "residues", boom)
     S = [origin(gaussian, 2), il.point(gaussian, [[1, 0], [2, 1]])]
     region = ct.cube_region(gaussian, 2)
     direct = ct.count_visible_direct(gaussian, S, 2, region)
     pts = [gaussian.element(c) for c in ct.region_coords(region).tolist()]
     want = sum(1 for a in pts for b in pts
-               if all(il.ideal_from_generators([a - gaussian.element(x),
-                                                b - gaussian.element(y)]).norm == 1
+               if all(il.ideal_from_generators([sub(a, gaussian.element(x)),
+                                                sub(b, gaussian.element(y))]).norm == 1
                       for x, y in S))
     assert direct.visible_count == want
     mc = ct.mc_estimate(gaussian, S, 2, region, samples=500, seed=4)
@@ -745,7 +752,7 @@ def test_ideal_count_check_matches_scan():
                 T0[-1][0] = -pr.reduction_rows(P)[-1][0]
                 regions.append(ct.ball_region(field, 4, T0))
             for region in regions:
-                zero_v += not ct._reduced_basis(region, [P], np.zeros((0, n), np.int64))[1][0, -1].any()
+                zero_v += not _last_basis_residue(region, P).any()
                 assert (ct.ideal_count_check(field, P, region).count
                         == ideal_count(P, region)), (P, region)
     assert {(1, 1), (2, 1), (1, 2), (1, 3), (3, 1)} <= kinds

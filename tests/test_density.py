@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from visilat import density as dn
@@ -11,7 +12,7 @@ from visilat import primes as pr
 from visilat.errors import CapExceeded
 
 from conftest import origin
-from oracles import zeta_recip_truncated
+from oracles import residue_ids, zeta_recip_truncated
 
 
 def inv_zeta2():
@@ -211,6 +212,43 @@ def test_exact_window_examples(rational, gaussian):
     S = [il.point(rational, [[a], [b]]) for a in (0, 1) for b in (0, 1)]
     w2 = pr.window_first_t(rational, 1)
     assert dn.exact_window_density(rational, S, 2, w2).value == 0
+
+
+def _crt_density(S, m, primes):
+    """The share of the cells of prod_P (O/P)^m that no point of S occupies,
+    a cell coded by the reference's residue ids."""
+    acc = np.ones(1, dtype=bool)
+    for P in primes:
+        allowed = np.ones(P.norm ** m, dtype=bool)
+        allowed[residue_ids(P, S) @ P.norm ** np.arange(m)] = False
+        acc = (acc[:, None] & allowed[None, :]).reshape(-1)
+    return Fraction(int(acc.sum()), len(acc))
+
+
+@pytest.mark.parametrize("fname", ["gaussian", "sqrt_m7", "cubic"])
+def test_oracle_cells_match_residue_ids(request, fname):
+    # the oracle's cell code of a point, its m f residues base p, is its m
+    # residue ids base N = p^f; on windows of at most 10^6 cells the density
+    # equals a CRT count over the reference's ids
+    field = request.getfixturevalue(fname)
+    n, rng, counted = field.degree, random.Random(61), 0
+    for t in (1, 2, 3):
+        primes = pr.window_first_t(field, t)
+        for m in (2, 3):
+            for _ in range(3):
+                S = il.point_set(field, [[[rng.randint(-3, 3) for _ in range(n)]
+                                          for _ in range(m)]
+                                         for _ in range(rng.randint(1, 5))], m)
+                for P in primes:
+                    r = pr.residues([P], S.reshape(-1, n))[1][0]
+                    codes = r.reshape(len(S), -1) @ P.under_p ** np.arange(m * P.f)
+                    assert codes.tolist() == (residue_ids(P, S)
+                                              @ P.norm ** np.arange(m)).tolist()
+                if math.prod(P.norm ** m for P in primes) <= 10 ** 6:
+                    assert (dn.exact_window_density(field, S, m, primes).value
+                            == _crt_density(S, m, primes)), (t, m, S)
+                    counted += 1
+    assert counted >= 9
 
 
 def test_exact_window_cap(rational):

@@ -9,7 +9,8 @@ from visilat import numfield as nf
 from visilat import primes as pr
 
 from conftest import origin
-from oracles import contains, difference_norm_product, ideal_mul, prime_hnf
+from oracles import (contains, difference_norm_product, ideal_mul, prime_hnf,
+                     residue_ids, sub)
 
 
 def test_factor_examples():
@@ -78,9 +79,8 @@ def test_factor_independent_of_global_random():
 
 
 def _digits(a, P):
-    """The residue of a mod P as f digits over F_p, read off residue_ids."""
-    code = int(pr.residue_ids(P, np.array(a.coords, dtype=object)))
-    return tuple(code // P.under_p ** j % P.under_p for j in range(P.f))
+    """The residue of a mod P as f digits over F_p, read off pr.residues."""
+    return tuple(pr.residues([P], np.array([a.coords], dtype=object))[1][0, 0].tolist())
 
 
 def test_split_examples(gaussian):
@@ -260,26 +260,60 @@ def test_residue_ids(request, fname):
     rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(40)]
     coords = np.array(rows, dtype=np.int64)
     for p in (2, 3, 5, 7):
-        for P in pr.split_prime(field, p):
-            ids = pr.residue_ids(P, coords)
-            assert ids.shape == (len(rows),)
-            assert ids.min() >= 0 and ids.max() < P.norm
+        plist = pr.split_prime(field, p)
+        # the primes above p at once: each one's residues, zero-padded
+        q, chunk = pr.residues(plist, coords)
+        assert q.ravel().tolist() == [p] * len(plist)
+        assert chunk.shape == (len(plist), len(rows), max(P.f for P in plist))
+        for P, padded in zip(plist, chunk):
+            _, (res,) = pr.residues([P], coords)
+            assert res.shape == (len(rows), P.f)
+            assert res.min() >= 0 and res.max() < p
+            assert padded[:, :P.f].tolist() == res.tolist() and not padded[:, P.f:].any()
             for i, a in enumerate(rows):
                 for j, b in enumerate(rows):
                     diff = field.element([x - y for x, y in zip(a, b)])
-                    assert (ids[i] == ids[j]) == contains(prime_hnf(P), diff)
+                    assert (res[i] == res[j]).all() == contains(prime_hnf(P), diff)
             # rows of S far beyond int64 keep their exact class
             big = np.array([[x + rng.choice([1, -1]) * p * 2 ** 70
                              for x in r] for r in rows[:5]], dtype=object)
-            assert pr.residue_ids(P, big).tolist() == ids[:5].tolist()
-            assert pr.residue_ids(P, big[None]).tolist() == [ids[:5].tolist()]
+            assert pr.residues([P], big)[1][0].tolist() == res[:5].tolist()
             # int64 rows near +-2^62, or -2^63 (whose int64 abs wraps), must
             # be reduced before the product; they agree with the object path
             near = [[s * 2 ** 62 + x for x in r] for r in rows[:5] for s in (1, -1)]
             for huge in (near, [[-2 ** 63] * n, [1] * n]):
                 huge = np.array(huge, dtype=np.int64)
-                assert (pr.residue_ids(P, huge).tolist()
-                        == pr.residue_ids(P, huge.astype(object)).tolist())
+                assert (pr.residues([P], huge)[1].tolist()
+                        == pr.residues([P], huge.astype(object), 2 ** 63)[1].tolist())
+
+
+def test_residues_dtype_switch(gaussian, cubic):
+    # int64 exactly while n (p-1) max(p-1, b) < 2^63, else object, with the
+    # same residues on both sides: b at the switch, and p on either side of
+    # 2^31, where 2 (p-1)^2 passes 2^63 in Q(i); the residues, packed base p,
+    # are the reference's residue ids
+    rng = random.Random(59)
+    at_zero = set()
+    for field, ps in ((gaussian, (2, 7, 2 ** 31 - 1, 2 ** 31 + 11, 8589934627)),
+                      (cubic, (2, 5, 2 ** 31 - 1))):
+        n = field.degree
+        coords = np.array([[rng.randint(-10 ** 12, 10 ** 12) for _ in range(n)]
+                           for _ in range(20)], dtype=np.int64)
+        for p in ps:
+            plist = pr.split_prime(field, p)
+            edge = (2 ** 63 - 1) // (n * (p - 1))  # the largest b with n (p-1) b < 2^63
+            got = set()
+            for b in (0, edge, edge + 1):
+                _, r = pr.residues(plist, coords, b)
+                want = np.int64 if n * (p - 1) * max(p - 1, b) < 2 ** 63 else object
+                assert r.dtype == want, (p, b)
+                at_zero |= {(n, p, want)} if b == 0 else set()
+                got.add(str(r.tolist()))
+                for P, res in zip(plist, r):
+                    packed = np.array(res[:, :P.f], dtype=object) @ p ** np.arange(P.f, dtype=object)
+                    assert packed.tolist() == residue_ids(P, coords).tolist(), (p, b)
+            assert len(got) == 1
+    assert {(2, 2 ** 31 - 1, np.int64), (2, 2 ** 31 + 11, object)} <= at_zero
 
 
 def test_s_of_prime_examples(rational):
@@ -298,13 +332,24 @@ def test_s_of_prime_examples(rational):
 def test_s_of_prime_saturates_for_admissible_sets(gaussian):
     # pairwise-visible S: s(p) = |S| once N(p)^m exceeds the pairwise bound
     S = [origin(gaussian, 2), il.point(gaussian, [[1, 0], [0, 1]])]
-    bound = max(abs(d.norm())
+    bound = max(abs(nf.norm_of_coords(gaussian, d.coords))
                 for s, t in [(S[0], S[1])]
-                for d in (gaussian.element(a) - gaussian.element(b)
+                for d in (sub(gaussian.element(a), gaussian.element(b))
                           for a, b in zip(s, t)) if any(d.coords))
     for P in pr.primes_up_to_norm(gaussian, 50):
         if P.norm ** 2 > bound:
             assert pr.s_of_prime(S, P) == len(S)
+
+
+def test_s_of_prime_past_int64_norm(gaussian):
+    # the inert p = 8 589 934 627 > 2^33 has N(P) = p^2 > 2^66: residues are
+    # never packed, so nothing bounds N(P); (p, 0) and (0, p) lie in P
+    p = 8589934627
+    (P,) = pr.split_prime(gaussian, p)
+    assert P.f == 2 and P.norm > 2 ** 66
+    S = [origin(gaussian, 2), il.point(gaussian, [[p, 0], [0, p]]),
+         il.point(gaussian, [[1, 0], [0, 0]])]
+    assert pr.s_of_prime(S, P) == 2
 
 
 def _lemma_s(S, plist):
@@ -316,7 +361,7 @@ def _lemma_s(S, plist):
 
 @pytest.mark.parametrize("fname", ["rational", "gaussian", "golden", "cubic"])
 def test_difference_lemma_matches_s_of_prime(request, fname):
-    # the difference-ideal lemma against s_of_prime's residue_ids rows, on
+    # the difference-ideal lemma against s_of_prime's residue tuples, on
     # every P of norm <= 10^4; the points differ by multiples of 30, 7, 2^40
     # and 2^70, so their residues collide at 2, 3, 5 and 7 at least
     field = request.getfixturevalue(fname)
