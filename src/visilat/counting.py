@@ -34,7 +34,7 @@ from .numfield import norm_of_coords  # noqa: F401 (perfbench's self-test looks 
 
 DEFAULT_REGION_CAP = 2 ** 22
 DEFAULT_TUPLE_CAP = 2 ** 31
-# bytes of bitset rows the sieve gathers for one block of prefixes
+# bytes of the sieve's accumulator and OR layer for one block of prefixes
 BLOCK_BYTES = 2 ** 20
 
 # pi to 49 decimal places; enough that ball-volume normalization error is
@@ -295,9 +295,9 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
     nonzero difference is a unit, and the prime above 2 catches exactly the
     points of S.  A pair keeps its last selection as a W-bit set of
     ``uint64`` words.  A CSR index gives each row z_1 the pairs whose first
-    selection holds it; the prefixes (z_1, ..., z_(m-1)) of one block of z_1
-    rows take the sets of their pairs (about ``BLOCK_BYTES`` of them),
-    OR-reduce them per prefix and add the popcounts.  No array grows with
+    selection holds it; each prefix (z_1, ..., z_(m-1)) of one block of z_1
+    rows ORs the sets of its pairs into its own accumulator row, in place, and
+    the block adds the popcounts (under ``BLOCK_BYTES``).  No array grows with
     W^(m-1).  A B whose square root exceeds ``region_cap`` is refused before
     any norm is factored or prime is split.
     """
@@ -340,12 +340,16 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
     rowptr = np.concatenate((zero[:1], np.cumsum(np.bincount(first, minlength=W))))
     pair = pair[np.argsort(first, kind="stable")]
     del first
-    # blocks of z_1 rows: a block ends where the count of prefixes (z_1, ...,
-    # z_(m-1)) before a row passes a multiple of cap, so it gathers fewer than
-    # 2 cap bitsets, BLOCK_BYTES, unless one row alone has more than cap
-    cap = max(1, BLOCK_BYTES // (16 * nw))
-    before = np.concatenate((zero[:1], np.cumsum(mlen[pair])))[rowptr[:-1]]
-    cuts = np.flatnonzero(np.diff(before // cap, prepend=-1)).tolist() + [W]
+    # blocks of z_1 rows, a row with at most min(sum of mlen, W^(m-2)) prefixes
+    # (z_1, ..., z_(m-1)): a block ends where the prefixes before a row pass a
+    # multiple of cap or their (prefix, pair) incidences one of icap, so its
+    # accumulator and one layer of sets stay under BLOCK_BYTES, as do its index
+    # arrays (< 64 bytes an incidence), unless one row alone passes a cap
+    inc = np.concatenate((zero[:1], np.cumsum(mlen[pair])))[rowptr]
+    pre = np.concatenate((zero[:1], np.cumsum(np.minimum(np.diff(inc), W ** (m - 2)))))
+    cap, icap = max(1, BLOCK_BYTES // (32 * nw)), max(1, BLOCK_BYTES // 128)
+    cuts = np.flatnonzero(np.diff(pre[:-1] // cap, prepend=-1)
+                          | np.diff(inc[:-1] // icap, prepend=-1)).tolist() + [W]
     marked = 0
     for a, b in zip(cuts, cuts[1:]):
         q = pair[rowptr[a]:rowptr[b]]
@@ -354,9 +358,16 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
         at = np.repeat(moff[q] - np.cumsum(k) + k, k) + np.arange(int(k.sum()))
         prefix = np.repeat(z * W ** (m - 2), k) + mids[at]
         o = np.argsort(prefix, kind="stable")
+        q = np.repeat(q, k)[o]
         starts = np.flatnonzero(np.diff(prefix[o], prepend=-1))
-        rows = np.bitwise_or.reduceat(bits[np.repeat(q, k)[o]], starts)
-        marked += int(np.bitwise_count(rows).sum())
+        # one accumulator row per prefix, longest first: layer t ORs in the
+        # t-th pair of the prefixes that have more than t pairs
+        cnt = np.diff(starts, append=len(o))
+        starts = starts[np.argsort(-cnt, kind="stable")]
+        acc = bits[q[starts]]
+        for t, n in enumerate((len(cnt) - np.cumsum(np.bincount(cnt))[1:-1]).tolist(), 1):
+            acc[:n] |= bits[q[starts[:n] + t]]
+        marked += int(np.bitwise_count(acc).sum())
 
     visible = total - marked
     return CountResult(visible_count=visible, total_tuples=total,

@@ -106,7 +106,7 @@ def predicted_density(field: FieldSpec, S, m: int,
     while 2 * k > X ** m:
         X += 1
     dprod = pr.difference_norm_product(field, S)
-    zeros, nums, norms = [], [], []
+    zeros, nums, norms, split, split_norms = [], [], [], [], []
     for p in rational_primes_up_to(X):
         f = pr.quadratic_f(field, p)
         if f is None or dprod % p == 0 or p ** m <= k:
@@ -118,15 +118,19 @@ def predicted_density(field: FieldSpec, S, m: int,
                     zeros.append(P)
                 nums.append(P.norm ** m - s)
                 norms.append(P.norm)
+        elif f == 1:  # split: two primes of norm p, multiplied in squared
+            split.append(p ** m - k)
+            split_norms.append(p)
         elif p ** f <= X:
-            nums += [p ** (f * m) - k] * (3 - f)  # two primes if split
-            norms += [p ** f] * (3 - f)
+            nums.append(p ** (f * m) - k)
+            norms.append(p ** f)
     if zeros:
         return PredictionInterval(0, 1, X, zero_certificate=min(
             zeros, key=PrimeIdeal.sort_key))
     slack = Fraction(2 * field.degree * k, (m - 1) * X ** (m - 1))
-    return PredictionInterval(_product(nums), _product(norms) ** m, X,
-                              tail=slack)
+    return PredictionInterval(_product(split) ** 2 * _product(nums),
+                              (_product(split_norms) ** 2 * _product(norms)) ** m,
+                              X, tail=slack)
 
 
 def _product(xs: list[int]) -> int:

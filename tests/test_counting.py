@@ -291,6 +291,22 @@ def test_sieve_memory_m3(gaussian):
     assert peak <= 4 * 2 ** 20
 
 
+def test_sieve_memory_cube60(gaussian):
+    # W = 14 641, 1 830 words a set: a block's accumulator and OR layer stay
+    # within BLOCK_BYTES, so the peak is the pairs' sets and the index
+    region = ct.cube_region(gaussian, 60)
+    S = [origin(gaussian, 2), il.point(gaussian, [[1, 2], [-1, 0]])]
+    ct.count_visible_sieve(gaussian, S, 2, region)  # fills the split cache
+    tracemalloc.start()
+    try:
+        res = ct.count_visible_sieve(gaussian, S, 2, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.total_tuples == 121 ** 4
+    assert peak <= 4.5 * 2 ** 20
+
+
 @pytest.mark.parametrize("block", [None, 4096, 64])
 @pytest.mark.parametrize("fname, m, L", [
     ("rational", 2, 31), ("rational", 2, 32),  # W = 63, 65: a part-filled word
@@ -374,6 +390,84 @@ def test_sieve_equals_direct_randomized(monkeypatch):
         assert a.visible_count == c.visible_count, (trial, region.label(), m, S)
     assert any(P.f >= 2 for _, P in sieved)
     assert any(P.under_p <= 2 * b + 1 for b, P in sieved)
+
+
+@pytest.fixture
+def sieve_spy(monkeypatch):
+    """Per sieve call: the accumulator shape of each block, through
+    np.bitwise_count, and the pairs whose first selection holds each row."""
+    spy = {"acc": [], "first": []}
+    count, select = np.bitwise_count, ct._selections
+    monkeypatch.setattr(np, "bitwise_count", lambda a: spy["acc"].append(a.shape) or count(a))
+
+    def selections(region, plist, S):
+        for g, row in select(region, plist, S):
+            spy["first"].append(row[g % spy["m"] == 0])
+            yield g, row
+    monkeypatch.setattr(ct, "_selections", selections)
+
+    def sieve(field, S, m, region):
+        spy.update(acc=[], first=[], m=m)
+        res = ct.count_visible_sieve(field, S, m, region)
+        W = len(ct.region_coords(region))
+        assert res.visible_count == ct.count_visible_direct(field, S, m, region).visible_count
+        return np.bincount(np.concatenate(spy["first"]), minlength=W), spy["acc"]
+    return sieve
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("fname, L", [("rational", 6), ("gaussian", 2)])
+def test_sieve_block_with_uncaught_rows(request, sieve_spy, fname, m, L):
+    # S = {origin}: a row z_1 that is a unit lies in no class of 0, so no pair
+    # catches it; every row is in one block, which has no prefix for those
+    field = request.getfixturevalue(fname)
+    pairs, acc = sieve_spy(field, [origin(field, m)], m, ct.cube_region(field, L))
+    assert len(acc) == 1 and 0 in pairs[1:-1]
+    if m == 2:
+        assert acc[0][0] == np.count_nonzero(pairs) < len(pairs)
+
+
+def test_sieve_block_of_unequal_prefixes(gaussian, sieve_spy):
+    # the first coordinates of S are 0 mod 10, so row 0 is caught by a pair
+    # for every prime above 2 and 5 and every point of S, and by every prime
+    # dividing a first coordinate; one block ORs 5 to 123 sets into its rows
+    S = [il.point(gaussian, [[10 * a, 10 * b], [a - b, a + 2 * b]])
+         for a, b in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (-1, 2)]]
+    region = ct.cube_region(gaussian, 4)
+    pairs, acc = sieve_spy(gaussian, S, 2, region)
+    caught = pairs[pairs > 0]
+    assert len(acc) == 1 and pairs[40] == caught.max() > 10 * caught.min()
+
+
+@pytest.mark.parametrize("fname, L", [("rational", 6), ("gaussian", 2)])
+def test_sieve_m3_row_past_cap(request, monkeypatch, sieve_spy, fname, L):
+    # cap = 256 // (32 nw) = 8 prefixes: row 0, caught by every prime with
+    # the origin, has more prefixes (0, z_2) than that and is a block alone
+    monkeypatch.setattr(ct, "BLOCK_BYTES", 256)
+    field = request.getfixturevalue(fname)
+    n = field.degree
+    S = [origin(field, 3), il.point(field, [[1] + [0] * (n - 1), [2] * n, [0] * n])]
+    region = ct.cube_region(field, L)
+    assert len(ct.region_coords(region)) <= 64
+    _, acc = sieve_spy(field, S, 3, region)
+    assert len(acc) > 1 and max(a for a, _ in acc) > 8
+
+
+@pytest.mark.parametrize("fname, L", [("rational", 40), ("gaussian", 4),
+                                      ("sqrt_m7", 5)])
+def test_sieve_one_prefix_per_block(request, monkeypatch, sieve_spy, fname, L):
+    # BLOCK_BYTES = 64 and W > 64, two words a set: cap = 1, so for m = 2
+    # every caught row is the one prefix of its own block
+    monkeypatch.setattr(ct, "BLOCK_BYTES", 64)
+    field = request.getfixturevalue(fname)
+    n = field.degree
+    S = [origin(field, 2), il.point(field, [[2] + [1] * (n - 1), [1] * n]),
+         il.point(field, [[L + 1] * n, [3] + [0] * (n - 1)])]
+    region = ct.cube_region(field, L)
+    assert 64 < len(ct.region_coords(region)) <= 128
+    pairs, acc = sieve_spy(field, S, 2, region)
+    assert max(a for a, _ in acc) == 1
+    assert sum(a for a, _ in acc) == np.count_nonzero(pairs)
 
 
 def _last_basis_residue(region, P):
