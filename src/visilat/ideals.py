@@ -1,12 +1,12 @@
 """Point sets, the ideal-index kernel, and ideals in Hermite normal form.
 
 One kernel, ``ideal_index``, computes the index |O/(d_1, ..., d_r)| of the
-ideal a few differences generate, for a whole batch of lanes at once.  The
-ideal is the Z-span of the r*n rows d_i * e_j, and the index of a full-rank
-sublattice of Z^n is the gcd of the n x n minors of any generating matrix;
-the gcd is 0 only when every d_i is 0.  Visibility asks whether the index is
-1, the sieve's prime bound takes it with r = 1 (|N(d)|), and ``predict``'s
-difference-ideal lemma takes it over the pairs of S.
+ideal a few differences generate, for a batch of lanes held on the last axis,
+so each matrix entry is one vector.  The ideal is the Z-span of the r*n rows
+d_i * e_j, and the index of a full-rank sublattice of Z^n is the gcd of the
+n x n minors of any generating matrix; the gcd is 0 only when every d_i is 0.
+Visibility asks whether the index is 1, the sieve's prime bound takes it with
+r = 1 (|N(d)|), and ``predict``'s difference-ideal lemma takes it over S.
 
 ``ideal_from_generators`` builds the ideal a list of elements generates as a
 canonical upper-triangular integer matrix whose rows generate it as a
@@ -150,7 +150,7 @@ def ideal_from_generators(gens: Sequence[AlgInt]) -> IdealHNF:
 # visibility
 # ----------------------------------------------------------------------
 
-CHUNK = 4096  # lanes per kernel pass; bounds the kernel's scratch memory
+CHUNK = 4096  # lanes per visible_mask pass: rows of r*n*n*CHUNK*8 bytes on int64
 
 
 def is_visible(field: FieldSpec, z, x) -> bool:
@@ -198,35 +198,43 @@ def ideal_index(field: FieldSpec, z: np.ndarray, s) -> np.ndarray:
     lane z[k] of a (lanes, r, n) integer array; s broadcasts against z (one
     point, or one per lane).
 
-    I is the Z-span of the r*n rows (z_i - s_i) e_j, and the index is the
-    gcd of their n x n minors: 0 when every difference is 0, |N(z_1 - s_1)|
-    when r = 1.  The block minors (+-N(z_i - s_i)) come first, then the
-    mixed ones; a lane leaves as soon as its gcd reaches 1.  The arithmetic
-    is int64 when n! E^n < 2^63, else exact Python integers (``dtype=object``,
-    as is the result); E = (max|z| + max|s|) max_{j,k} sum_a |T[a][j][k]|
-    bounds every entry of a row, so E^n bounds every Leibniz term of a minor
-    and n! E^n every partial sum.
+    I is the Z-span of the r*n rows (z_i - s_i) e_j, and the index is the gcd
+    of their n x n minors: 0 when every difference is 0, |N(z_1 - s_1)| when
+    r = 1.  The rows are held lanes last, (r*n, n, lanes), the block minors
+    (+-N(z_i - s_i)) first.  A lane whose gcd is 1 stays (gcd(1, x) = 1) until
+    half the lanes are.  The arithmetic is int64 when n! E^n < 2^63, else exact
+    Python ints (``dtype=object``, as is the result): E = (max|z| + max|s|)
+    max_{j,k} sum_a |T[a][j][k]| bounds each row entry of every lane, kept or
+    not, so E^n bounds each Leibniz term of a minor and n! E^n each partial sum.
     """
     k, r, n = z.shape
-    T = np.array(field.mult_tensor, dtype=object)
+    T, rowsum = _tensor(field)
     s = np.array(s, dtype=object)
     # min/max as Python ints: -(-2^63) does not wrap
     zmax = max(-int(z.min(initial=0)), int(z.max(initial=0)))
-    E = (zmax + max(map(abs, s.flat), default=0)) * int(np.abs(T).sum(axis=0).max())
+    E = (zmax + max(map(abs, s.flat), default=0)) * rowsum
     dtype = np.int64 if math.factorial(n) * E ** n < 2 ** 63 else object
     d = z.astype(dtype, copy=False) - s.astype(dtype)
-    rows = np.tensordot(d, T.astype(dtype), axes=([2], [0])).reshape(k, r * n, n)
-    out = np.ones(k, dtype=dtype)  # a lane that leaves has index 1
+    rows = np.matmul(T.astype(dtype), d.transpose(1, 2, 0)).reshape(r * n, n, k)
+    out = np.ones(k, dtype=dtype)  # a lane compacted away has index 1
     g = np.zeros(k, dtype=dtype)
-    left = np.arange(k)
+    kept = np.arange(k)
     for rs in _minors(r, n):
         g = np.gcd(g, _det(rows, rs))
-        more = g != 1
-        rows, g, left = rows[more], g[more], left[more]
-        if not len(left):
-            break
-    out[left] = g
+        live = np.flatnonzero(g != 1)
+        if 2 * len(live) <= len(g):
+            rows, g, kept = rows.take(live, axis=2), g[live], kept[live]
+            if not len(live):
+                break
+    out[kept] = g
     return out
+
+
+@lru_cache(maxsize=None)
+def _tensor(field: FieldSpec) -> tuple[np.ndarray, int]:
+    """M[j*n + k, a] = T[a][j][k], taking x to its rows x e_j, and max_{j,k} sum_a |T|."""
+    M = np.array(field.mult_tensor, dtype=object).transpose(1, 2, 0)
+    return M.reshape(-1, field.degree), int(np.abs(M).sum(axis=2).max())
 
 
 @lru_cache(maxsize=None)
@@ -238,13 +246,15 @@ def _minors(r: int, n: int) -> tuple:
 
 
 def _det(rows: np.ndarray, rs) -> np.ndarray:
-    """Leibniz determinant of the rows ``rs`` of each lane of (lanes, *, n)."""
-    return sum(sign * reduce(operator.mul, (rows[:, r, c] for r, c in zip(rs, p)))
-               for sign, p in _leibniz(rows.shape[2]))
+    """Leibniz determinant of the rows ``rs`` of each lane of (*, n, lanes)."""
+    det = 0  # 0 + the first term is a fresh array; the rest add in place
+    for add, p in _leibniz(rows.shape[1]):
+        det = add(det, reduce(operator.mul, (rows[r, c] for r, c in zip(rs, p))))
+    return det
 
 
 @lru_cache(maxsize=None)
 def _leibniz(n: int) -> tuple:
-    """The terms (sign, permutation) of an n x n determinant."""
-    return tuple(((-1) ** sum(a > b for a, b in itertools.combinations(p, 2)), p)
-                 for p in itertools.permutations(range(n)))
+    """The terms (iadd or isub, by sign; permutation) of an n x n determinant."""
+    return tuple((operator.isub if sum(a > b for a, b in itertools.combinations(p, 2)) % 2
+                  else operator.iadd, p) for p in itertools.permutations(range(n)))

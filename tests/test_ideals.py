@@ -143,9 +143,15 @@ def test_visibility_matches_pure_hnf_route(gaussian):
         assert il.is_visible(gaussian, z, o) == (il.ideal_from_generators(diffs).norm == 1)
 
 
+def _hnf_indices(field, diffs):
+    return [il.ideal_from_generators([field.element(d) for d in lane]).norm
+            for lane in diffs]
+
+
 KERNEL_FIELDS = [("rational", {}), ("quadratic", {"d": -1}),
                  ("quadratic", {"d": -7}), ("quadratic", {"d": 5}),
-                 ("monogenic", {"minpoly": [-1, -1, 0, 1]})]
+                 ("monogenic", {"minpoly": [-1, -1, 0, 1]}),
+                 ("monogenic", {"minpoly": [-1, -1, 0, 0, 1]})]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -192,8 +198,7 @@ def test_kernel_matches_hnf(kind, kw, m, monkeypatch):
         x = il.point(field, s)
         del dtypes[:]
         got = il.visible_mask(field, lanes, il.point_set(field, [x], m))
-        want = [il.ideal_from_generators([field.element(d) for d in lane]).norm
-                for lane in diffs]
+        want = _hnf_indices(field, diffs)
         assert got.tolist() == [w == 1 for w in want]
         assert not got[0]
         assert len(dtypes) == -(-len(lanes) // 7)
@@ -205,6 +210,72 @@ def test_kernel_matches_hnf(kind, kw, m, monkeypatch):
             assert want == [abs(nf.norm_of_coords(field, d)) for (d,) in diffs]
         else:
             assert 0 < sum(got) < len(want)
+
+
+@pytest.mark.parametrize("base", [0, 2 ** 40])
+def test_kernel_compaction_paths(gaussian, base, monkeypatch):
+    """Every way lanes leave the kernel, on the int64 path and (near 2^40)
+    the object path: the index matches the HNF reference, and the lanes are
+    compacted exactly when half of them or more have reached gcd 1."""
+    widths = []  # the lanes in the arrays at each minor
+    det = il._det
+    monkeypatch.setattr(il, "_det", lambda rows, rs: widths.append(rows.shape[2])
+                        or det(rows, rs))
+    s = [[base, 0], [0, base]]
+    rng = random.Random(41)
+
+    def times(g):
+        """g times a random cofactor with a nonzero second coordinate."""
+        return list(nf.mul_coords(gaussian, g, [rng.randint(-5, 5), rng.randint(1, 5)]))
+
+    unit, two, five = [0, 1], [1, 1], [1, 2]  # norms 1, 2 and 5
+
+    def minor_widths(diffs):
+        z = np.array([[[a + b for a, b in zip(d, c)] for d, c in zip(lane, s)]
+                      for lane in diffs], dtype=np.int64).reshape(-1, 2, 2)
+        z.flags.writeable = False  # as region_coords returns
+        del widths[:]
+        got = il.ideal_index(gaussian, z, s)
+        assert got.dtype == np.dtype(object if base else np.int64)
+        assert got.tolist() == _hnf_indices(gaussian, diffs)
+        return widths[:]
+
+    # a unit first difference: every lane leaves at the first block minor
+    assert minor_widths([[unit, times(two)] for _ in range(8)]) == [8]
+    # all differences in the prime above 2: no lane ever leaves
+    assert minor_widths([[times(two), times(two)] for _ in range(8)]) == [8] * 6
+    # gcd(2, 5) = 1 at the second block minor for 4 of 10 lanes, then for 6
+    stay = [[times(two), times(two)] for _ in range(6)]
+    leave = [[two, five]] * 6
+    assert minor_widths(stay + leave[:4]) == [10] * 6
+    assert minor_widths(stay[:4] + leave) == [10, 10] + [4] * 4
+    assert minor_widths([]) == [0]
+
+
+@pytest.mark.parametrize("kind,kw", KERNEL_FIELDS)
+def test_kernel_dtype_switch(kind, kw):
+    """r = 2 lanes whose bound n! E^n lies just under and just over 2^63 take
+    the int64 and the object path; both agree with the HNF reference."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = nf.make_field(kind, **kw)
+    n, T = field.degree, field.mult_tensor
+    rowsum = max(sum(abs(T[a][j][k]) for a in range(n))
+                 for j in range(n) for k in range(n))
+    top = round((2 ** 63 / math.factorial(n)) ** (1 / n))  # largest E < the bound
+    while math.factorial(n) * top ** n >= 2 ** 63:
+        top -= 1
+    while math.factorial(n) * (top + 1) ** n < 2 ** 63:
+        top += 1
+    rng = random.Random(f"{kind}{kw}")
+    for M, dtype in ((top // rowsum, np.int64), (top // rowsum + 1, object)):
+        # s = 0, so E = M * rowsum; the first two lanes reach +-M everywhere
+        diffs = [[[M] * n, [M] * n], [[M] * n, [-M] * n]]
+        diffs += [[[rng.randint(-M, M) for _ in range(n)] for _ in range(2)]
+                  for _ in range(6)]
+        got = il.ideal_index(field, np.array(diffs, dtype=object), [[0] * n] * 2)
+        assert got.dtype == np.dtype(dtype)
+        assert got.tolist() == _hnf_indices(field, diffs)
 
 
 def test_is_visible_from_all(rational):
