@@ -8,6 +8,9 @@ partial report is still written), 3 unsupported field.  Only `count` takes
 --seed, for its Monte Carlo stream; prime splitting is deterministic.  The
 subcommands read S, parse a region, count and run the lemma check by the
 ``experiment`` functions that `run` uses; only their output is their own.
+A flag that gives a `run` setting (``SETTING_FLAGS``) takes its default and
+range from ``experiment``'s settings table, and is refused by name outside
+that range before any work.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ from .errors import ConfigError, FieldError
 from .numfield import FieldSpec, field_from_json
 
 DEFAULTS = ex.ExperimentConfig  # a flag's default is its setting's in `run`
+# the flags that give a `run` setting, refused by name outside its range
+# before any work; a norm bound is a prime sieve, as the lemma check's is
+SETTING_FLAGS = {"--X": "X", "--samples": "samples", "--window-t": "oracle_window_t",
+                 "--crt-cap": "caps.crt", "--max-norm": "lemma_max_prime_norm",
+                 "--max-prime-norm": "lemma_max_prime_norm"}
 
 
 def _load_field(text: str) -> FieldSpec:
@@ -37,9 +45,8 @@ def _load_field(text: str) -> FieldSpec:
 def _load_points(field, args):
     if not (args.s or args.s_file):
         raise ConfigError("provide S via --s or --s-file")
-    if args.s_file:
-        return ex.load_points(field, args.m, None, args.s_file)[0]
-    return ex.load_points(field, args.m, json.loads(args.s))[0]
+    s_json = None if args.s_file else json.loads(args.s)
+    return ex.load_points(field, args.m, s_json, args.s_file)[0]
 
 
 def _emit(text: str, path):
@@ -126,23 +133,12 @@ def main(argv=None) -> int:
         return 2
 
 
-# flags whose out-of-range value is refused before any work: (dest, least,
-# greatest); a norm bound or predict's X is a prime sieve of that many bytes,
-# and Monte Carlo holds samples * m points, each bounded like a region
-RANGES = {"primes": [("max_norm", 2, DEFAULTS.region_cap)],
-          "count": [("samples", 100, DEFAULTS.region_cap)],
-          "lemma-check": [("max_prime_norm", 2, DEFAULTS.region_cap)],
-          "oracle": [("window_t", 1, None), ("crt_cap", 1, ex.MAX_CRT_CAP)],
-          "predict": [("X", 2, DEFAULTS.region_cap)]}
-
-
 def _dispatch(args) -> int:
-    for dest, lo, hi in RANGES.get(args.cmd, []):
-        flag, value = f"--{dest.replace('_', '-')}", getattr(args, dest)
-        if value < lo:
-            raise ConfigError(f"{flag} must be >= {lo}")
-        if hi is not None and value > hi:
-            raise ConfigError(f"{flag} must be <= {hi}")
+    # the subcommands take no caps: a bound of caps.region is its default
+    for flag, key in SETTING_FLAGS.items():
+        value = vars(args).get(flag[2:].replace("-", "_"))
+        if value is not None:
+            ex.check_setting(key, value, DEFAULTS.region_cap, flag)
     if args.cmd == "run":
         with open(args.config) as fh:
             raw = json.load(fh)
@@ -169,9 +165,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "primes":
         for P in pr.primes_up_to_norm(f, args.max_norm):
-            print(json.dumps({"norm": P.norm, "p": P.under_p, "f": P.f,
-                              "e": P.e, "g": list(P.gpoly)},
-                             sort_keys=True))
+            print(json.dumps(ex.prime_to_json(P), sort_keys=True))
         return 0
 
     if args.cmd == "predict":

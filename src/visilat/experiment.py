@@ -3,7 +3,8 @@
 A config bundles a field, a point set S, a region schedule and the modes to
 run; ``run_experiment`` executes prediction and counts, compares them, and
 produces a deterministic JSON-ready report (identical configs give
-byte-identical reports apart from the "timings" section).
+byte-identical reports apart from the "timings" section).  The optional
+settings, with their defaults and ranges, are ``ExperimentConfig``'s fields.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from typing import Optional
 
 import numpy as np
@@ -26,15 +27,25 @@ from .errors import CapExceeded, ConfigError
 from .numfield import FieldSpec, as_int, as_real, field_from_json
 
 VALID_MODES = ("predict", "direct", "sieve", "mc", "oracle", "lemma-check")
-# the oracle holds one byte per cell of the CRT state space, twice over
-MAX_CRT_CAP = 10 ** 9
 # X's prime sieve takes X bytes, so at most 64 MiB
 MAX_REGION_CAP = 2 ** 26
+# the config keys that are not settings of the table
+OTHER_KEYS = ("field", "m", "s", "s_file", "regions", "modes", "out", "caps")
+
+
+def _setting(default, least=None, greatest=None, key=None):
+    """A row of the settings table: the default, the range [least, greatest]
+    (None: unbounded) and the config key, if not the field's name."""
+    return dc_field(default=default, metadata={"key": key, "range": (least, greatest)})
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; the defaults of `run` and the flags."""
+    """Validated experiment description.  The ``_setting`` fields are the
+    settings table of `run` and the flags, in the order they are checked; a
+    greatest of "caps.region" is the config's region cap, as X and
+    lemma_max_prime_norm are prime sieves of that many bytes and Monte Carlo
+    holds samples * m points, like a region."""
 
     field: FieldSpec
     field_json: dict
@@ -42,34 +53,49 @@ class ExperimentConfig:
     S: np.ndarray
     s_json: list
     regions: list[Region]
-    X: int = 10 ** 4
     modes: tuple[str, ...] = ("predict", "sieve")
-    seed: int = 0
-    samples: int = 10 ** 4
-    tolerance: float = 0.02
     out: Optional[str] = None
-    region_cap: int = DEFAULT_REGION_CAP
-    tuple_cap: int = DEFAULT_TUPLE_CAP
-    crt_cap: int = DEFAULT_CRT_CAP
-    oracle_window_t: int = 3
-    lemma_max_prime_norm: int = 30
+    X: int = _setting(10 ** 4, 2, "caps.region")
+    seed: int = _setting(0, 0, 2 ** 128 - 1)
+    samples: int = _setting(10 ** 4, 100, "caps.region")
+    tolerance: float = _setting(0.02, 0)
+    region_cap: int = _setting(DEFAULT_REGION_CAP, None, MAX_REGION_CAP, key="caps.region")
+    tuple_cap: int = _setting(DEFAULT_TUPLE_CAP, key="caps.tuple")
+    # the oracle holds one byte per cell of the CRT state space, twice over
+    crt_cap: int = _setting(DEFAULT_CRT_CAP, 1, 10 ** 9, key="caps.crt")
+    oracle_window_t: int = _setting(3, 1)
+    lemma_max_prime_norm: int = _setting(30, 2, "caps.region")
 
     def echo(self) -> dict:
-        return {
-            "field": self.field_json,
-            "m": self.m,
-            "s": self.s_json,
-            "regions": [r.label() for r in self.regions],
-            "X": self.X,
-            "modes": list(self.modes),
-            "seed": self.seed,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "caps": {"region": self.region_cap, "tuple": self.tuple_cap,
-                     "crt": self.crt_cap},
-            "oracle_window_t": self.oracle_window_t,
-            "lemma_max_prime_norm": self.lemma_max_prime_norm,
-        }
+        out = {"field": self.field_json, "m": self.m, "s": self.s_json,
+               "regions": [r.label() for r in self.regions],
+               "modes": list(self.modes), "caps": {}}
+        for key, f in SETTINGS.items():
+            *cap, name = key.split(".")
+            (out["caps"] if cap else out)[name] = getattr(self, f.name)
+        return out
+
+
+# the settings table by config key
+SETTINGS = {f.metadata["key"] or f.name: f
+            for f in dc_fields(ExperimentConfig) if f.metadata}
+
+
+def check_setting(key: str, value, region_cap: int, flag: Optional[str] = None):
+    """Refuse ``value`` outside setting ``key``'s range, naming the key or the
+    CLI ``flag`` that gives it; only a config's message names caps.region."""
+    least, greatest = SETTINGS[key].metadata["range"]
+    shown = greatest
+    if greatest == "caps.region":
+        greatest = region_cap
+        shown = region_cap if flag else f"caps.region = {region_cap}"
+    if key == "seed" and not least <= value <= greatest:
+        # a Philox key, refused in the words of `counting.mc_estimate`
+        raise ConfigError("seed must lie in [0, 2^128)")
+    if least is not None and value < least:
+        raise ConfigError(f"{flag or key} must be >= {least}")
+    if greatest is not None and value > greatest:
+        raise ConfigError(f"{flag or key} must be <= {shown}")
 
 
 def load_config(data: dict) -> ExperimentConfig:
@@ -93,8 +119,7 @@ def load_config(data: dict) -> ExperimentConfig:
         raise ConfigError("region schedule must be nonempty")
     regions = [parse_region_dict(field, r) for r in raw_regions]
 
-    D = ExperimentConfig  # the default of each setting left out
-    modes = data.get("modes", list(D.modes))
+    modes = data.get("modes", list(ExperimentConfig.modes))
     if not isinstance(modes, list):
         raise ConfigError("modes must be a JSON list")
     bad = [mo for mo in modes if mo not in VALID_MODES]
@@ -104,56 +129,34 @@ def load_config(data: dict) -> ExperimentConfig:
     caps = data.get("caps", {})
     if not isinstance(caps, dict):
         raise ConfigError("caps must be a JSON object")
+    # a misspelt key would otherwise run with its setting's default
+    unknown = [k for k in data if "." in str(k) or k not in (*OTHER_KEYS, *SETTINGS)]
+    unknown += [f"caps.{k}" for k in caps if f"caps.{k}" not in SETTINGS]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r}")
     out = data.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a JSON string or null")
+    values = {}
     try:
-        cfg = ExperimentConfig(
-            field=field, field_json=fjson, m=m, S=S, s_json=s_json,
-            regions=regions,
-            X=as_int(data.get("X", D.X)),
-            modes=tuple(modes),
-            seed=as_int(data.get("seed", D.seed)),
-            samples=as_int(data.get("samples", D.samples)),
-            tolerance=float(as_real(data.get("tolerance", D.tolerance))),
-            out=out,
-            region_cap=as_int(caps.get("region", D.region_cap)),
-            tuple_cap=as_int(caps.get("tuple", D.tuple_cap)),
-            crt_cap=as_int(caps.get("crt", D.crt_cap)),
-            oracle_window_t=as_int(data.get("oracle_window_t", D.oracle_window_t)),
-            lemma_max_prime_norm=as_int(data.get("lemma_max_prime_norm", D.lemma_max_prime_norm)),
-        )
+        for key, f in SETTINGS.items():
+            *cap, name = key.split(".")
+            raw = (caps if cap else data).get(name, f.default)
+            # tolerance, the one real setting, is a float; the rest are ints
+            values[f.name] = (float(as_real(raw)) if isinstance(f.default, float)
+                              else as_int(raw))
     except (TypeError, ValueError, OverflowError) as exc:
         # null, a list, a non-numeric string, a bool, a fraction for an
         # integer, or an infinite or NaN tolerance
-        raise ConfigError("X, seed, samples, tolerance, caps, oracle_window_t "
-                          f"and lemma_max_prime_norm must be numbers: {exc}"
-                          ) from None
+        *names, last = dict.fromkeys(key.split(".")[0] for key in SETTINGS)
+        raise ConfigError(f"{', '.join(names)} and {last} must be numbers: "
+                          f"{exc}") from None
     # refused here: a run would fail on each only after its counts
-    for bad, says in ((cfg.region_cap > MAX_REGION_CAP,
-                       f"caps.region must be <= {MAX_REGION_CAP}"),
-                      (cfg.X < 2, "X must be >= 2"),
-                      # the prime sieve behind the product takes X bytes
-                      (cfg.X > cfg.region_cap,
-                       f"X must be <= caps.region = {cfg.region_cap}"),
-                      (cfg.tolerance < 0, "tolerance must be >= 0"),
-                      (not 0 <= cfg.seed < 2 ** 128, "seed must lie in [0, 2^128)"),
-                      (cfg.samples < 100, "samples must be >= 100"),
-                      # Monte Carlo holds samples * m points, like a region
-                      (cfg.samples > cfg.region_cap,
-                       f"samples must be <= caps.region = {cfg.region_cap}"),
-                      (cfg.oracle_window_t < 1, "oracle_window_t must be >= 1"),
-                      (cfg.lemma_max_prime_norm < 2,
-                       "lemma_max_prime_norm must be >= 2"),
-                      # and the lemma check's takes lemma_max_prime_norm
-                      (cfg.lemma_max_prime_norm > cfg.region_cap,
-                       "lemma_max_prime_norm must be <= caps.region = "
-                       f"{cfg.region_cap}"),
-                      (cfg.crt_cap > MAX_CRT_CAP,
-                       f"caps.crt must be <= {MAX_CRT_CAP}")):
-        if bad:
-            raise ConfigError(says)
-    return cfg
+    for key, f in SETTINGS.items():
+        check_setting(key, values[f.name], values["region_cap"])
+    return ExperimentConfig(field=field, field_json=fjson, m=m, S=S,
+                            s_json=s_json, regions=regions, modes=tuple(modes),
+                            out=out, **values)
 
 
 def load_points(field: FieldSpec, m: int, s_json, s_file=None):
@@ -209,12 +212,14 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+def prime_to_json(P: pr.PrimeIdeal) -> dict:
+    """A prime ideal as `visilat primes` lists it and a zero certificate."""
+    return {"p": P.under_p, "f": P.f, "e": P.e, "g": list(P.gpoly), "norm": P.norm}
+
+
 def prediction_to_json(iv: dn.PredictionInterval) -> dict:
-    zero = None
-    if iv.zero_certificate is not None:
-        P = iv.zero_certificate
-        zero = {"p": P.under_p, "f": P.f, "e": P.e, "g": list(P.gpoly),
-                "norm": P.norm}
+    P = iv.zero_certificate
+    zero = None if P is None else prime_to_json(P)
     # the exact partial product can run to thousands of digits; the directed
     # 30-digit endpoints carry everything a report consumer needs, and are
     # read off the unreduced numerator and denominator

@@ -699,3 +699,86 @@ def test_report_helpers_match_fraction_path(gaussian):
                 row = ex.count_to_json(res, iv, tol)
                 assert row["discrepancy"] == ex._fmt(abs(x - mid))
                 assert row["pass"] is (float(abs(x - mid)) <= tol)
+
+
+# an in-range value of every setting of the table, none of them its default
+NON_DEFAULT = {"X": 500, "seed": 7, "samples": 300, "tolerance": 0.5,
+               "caps.region": 5000, "caps.tuple": 10 ** 6, "caps.crt": 1000,
+               "oracle_window_t": 2, "lemma_max_prime_norm": 11}
+
+
+def test_echo_round_trips_every_setting(tmp_path):
+    # a row that echo() or load_config() leaves out comes back as its default
+    assert set(NON_DEFAULT) == set(ex.SETTINGS)
+    raw = base_config(tmp_path)
+    for key, value in NON_DEFAULT.items():
+        *cap, name = key.split(".")
+        (raw.setdefault("caps", {}) if cap else raw)[name] = value
+    first = ex.load_config(raw)
+    echo = first.echo()
+    echo["regions"] = raw["regions"]  # echoed as labels
+    again = ex.load_config(echo)
+    for key, f in ex.SETTINGS.items():
+        assert getattr(first, f.name) == getattr(again, f.name) == NON_DEFAULT[key]
+        assert NON_DEFAULT[key] != f.default
+
+
+# each range-checked flag's least and greatest value (None: unbounded); the
+# subcommands take no caps, so a region-bounded flag stops at 2^22
+FLAG_BOUNDS = {"--X": (2, 2 ** 22), "--samples": (100, 2 ** 22),
+               "--window-t": (1, None), "--crt-cap": (1, 10 ** 9),
+               "--max-norm": (2, 2 ** 22), "--max-prime-norm": (2, 2 ** 22)}
+
+
+@pytest.mark.parametrize("flag", FLAG_BOUNDS)
+def test_flag_bounds(flag):
+    assert set(FLAG_BOUNDS) == set(cli.SETTING_FLAGS)
+    key, (least, greatest) = cli.SETTING_FLAGS[flag], FLAG_BOUNDS[flag]
+    cap = cli.DEFAULTS.region_cap
+
+    def check(value):
+        ex.check_setting(key, value, cap, flag)
+
+    check(least)
+    with pytest.raises(ConfigError, match=f"^{flag} must be >= {least}$"):
+        check(least - 1)
+    if greatest is not None:
+        check(greatest)
+        with pytest.raises(ConfigError, match=f"^{flag} must be <= {greatest}$"):
+            check(greatest + 1)
+    else:
+        check(10 ** 30)
+
+
+@pytest.mark.parametrize("over, key", [
+    ({"lemma_max_prime_nrom": 30}, "lemma_max_prime_nrom"),
+    ({"caps": {"regoin": 10}}, "caps.regoin"),
+    # a cap at the top level, a top-level setting under caps, a dotted key
+    ({"region": 10}, "region"), ({"caps": {"X": 10}}, "caps.X"),
+    ({"caps.region": 10}, "caps.region")])
+def test_run_unknown_key_exit2(capsys, tmp_path, over, key):
+    cfg = base_config(tmp_path, **over)
+    with pytest.raises(ConfigError, match=f"^unknown key '{key}'$"):
+        ex.load_config(cfg)
+    code, _, err = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+    assert code == 2 and err == f"invalid configuration: unknown key '{key}'\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_crt_cap_below_one_exit2(capsys, tmp_path):
+    # refused when the config loads, as `oracle --crt-cap 0` is, not at the oracle
+    cfg = base_config(tmp_path, modes=["predict", "oracle"], caps={"crt": 0})
+    code, _, err = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+    assert code == 2 and err == "invalid configuration: caps.crt must be >= 1\n"
+    assert not (tmp_path / "report.json").exists()
+    assert ex.load_config(base_config(tmp_path, caps={"crt": 1})).crt_cap == 1
+
+
+def test_primes_and_zero_certificate_share_keys(capsys, gaussian):
+    # `visilat primes` lists each prime as a zero certificate names it
+    square = [il.point(gaussian, [[a, 0], [b, 0]]) for a in (0, 1) for b in (0, 1)]
+    zero = ex.prediction_to_json(dn.predicted_density(gaussian, square, 2, 50))["zero"]
+    code, out, _ = run_cli(capsys, "primes", "--field", GAUSSIAN, "--max-norm", "50")
+    listed = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and zero in listed
+    assert all(set(row) == {"p", "f", "e", "g", "norm"} for row in listed)
