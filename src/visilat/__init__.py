@@ -14,14 +14,14 @@ from .counting import (CountResult, IdealCountCheck, Region, ball_region,
 from .density import (ExactDensity, PredictionInterval, exact_window_density,
                       predicted_density, window_density)
 from .errors import CapExceeded, ConfigError, FieldError
-from .ideals import (AlgInt, IdealHNF, ideal_from_generators, is_visible,
+from .ideals import (IdealHNF, ideal_from_generators, is_visible,
                      is_visible_from_all, point, point_set)
 from .numfield import FieldSpec, field_from_json, make_field
 from .primes import (PrimeIdeal, poly_factor_mod_p, primes_up_to_norm,
                      s_of_prime, split_prime, window_first_t)
 
 __all__ = [
-    "AlgInt", "CapExceeded", "ConfigError", "CountResult", "ExactDensity",
+    "CapExceeded", "ConfigError", "CountResult", "ExactDensity",
     "FieldError", "FieldSpec", "IdealCountCheck", "IdealHNF",
     "PredictionInterval", "PrimeIdeal", "Region", "ball_region",
     "count_visible_direct", "count_visible_sieve", "cube_region",

@@ -106,8 +106,11 @@ def load_config(data: dict) -> ExperimentConfig:
         raise ConfigError("config needs a 'field' descriptor")
     fjson = data["field"]
     field = field_from_json(fjson)
-    m = data.get("m")
-    if not isinstance(m, int) or m < 2:
+    try:
+        m = as_int(data.get("m"))
+    except (TypeError, ValueError, OverflowError):
+        m = None  # null, a bool, a fraction or a non-numeric string
+    if m is None or m < 2:
         raise ConfigError("m must be an integer >= 2")
 
     S, s_json = load_points(field, m, data.get("s"), data.get("s_file"))

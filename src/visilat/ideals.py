@@ -8,15 +8,17 @@ n x n minors of any generating matrix; the gcd is 0 only when every d_i is 0.
 Visibility asks whether the index is 1, the sieve's prime bound takes it with
 r = 1 (|N(d)|), and ``predict``'s difference-ideal lemma takes it over S.
 
-``ideal_from_generators`` builds the ideal a list of elements generates as a
-canonical upper-triangular integer matrix whose rows generate it as a
+``ideal_from_generators`` builds the ideal a few coordinate vectors generate
+as a canonical upper-triangular integer matrix whose rows generate it as a
 Z-module over the field basis: positive diagonal, entries above the diagonal
 reduced into [0, diag of their column).  No command runs it: it is the
 independent reference the tests check the kernel against, with the product
 and membership test in ``tests/oracles.py``.
 
-Points are coordinate vectors over the field basis, and S is one read-only
-(k, m, n) array from ``point_set``; callers pass the field along with it.
+An element of O is its coordinate vector over the field basis, a point of
+O^m is m of them, and ``point`` is the one check of both.  S is one
+read-only (k, m, n) array from ``point_set``; callers pass the field along
+with it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numfield import AlgInt, FieldSpec, mul_coords
+from .numfield import FieldSpec, _unit, as_int, mul_coords
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,8 +53,15 @@ class IdealHNF:
 def point(field: FieldSpec,
           coords: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """A point of O^m: its m coordinate vectors over the field basis, as int
-    tuples, each checked by ``field.element``."""
-    return tuple(field.element(c).coords for c in coords)
+    tuples.  The one coordinate check: vector by vector, ``as_int`` of each
+    entry, then the length n."""
+    out = []
+    for c in coords:
+        c = tuple(as_int(x) for x in c)
+        if len(c) != field.degree:
+            raise ValueError(f"expected {field.degree} coordinates, got {len(c)}")
+        out.append(c)
+    return tuple(out)
 
 
 def point_set(field: FieldSpec, S, m: int) -> np.ndarray:
@@ -61,8 +70,8 @@ def point_set(field: FieldSpec, S, m: int) -> np.ndarray:
     S may hold ``point`` results, JSON lists or the rows of an earlier point
     set.  A repeated point is dropped (the first is kept); an empty S, a
     point without m coordinates, a number where a list belongs and a
-    coordinate vector that ``field.element`` refuses (wrong length, a bool,
-    a fraction) raise ``ValueError``.  This is the one place S is validated.
+    coordinate vector that ``point`` refuses (wrong length, a bool, a
+    fraction) raise ``ValueError``.  This is the one place S is validated.
     """
     try:
         pts = list(dict.fromkeys(point(field, s) for s in S))
@@ -129,21 +138,15 @@ def _from_rows(field: FieldSpec, rows: list[list[int]]) -> IdealHNF:
     return IdealHNF(field, h, False, norm)
 
 
-def ideal_from_generators(gens: Sequence[AlgInt]) -> IdealHNF:
-    """The ideal generated by ``gens``: HNF of the Z-span of {g * e_i}."""
+def ideal_from_generators(field: FieldSpec, gens) -> IdealHNF:
+    """The ideal generated by the coordinate vectors ``gens``, read through
+    ``point``: HNF of the Z-span of {g * e_i}."""
+    gens = point(field, gens)
     if not gens:
         raise ValueError("empty generator list")
-    field = gens[0].field
-    if any(g.field != field for g in gens):
-        raise ValueError("generators from mixed fields")
     n = field.degree
-    rows = []
-    for g in gens:
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            rows.append(list(mul_coords(field, g.coords, e)))
-    return _from_rows(field, rows)
+    return _from_rows(field, [list(mul_coords(field, g, _unit(n, i)))
+                              for g in gens for i in range(n)])
 
 
 # ----------------------------------------------------------------------

@@ -61,13 +61,6 @@ class FieldSpec:
         fprime = [i * f[i] for i in range(1, n + 1)]
         return (-1) ** (n * (n - 1) // 2) * norm_of_coords(self, fprime)
 
-    def element(self, coords: Sequence[int]) -> "AlgInt":
-        coords = tuple(as_int(c) for c in coords)
-        if len(coords) != self.degree:
-            raise ValueError(
-                f"expected {self.degree} coordinates, got {len(coords)}")
-        return AlgInt(self, coords)
-
     def to_json(self) -> dict:
         if self.kind == "rational":
             return {"kind": "rational"}
@@ -77,17 +70,6 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec({json.dumps(self.to_json())}, n={self.degree})"
-
-
-@dataclass(frozen=True)
-class AlgInt:
-    """An element of O as an integer coordinate vector over the basis."""
-
-    field: FieldSpec
-    coords: tuple[int, ...]
-
-    def __repr__(self):
-        return f"AlgInt{self.coords}"
 
 
 def mul_coords(field: FieldSpec, a: Sequence[int],
@@ -208,8 +190,10 @@ def field_from_json(data: dict | str) -> FieldSpec:
 
 
 def as_int(x) -> int:
-    """int(x), but a bool or a float with a fraction is refused (2.0 is 2)."""
-    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+    """int(x), but a bool, an infinite or NaN float and any number with a
+    fraction are refused (2.0 is 2); a string takes int()'s rule ("2" is 2)."""
+    if (isinstance(x, bool) or isinstance(x, float) and not x.is_integer()
+            or not isinstance(x, str) and int(x) != x):
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
 

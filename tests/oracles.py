@@ -32,13 +32,11 @@ def ideal_mul(I, J):
 
 
 def contains(I, a):
-    """Whether the element a lies in I (exact triangular solve over Z)."""
-    if I.field != a.field:
-        raise ValueError("mismatched field")
+    """Whether the coordinate vector a lies in I (exact triangular solve over Z)."""
+    c = list(il.point(I.field, [a])[0])
     if I.is_zero:
-        return not any(a.coords)
+        return not any(c)
     n = I.field.degree
-    c = list(a.coords)
     for i in range(n):
         q, r = divmod(c[i], I.hnf[i][i])
         if r:
@@ -80,27 +78,27 @@ def zeta_recip_truncated(field, s: int, X: int) -> Fraction:
 def element_from_poly(field, coeffs):
     """Evaluate an integer polynomial (constant first) at the basis generator."""
     powers = nf._theta_powers(field.gen_minpoly, len(coeffs))
-    return nf.AlgInt(field, tuple(sum(c * pw[k] for c, pw in zip(coeffs, powers))
-                                  for k in range(field.degree)))
+    return tuple(sum(c * pw[k] for c, pw in zip(coeffs, powers))
+                 for k in range(field.degree))
 
 
 def prime_hnf(P):
     """(p, g(theta)) built by the reference HNF, apart from the splitting."""
     p, n = P.under_p, P.field.degree
-    return il.ideal_from_generators([P.field.element([p] + [0] * (n - 1)),
-                                     element_from_poly(P.field, P.gpoly)])
+    return il.ideal_from_generators(P.field, [[p] + [0] * (n - 1),
+                                              element_from_poly(P.field, P.gpoly)])
 
 
 def sub(a, b):
-    """a - b for elements a and b of one field."""
-    return nf.AlgInt(a.field, tuple(x - y for x, y in zip(a.coords, b.coords)))
+    """a - b for the coordinate vectors a and b of two elements of one field."""
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def difference_norm_product(field, S):
     """The product of N(D_st) over the pairs of S, one HNF per pair."""
-    diffs = ([sub(field.element(a), field.element(b)) for a, b in zip(s, t)]
+    diffs = ([sub(a, b) for a, b in zip(s, t)]
              for s, t in itertools.combinations(S, 2))
-    return math.prod(il.ideal_from_generators(d).norm for d in diffs)
+    return math.prod(il.ideal_from_generators(field, d).norm for d in diffs)
 
 
 def residue_ids(P, coords):

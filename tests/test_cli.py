@@ -453,12 +453,21 @@ def test_run_fraction_or_bool_for_integer_exit2(capsys, tmp_path, key, value):
     assert err.startswith("invalid configuration: ") and "not an integer" in err
 
 
+@pytest.mark.parametrize("m", [2.5, True, None, "x", 1, 1.0])
+def test_run_m_not_an_integer_exit2(capsys, tmp_path, m):
+    # m reads through the integer rule of the other settings
+    cfg = base_config(tmp_path, m=m)
+    code, out, err = run_cli(capsys, "run", "--config", write_config(tmp_path, cfg))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == "invalid configuration: m must be an integer >= 2\n"
+
+
 def test_run_integral_floats_accepted(tmp_path):
     cfg = ex.load_config(base_config(
-        tmp_path, X=1000.0, seed=3.0, s=[[[0.0], [0]]],
+        tmp_path, m=2.0, X=1000.0, seed=3.0, s=[[[0.0], [0]]],
         regions=[{"shape": "cube", "L": 30.0}], tolerance=0))
-    got = (cfg.X, cfg.seed, cfg.regions[0].L)
-    assert got == (1000, 3, 30) and all(type(v) is int for v in got)
+    got = (cfg.m, cfg.X, cfg.seed, cfg.regions[0].L)
+    assert got == (2, 1000, 3, 30) and all(type(v) is int for v in got)
     assert cfg.tolerance == 0.0
     assert cfg.S[0].tolist() == [[0], [0]]
 

@@ -129,8 +129,7 @@ def test_predict_splits_only_special_primes(gaussian):
     # (ramified), 3 and 5 become prime ideals; every other p <= 10^4 is
     # counted by Euler's criterion alone
     S = [origin(gaussian, 2), il.point(gaussian, [[6, 3], [15, 0]])]
-    assert il.ideal_from_generators(
-        [gaussian.element([6, 3]), gaussian.element([15, 0])]).norm == 45
+    assert il.ideal_from_generators(gaussian, [[6, 3], [15, 0]]).norm == 45
     pr._split_prime_cached.cache_clear()
     try:
         iv = dn.predicted_density(gaussian, S, 2, 10 ** 4)

@@ -13,10 +13,9 @@ from test_readme import quick_start
 # names no command uses: deleted, or moved to tests/oracles.py
 GONE = [(il, "unit_ideal"), (il, "ideal_sum"), (il, "ideal_mul"),
         (il, "contains"), (dn, "zeta_recip_truncated"),
-        (dn.PredictionInterval, "mid"), (nf.AlgInt, "__add__"),
-        (nf.AlgInt, "__neg__"), (nf.AlgInt, "__mul__"), (nf.AlgInt, "__sub__"),
-        (nf.AlgInt, "is_zero"), (nf.AlgInt, "norm"), (nf.FieldSpec, "zero"),
-        (nf.FieldSpec, "one"), (nf, "element_from_poly"), (pr, "residue_ids")]
+        (dn.PredictionInterval, "mid"), (nf, "AlgInt"), (nf.FieldSpec, "element"),
+        (nf.FieldSpec, "zero"), (nf.FieldSpec, "one"), (nf, "element_from_poly"),
+        (pr, "residue_ids")]
 
 
 def test_all_names_resolve():

@@ -14,30 +14,24 @@ from oracles import contains, ideal_mul, sub
 
 
 def test_generator_examples(rational, gaussian):
-    I = il.ideal_from_generators([rational.element([4]), rational.element([6])])
+    I = il.ideal_from_generators(rational, [[4], [6]])
     assert I.hnf == ((2,),) and I.norm == 2
-    assert il.ideal_from_generators([gaussian.element((1, 0))]).norm == 1
-    assert il.ideal_from_generators([gaussian.element((1, 1))]).norm == 2
+    assert il.ideal_from_generators(gaussian, [(1, 0)]).norm == 1
+    assert il.ideal_from_generators(gaussian, [(1, 1)]).norm == 2
 
 
 def test_zero_ideal(gaussian):
-    Z = il.ideal_from_generators([gaussian.element((0, 0))])
+    Z = il.ideal_from_generators(gaussian, [(0, 0)])
     assert Z.is_zero and Z.norm == 0
-    assert contains(Z, gaussian.element((0, 0)))
-    assert not contains(Z, gaussian.element((1, 0)))
-
-
-def test_mixed_fields_rejected(rational, gaussian):
-    with pytest.raises(ValueError):
-        il.ideal_from_generators([rational.element([2]), gaussian.element((1, 0))])
+    assert contains(Z, (0, 0))
+    assert not contains(Z, (1, 0))
 
 
 def test_integer_gcd_agreement(rational):
     # principal-ideal arithmetic over Z is plain gcd, on the whole box
     for a in range(-50, 51):
         for b in range(-50, 51):
-            I = il.ideal_from_generators(
-                [rational.element([a]), rational.element([b])])
+            I = il.ideal_from_generators(rational, [[a], [b]])
             assert I.norm == math.gcd(a, b)
 
 
@@ -45,16 +39,16 @@ def test_gcd_laws(gaussian):
     # I + J is the ideal the union of their Z-bases generates; equal sums
     # from different generator lists must reach one canonical HNF
     rng = random.Random(3)
-    O = il.ideal_from_generators([gaussian.element((1, 0))])
+    O = il.ideal_from_generators(gaussian, [(1, 0)])
 
     def rand_ideal():
         while True:
-            g = gaussian.element((rng.randint(-6, 6), rng.randint(-6, 6)))
-            if any(g.coords):
-                return il.ideal_from_generators([g])
+            g = (rng.randint(-6, 6), rng.randint(-6, 6))
+            if any(g):
+                return il.ideal_from_generators(gaussian, [g])
 
     def add(I, J):
-        return il.ideal_from_generators([gaussian.element(r) for r in I.hnf + J.hnf])
+        return il.ideal_from_generators(gaussian, I.hnf + J.hnf)
 
     for _ in range(25):
         I, J, K = rand_ideal(), rand_ideal(), rand_ideal()
@@ -68,39 +62,39 @@ def test_norm_multiplicative_on_products(gaussian, root2):
     rng = random.Random(5)
     for field in (gaussian, root2):
         for _ in range(30):
-            a = field.element((rng.randint(-8, 8), rng.randint(-8, 8)))
-            b = field.element((rng.randint(-8, 8), rng.randint(-8, 8)))
-            if not any(a.coords) or not any(b.coords):
+            a = (rng.randint(-8, 8), rng.randint(-8, 8))
+            b = (rng.randint(-8, 8), rng.randint(-8, 8))
+            if not any(a) or not any(b):
                 continue
-            I = il.ideal_from_generators([a])
-            J = il.ideal_from_generators([b])
+            I = il.ideal_from_generators(field, [a])
+            J = il.ideal_from_generators(field, [b])
             assert ideal_mul(I, J).norm == I.norm * J.norm
 
 
 def test_mul_by_unit_ideal(gaussian):
-    I = il.ideal_from_generators([gaussian.element((3, 1))])
-    assert ideal_mul(I, il.ideal_from_generators([gaussian.element((1, 0))])) == I
+    I = il.ideal_from_generators(gaussian, [(3, 1)])
+    assert ideal_mul(I, il.ideal_from_generators(gaussian, [(1, 0)])) == I
 
 
 def test_closure_under_basis_multiplication(gaussian, cubic):
     rng = random.Random(9)
     for field in (gaussian, cubic):
         for _ in range(10):
-            g = field.element([rng.randint(-5, 5) for _ in range(field.degree)])
-            if not any(g.coords):
+            g = [rng.randint(-5, 5) for _ in range(field.degree)]
+            if not any(g):
                 continue
-            I = il.ideal_from_generators([g])
+            I = il.ideal_from_generators(field, [g])
             for row in I.hnf:
                 for i in range(field.degree):
                     unit = [int(j == i) for j in range(field.degree)]
-                    assert contains(I, field.element(nf.mul_coords(field, row, unit)))
+                    assert contains(I, nf.mul_coords(field, row, unit))
 
 
 def test_contains_vs_brute_force(gaussian):
     rng = random.Random(17)
     for _ in range(8):
-        g = gaussian.element((rng.randint(1, 4), rng.randint(-3, 3)))
-        I = il.ideal_from_generators([g])
+        g = (rng.randint(1, 4), rng.randint(-3, 3))
+        I = il.ideal_from_generators(gaussian, [g])
         r1, r2 = I.hnf
         span = set()
         for x in range(-12, 13):
@@ -108,8 +102,7 @@ def test_contains_vs_brute_force(gaussian):
                 span.add((x * r1[0] + y * r2[0], x * r1[1] + y * r2[1]))
         for cx in range(-6, 7):
             for cy in range(-6, 7):
-                a = gaussian.element((cx, cy))
-                assert contains(I, a) == ((cx, cy) in span)
+                assert contains(I, (cx, cy)) == ((cx, cy) in span)
 
 
 def test_visibility_examples(rational, gaussian):
@@ -139,13 +132,13 @@ def test_visibility_matches_pure_hnf_route(gaussian):
     for _ in range(200):
         z = il.point(gaussian, [[rng.randint(-6, 6), rng.randint(-6, 6)]
                                 for _ in range(2)])
-        diffs = [sub(gaussian.element(a), gaussian.element(b)) for a, b in zip(z, o)]
-        assert il.is_visible(gaussian, z, o) == (il.ideal_from_generators(diffs).norm == 1)
+        diffs = [sub(a, b) for a, b in zip(z, o)]
+        want = il.ideal_from_generators(gaussian, diffs).norm == 1
+        assert il.is_visible(gaussian, z, o) == want
 
 
 def _hnf_indices(field, diffs):
-    return [il.ideal_from_generators([field.element(d) for d in lane]).norm
-            for lane in diffs]
+    return [il.ideal_from_generators(field, lane).norm for lane in diffs]
 
 
 KERNEL_FIELDS = [("rational", {}), ("quadratic", {"d": -1}),
@@ -293,6 +286,28 @@ def test_point_validation(rational, gaussian):
     z = il.point(rational, [[1], [2], [3]])
     with pytest.raises(ValueError):
         il.is_visible(rational, z, origin(rational, 2))
+
+
+@pytest.mark.parametrize("check, coords, exc, msg", [
+    (il.point, [[1], [0, 0]], ValueError, "expected 2 coordinates, got 1"),
+    (il.point, [[True, 0], [0, 0]], ValueError, "True is not an integer"),
+    (il.point, [[2.5, 0], [0, 0]], ValueError, "2.5 is not an integer"),
+    # every entry of a vector before its length, one vector after another
+    (il.point, [[True], [0, 0]], ValueError, "True is not an integer"),
+    (il.point, [[1], [True, 0]], ValueError, "expected 2 coordinates, got 1"),
+    (il.point, [3, [0, 0]], TypeError, "'int' object is not iterable"),
+    (il.point_set, [[None, 0], [0, 0]], ValueError,
+     "S must list points, each m lists of n integers"),
+    (il.point_set, [3, [0, 0]], ValueError,
+     "S must list points, each m lists of n integers")],
+    ids=["short", "bool", "fraction", "entries-first", "in-order", "number",
+         "null-in-S", "number-in-S"])
+def test_point_refusals(gaussian, check, coords, exc, msg):
+    """``point`` is the one coordinate check; ``point_set`` reads S through it."""
+    args = (gaussian, [coords], 2) if check is il.point_set else (gaussian, coords)
+    with pytest.raises(exc) as info:
+        check(*args)
+    assert type(info.value) is exc and str(info.value) == msg
 
 
 def test_point_set_shape_order_and_dedupe(gaussian):

@@ -3,10 +3,15 @@ import random
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import visilat
+from visilat import counting as ct
+from visilat import ideals as il
 from visilat import numfield as nf
 from visilat import primes as pr
 from visilat.errors import FieldError
@@ -211,8 +216,8 @@ def test_first_rational_primes():
 
 
 def test_element_from_poly(gaussian):
-    assert element_from_poly(gaussian, (1, 0, 1)).coords == (0, 0)
-    assert element_from_poly(gaussian, (3, 2)).coords == (3, 2)
+    assert element_from_poly(gaussian, (1, 0, 1)) == (0, 0)
+    assert element_from_poly(gaussian, (3, 2)) == (3, 2)
 
 
 def test_field_json_roundtrip(rational, gaussian, cubic):
@@ -223,6 +228,28 @@ def test_field_json_roundtrip(rational, gaussian, cubic):
         assert nf.field_from_json(cubic.to_json()) == cubic
 
 
+@pytest.mark.parametrize("x", [Fraction(5, 2), Decimal("2.5"), np.float32(2.5),
+                               2.5, True, float("inf")],
+                         ids=["Fraction", "Decimal", "float32", "float", "bool", "inf"])
+def test_as_int_refuses_non_integral_numbers(gaussian, x):
+    # int() would truncate each fraction to 2 (or read True as 1)
+    with pytest.raises(ValueError, match="is not an integer"):
+        nf.as_int(x)
+    with pytest.raises(ValueError, match="is not an integer"):
+        ct.cube_region(gaussian, x)
+    with pytest.raises(ValueError, match="is not an integer"):
+        il.point(gaussian, [[x, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("x", [Fraction(4, 2), Decimal("2"), np.float32(2.0), 2.0,
+                               np.int64(2), "2"],
+                         ids=["Fraction", "Decimal", "float32", "float", "int64", "str"])
+def test_as_int_keeps_integral_numbers_and_strings(x):
+    # a string takes int()'s rule: "2" is 2
+    got = nf.as_int(x)
+    assert got == 2 and type(got) is int
+
+
 def test_element_validation(gaussian):
     with pytest.raises(ValueError):
-        gaussian.element((1,))
+        il.point(gaussian, [(1,)])
