@@ -4,7 +4,8 @@ Subcommands: field, primes, predict, count, oracle, lemma-check, run.
 All structured output is JSON; `run` additionally exports CSV on request.
 Exit codes for `run`: 0 success, 1 tolerance failure, 2 invalid config, a
 file that cannot be read or written, or a cap refused part of the run (the
-partial report is still written), 3 unsupported field.  Only `count` takes
+partial report is still written), 3 unsupported field; any command exits 1
+when its reader closes stdout early.  Only `count` takes
 --seed, for its Monte Carlo stream; prime splitting is deterministic.  The
 subcommands read S, parse a region, count and run the lemma check by the
 ``experiment`` functions that `run` uses; only their output is their own.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -124,7 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a reader that left raises here, not at exit
+        return code
+    except BrokenPipeError:  # the flush at exit goes to devnull (Python's SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except FieldError as exc:
         print(f"unsupported field: {exc}", file=sys.stderr)
         return 3

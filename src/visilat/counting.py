@@ -1,19 +1,19 @@
 """Empirical counting of visible tuples over cube and ball regions.
 
-Three routes: a direct count (exact: every tuple of region^m, chunk by
-chunk, through the batched gcd-of-minors kernel ``ideals.visible_mask``), a
-prime-ideal sieve (exact: it splits only the primes dividing a norm of a
-difference between the region and S; each residue class of S keeps its
-last coordinates as a W-bit set, and every prefix of the other coordinates
-counts the union of its classes' sets, block by block), and a Monte Carlo
-estimator (the same kernel on uniform samples) for regions beyond
-enumeration caps.  The direct count never touches prime ideals or
-residues, so sieve == direct is an independent check and must hold
-exactly.  One closed form, run by run of the last coordinate, finds a
-residue class's rows mod any prime from the ``primes.residues`` of the
-region's basis and of S: the sieve expands it for the classes of S, and the
-lemma check sums it for the class of 0, the points of the prime.  Each
-count takes S as anything ``ideals.point_set`` accepts.
+Three routes: a direct count (exact: every tuple of region^m, and the mixed
+minors, in ``ideals.rows_index``, only where a gcd table of distinct norms
+finds a common factor), a prime-ideal sieve (exact: it splits only the
+primes dividing a norm of a difference between the region and S; each
+residue class of S keeps its last coordinates as a W-bit set, and every
+prefix of the other coordinates counts the union of its classes' sets, block
+by block), and a Monte Carlo estimator (the kernel's ``ideals.visible_mask``
+on uniform samples) for regions beyond enumeration caps.  The direct count
+never touches prime ideals or residues, so sieve == direct is an independent
+check and must hold exactly.  One closed form, run by run of the last
+coordinate, finds a residue class's rows mod any prime from the
+``primes.residues`` of the region's basis and of S: the sieve expands it for
+the classes of S, and the lemma check sums it for the class of 0, the points
+of the prime.  Each count takes S as anything ``ideals.point_set`` accepts.
 """
 
 from __future__ import annotations
@@ -259,19 +259,39 @@ def count_visible_direct(field: FieldSpec, S, m: int, region: Region,
                          tuple_cap: int = DEFAULT_TUPLE_CAP) -> CountResult:
     """Exact count of visible tuples by testing every tuple in region^m.
 
-    Tuples are built ``il.CHUNK`` at a time from flat indices into the
-    region and tested by the visibility kernel, so no W^m array is ever
-    held.  No prime ideal is consulted, which keeps this count an
-    independent check on the sieve.
+    The rows and |N| of a - c, for each region row a and coordinate c of S,
+    are built once (``il.ideal_rows``, one dtype).  Blocks of prefixes (z_1,
+    ..., z_(m-1)), each against every z_m, meet each s while still visible:
+    a lane's gcd of norms is read from gcd.outer(the block's distinct N(z_1 -
+    s_1), the distinct N(z_m - s_m)), the others folded in, and only a gcd
+    other than 1 takes the mixed minors (``il.rows_index``).  BLOCK_BYTES /
+    (8 m n^2 W) prefixes a block keep its gathered rows, gcd table and lane
+    arrays under ``BLOCK_BYTES`` on int64, unless one prefix alone passes it.
+    No prime ideal or residue is consulted: sieve == direct is independent.
     """
     S, coords, total = _tuple_space(field, S, m, region, region_cap, tuple_cap)
-    W = len(coords)
-    visible = 0
-    for lo in range(0, total, il.CHUNK):
-        idx = np.unravel_index(np.arange(lo, min(lo + il.CHUNK, total)),
-                               (W,) * m)
-        visible += int(il.visible_mask(field, coords[np.stack(idx, axis=1)],
-                                       S).sum())
+    (W, n), at = coords.shape, {}
+    kid = [[at.setdefault(c, len(at)) for c in map(tuple, s)] for s in S.tolist()]
+    rows = il.ideal_rows(field, np.broadcast_to(coords[:, None], (W, len(at), n)), list(at))
+    rows = rows.reshape(len(at), n * n, W)
+    N = [il.rows_index(r.reshape(n, n, W), il.minors(1, n), np.zeros(W, r.dtype)) for r in rows]
+    dist, rank = zip(*(np.unique(x, return_inverse=True) for x in N))
+    step, mixed, visible = max(1, BLOCK_BYTES // (8 * m * n * n * W)), il.minors(m, n)[m:], 0
+    for lo in range(0, W ** (m - 1), step):
+        pre = np.unravel_index(np.arange(lo, min(lo + step, W ** (m - 1))), (W,) * (m - 1))
+        ok = np.ones(len(pre[0]) * W, dtype=bool)
+        for ks in kid:
+            u, inv = np.unique(rank[ks[0]][pre[0]], return_inverse=True)
+            g = np.gcd.outer(dist[ks[0]][u], dist[ks[-1]])[inv][:, rank[ks[-1]]]
+            for k, a in zip(ks[1:-1], pre[1:]):
+                g = np.gcd(g, N[k][a][:, None])
+            hit = np.flatnonzero(ok & (g.ravel() != 1))
+            p, z = np.divmod(hit, W)
+            sel = np.empty((m, n * n, len(hit)), rows.dtype)
+            for j, (k, i) in enumerate(zip(ks, [a[p] for a in pre] + [z])):
+                rows[k].take(i, axis=1, out=sel[j])  # with out: ~6x a fresh take
+            ok[hit] = il.rows_index(sel.reshape(m * n, n, -1), mixed, g.ravel()[hit]) == 1
+        visible += int(ok.sum())
     return CountResult(visible_count=visible, total_tuples=total,
                        density_estimate=Fraction(visible, total),
                        method="direct", region=region)

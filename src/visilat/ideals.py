@@ -3,10 +3,11 @@
 One kernel, ``ideal_index``, computes the index |O/(d_1, ..., d_r)| of the
 ideal a few differences generate, for a batch of lanes held on the last axis,
 so each matrix entry is one vector.  The ideal is the Z-span of the r*n rows
-d_i * e_j, and the index of a full-rank sublattice of Z^n is the gcd of the
-n x n minors of any generating matrix; the gcd is 0 only when every d_i is 0.
-Visibility asks whether the index is 1, the sieve's prime bound takes it with
-r = 1 (|N(d)|), and ``predict``'s difference-ideal lemma takes it over S.
+d_i * e_j (``ideal_rows``), and the index of a full-rank sublattice of Z^n is
+the gcd of the n x n minors of any generating matrix (``rows_index``); the gcd
+is 0 only when every d_i is 0.  Visibility asks whether the index is 1, the
+sieve's prime bound takes it with r = 1 (|N(d)|), ``predict``'s
+difference-ideal lemma takes it over S, and the direct count calls its parts.
 
 ``ideal_from_generators`` builds the ideal a few coordinate vectors generate
 as a canonical upper-triangular integer matrix whose rows generate it as a
@@ -201,15 +202,18 @@ def ideal_index(field: FieldSpec, z: np.ndarray, s) -> np.ndarray:
     lane z[k] of a (lanes, r, n) integer array; s broadcasts against z (one
     point, or one per lane).
 
-    I is the Z-span of the r*n rows (z_i - s_i) e_j, and the index is the gcd
-    of their n x n minors: 0 when every difference is 0, |N(z_1 - s_1)| when
-    r = 1.  The rows are held lanes last, (r*n, n, lanes), the block minors
-    (+-N(z_i - s_i)) first.  A lane whose gcd is 1 stays (gcd(1, x) = 1) until
-    half the lanes are.  The arithmetic is int64 when n! E^n < 2^63, else exact
-    Python ints (``dtype=object``, as is the result): E = (max|z| + max|s|)
-    max_{j,k} sum_a |T[a][j][k]| bounds each row entry of every lane, kept or
-    not, so E^n bounds each Leibniz term of a minor and n! E^n each partial sum.
-    """
+    I is the Z-span of the r*n rows (z_i - s_i) e_j (``ideal_rows``), and the
+    index is the gcd of all their n x n minors (``rows_index`` from 0, block
+    minors +-N(z_i - s_i) first): 0 if every difference is 0, |N| if r = 1."""
+    rows = ideal_rows(field, z, s)
+    return rows_index(rows, minors(*z.shape[1:]), np.zeros(len(z), rows.dtype))
+
+
+def ideal_rows(field: FieldSpec, z: np.ndarray, s) -> np.ndarray:
+    """The rows (z_i - s_i) e_j of each lane z[k] of a (lanes, r, n) integer
+    array, lanes last, (r*n, n, lanes); s broadcasts against z.  They are int64
+    when n! E^n < 2^63, else Python ints (``dtype=object``): E = (max|z| +
+    max|s|) max_{j,k} sum_a |T[a][j][k]| bounds each entry, n! E^n any minor."""
     k, r, n = z.shape
     T, rowsum = _tensor(field)
     s = np.array(s, dtype=object)
@@ -218,11 +222,15 @@ def ideal_index(field: FieldSpec, z: np.ndarray, s) -> np.ndarray:
     E = (zmax + max(map(abs, s.flat), default=0)) * rowsum
     dtype = np.int64 if math.factorial(n) * E ** n < 2 ** 63 else object
     d = z.astype(dtype, copy=False) - s.astype(dtype)
-    rows = np.matmul(T.astype(dtype), d.transpose(1, 2, 0)).reshape(r * n, n, k)
-    out = np.ones(k, dtype=dtype)  # a lane compacted away has index 1
-    g = np.zeros(k, dtype=dtype)
-    kept = np.arange(k)
-    for rs in _minors(r, n):
+    return np.matmul(T.astype(dtype), d.transpose(1, 2, 0)).reshape(r * n, n, k)
+
+
+def rows_index(rows: np.ndarray, rsets, g: np.ndarray) -> np.ndarray:
+    """gcd(g, the minors of ``rows`` on the row sets ``rsets``) for each lane,
+    in the rows' dtype, as g is.  A lane whose gcd is 1 stays (gcd(1, x) = 1)
+    until half the lanes are; then the others are compacted."""
+    out, kept = np.ones(len(g), dtype=rows.dtype), np.arange(len(g))  # a lane compacted away: 1
+    for rs in rsets:
         g = np.gcd(g, _det(rows, rs))
         live = np.flatnonzero(g != 1)
         if 2 * len(live) <= len(g):
@@ -241,7 +249,7 @@ def _tensor(field: FieldSpec) -> tuple[np.ndarray, int]:
 
 
 @lru_cache(maxsize=None)
-def _minors(r: int, n: int) -> tuple:
+def minors(r: int, n: int) -> tuple:
     """The row sets of the n x n minors of r blocks of n rows, blocks first."""
     blocks = [tuple(range(i * n, (i + 1) * n)) for i in range(r)]
     return tuple(blocks + [c for c in itertools.combinations(range(r * n), n)

@@ -190,17 +190,17 @@ def field_from_json(data: dict | str) -> FieldSpec:
 
 
 def as_int(x) -> int:
-    """int(x), but a bool, an infinite or NaN float and any number with a
-    fraction are refused (2.0 is 2); a string takes int()'s rule ("2" is 2)."""
-    if (isinstance(x, bool) or isinstance(x, float) and not x.is_integer()
+    """int(x), but a bool (NumPy's too), an infinite or NaN float and any number
+    with a fraction are refused (2.0 is 2); a string takes int()'s rule ("2" is 2)."""
+    if (isinstance(x, (bool, np.bool_)) or isinstance(x, float) and not x.is_integer()
             or not isinstance(x, str) and int(x) != x):
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
 
 
 def as_real(x) -> Fraction:
-    """Fraction(x), but a bool, an infinite or NaN float or "1/0" is refused."""
-    if isinstance(x, bool) or isinstance(x, float) and not math.isfinite(x):
+    """Fraction(x), but a bool (NumPy's too), an infinite or NaN float or "1/0" is refused."""
+    if isinstance(x, (bool, np.bool_)) or isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"{x!r} is not a finite number")
     try:
         return Fraction(x)

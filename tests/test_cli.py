@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -791,3 +794,18 @@ def test_primes_and_zero_certificate_share_keys(capsys, gaussian):
     listed = [json.loads(line) for line in out.splitlines()]
     assert code == 0 and zero in listed
     assert all(set(row) == {"p", "f", "e", "g", "norm"} for row in listed)
+
+
+def test_run_into_closed_pipe_exits_1_quietly(tmp_path):
+    # a reader that closes stdout early (`visilat run ... | head -c 10`) is not
+    # a config error: exit 1 with nothing on stderr
+    cfg = base_config(tmp_path, modes=["predict"])
+    del cfg["out"]
+    path = write_config(tmp_path, cfg)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "visilat.cli", "run", "--config", path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()  # before the child writes its report
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1 and err == "", err

@@ -18,6 +18,7 @@ from visilat.errors import CapExceeded
 
 from conftest import origin
 from oracles import contains, ideal_count, prime_hnf, residue_ids, sub
+from test_ideals import KERNEL_FIELDS
 
 
 def test_enumerate_examples(rational, gaussian):
@@ -198,6 +199,132 @@ def test_zero_difference_rule(rational):
     S = [il.point(rational, [[a], [b]]) for a in (-1, 0, 1) for b in (-1, 0, 1)]
     res = ct.count_visible_direct(rational, S, 2, ct.cube_region(rational, 1))
     assert res.visible_count == 0
+
+
+# the direct count against the kernel: ``il.visible_mask`` over the full tuple
+# array of a tiny region, W^m at most ~20 000 tuples, on the kernel's fields;
+# (degree, m) -> (cube L or None, ball R)
+TINY = {(1, 2): (30, 30), (1, 3): (10, 10), (2, 2): (4, 5), (2, 3): (2, 2),
+        (3, 2): (2, 2), (3, 3): (1, 1), (4, 2): (1, 1), (4, 3): (None, 1)}
+
+
+def _kernel_count(field, S, m, region):
+    coords = ct.region_coords(region)
+    W = len(coords)
+    tuples = coords[np.stack(np.unravel_index(np.arange(W ** m), (W,) * m), axis=1)]
+    return int(il.visible_mask(field, tuples, il.point_set(field, S, m)).sum())
+
+
+def _direct_spied(field, S, m, region, monkeypatch):
+    """The direct count, and the starting gcds it gave ``il.rows_index``
+    for mixed minors (m blocks of rows)."""
+    starts, kernel = [], il.rows_index
+
+    def spy(rows, rsets, g):
+        if len(rows) == m * field.degree:
+            starts.append(g.copy())
+        return kernel(rows, rsets, g)
+
+    monkeypatch.setattr(il, "rows_index", spy)
+    res = ct.count_visible_direct(field, S, m, region)
+    monkeypatch.undo()
+    return res.visible_count, np.concatenate(starts) if starts else np.zeros(0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kind,kw", KERNEL_FIELDS)
+def test_direct_matches_kernel(kind, kw, m, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = nf.make_field(kind, **kw)
+    n = field.degree
+    L, R = TINY[n, m]
+    # a unimodular shear of the basis: e_i -> e_i + e_(i+1)
+    T = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    rng = random.Random(f"{kind}{kw}{m}")
+    # the origin, a point with a repeated coordinate, and a random one
+    S = [origin(field, m), il.point(field, [[1] + [0] * (n - 1)] * m),
+         il.point(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)])]
+    regions = [ct.ball_region(field, R), ct.ball_region(field, R, basis_transform=T)]
+    if L is not None:
+        regions += [ct.cube_region(field, L), ct.cube_region(field, L, basis_transform=T)]
+    for region in regions:
+        got, starts = _direct_spied(field, S, m, region, monkeypatch)
+        assert got == _kernel_count(field, S, m, region)
+        # only lanes whose norms share a factor reach the mixed minors
+        assert len(starts) and (starts != 1).all()
+
+
+def test_direct_object_path_near_2_40(gaussian, monkeypatch):
+    # S near 2^40: every minor bound passes int64, so the rows are Python ints,
+    # and the sieve refuses the prime bound B (~2^81) that the count does not need
+    big = 2 ** 40
+    S = [il.point(gaussian, [[big, 0], [0, big]]), il.point(gaussian, [[big + 1, 1], [2, -big]]),
+         origin(gaussian, 2)]
+    region = ct.cube_region(gaussian, 2)
+    dtypes, rows_of = [], il.ideal_rows
+    monkeypatch.setattr(il, "ideal_rows", lambda *a: dtypes.append(rows_of(*a).dtype)
+                        or rows_of(*a))
+    res = ct.count_visible_direct(gaussian, S, 2, region)
+    assert dtypes == [np.dtype(object)]
+    monkeypatch.undo()
+    assert res.visible_count == _kernel_count(gaussian, S, 2, region)
+    with pytest.raises(CapExceeded):
+        ct.count_visible_sieve(gaussian, S, 2, region)
+
+
+class _GcdTables:
+    """numpy as ``counting`` sees it, keeping the bytes of each np.gcd.outer."""
+
+    def __init__(self):
+        self.gcd, self.tables = self, []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def __call__(self, *args):
+        return np.gcd(*args)
+
+    def outer(self, a, b):
+        out = np.gcd.outer(a, b)
+        self.tables.append(out.nbytes)
+        return out
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("prefixes", [1, 3, 40])
+def test_direct_blocks_keep_tables_under_block_bytes(sqrt_m7, monkeypatch, m, prefixes):
+    # BLOCK_BYTES patched to hold `prefixes` prefixes of W lanes a block: the
+    # count is the kernel's, and each gcd table stays under BLOCK_BYTES
+    S = [origin(sqrt_m7, m), il.point(sqrt_m7, [[1, 0]] + [[0, 1]] * (m - 1)),
+         il.point(sqrt_m7, [[2, -1]] * m)]
+    region = ct.cube_region(sqrt_m7, 3 if m == 2 else 1)
+    W = len(ct.region_coords(region))
+    block = 8 * m * 2 * 2 * W * prefixes
+    spy = _GcdTables()
+    monkeypatch.setattr(ct, "BLOCK_BYTES", block)
+    monkeypatch.setattr(ct, "np", spy)
+    got = ct.count_visible_direct(sqrt_m7, S, m, region).visible_count
+    monkeypatch.undo()
+    assert got == _kernel_count(sqrt_m7, S, m, region)
+    blocks = -(-W ** (m - 1) // prefixes)
+    assert len(spy.tables) == len(S) * blocks and max(spy.tables) <= block
+
+
+def test_direct_counts_z_equal_s_invisible(rational, gaussian):
+    # z = s: every difference is 0, the zero ideal; the only tuple of a
+    # one-point region is not visible from itself
+    assert ct.count_visible_direct(rational, [origin(rational, 2)], 2,
+                                   ct.ball_region(rational, Fraction(1, 2))).visible_count == 0
+    s = il.point(gaussian, [[1, 0], [0, 1]])
+    region = ct.cube_region(gaussian, 1)
+    want = _kernel_count(gaussian, [s], 2, region)
+    assert ct.count_visible_direct(gaussian, [s], 2, region).visible_count == want
+    # s is one of the 81 tuples; every other tuple with a unit difference sees s
+    pts = ct.region_coords(region).tolist()
+    assert want == sum(1 for a in pts for b in pts
+                       if il.ideal_from_generators(gaussian, [sub(a, s[0]), sub(b, s[1])]).norm == 1)
+    assert want < 81
 
 
 def test_sieve_equals_direct_examples(rational, gaussian):

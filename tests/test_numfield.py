@@ -229,8 +229,9 @@ def test_field_json_roundtrip(rational, gaussian, cubic):
 
 
 @pytest.mark.parametrize("x", [Fraction(5, 2), Decimal("2.5"), np.float32(2.5),
-                               2.5, True, float("inf")],
-                         ids=["Fraction", "Decimal", "float32", "float", "bool", "inf"])
+                               2.5, True, np.True_, float("inf")],
+                         ids=["Fraction", "Decimal", "float32", "float", "bool",
+                              "numpy-bool", "inf"])
 def test_as_int_refuses_non_integral_numbers(gaussian, x):
     # int() would truncate each fraction to 2 (or read True as 1)
     with pytest.raises(ValueError, match="is not an integer"):
@@ -239,6 +240,16 @@ def test_as_int_refuses_non_integral_numbers(gaussian, x):
         ct.cube_region(gaussian, x)
     with pytest.raises(ValueError, match="is not an integer"):
         il.point(gaussian, [[x, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("x", [True, np.True_, np.False_], ids=["bool", "numpy-bool",
+                                                                  "numpy-false"])
+def test_as_real_refuses_bools(gaussian, x):
+    # Fraction(np.True_) raises TypeError: a bool is refused as a bool, by name
+    with pytest.raises(ValueError, match="is not a finite number"):
+        nf.as_real(x)
+    with pytest.raises(ValueError, match="is not a finite number"):
+        ct.ball_region(gaussian, x)
 
 
 @pytest.mark.parametrize("x", [Fraction(4, 2), Decimal("2"), np.float32(2.0), 2.0,
