@@ -17,8 +17,8 @@ from .errors import CapExceeded, ConfigError, FieldError
 from .ideals import (IdealHNF, ideal_from_generators, is_visible,
                      is_visible_from_all, point, point_set)
 from .numfield import FieldSpec, field_from_json, make_field
-from .primes import (PrimeIdeal, poly_factor_mod_p, primes_up_to_norm,
-                     s_of_prime, split_prime, window_first_t)
+from .primes import (PrimeIdeal, primes_up_to_norm, s_of_prime, split_prime,
+                     window_first_t)
 
 __all__ = [
     "CapExceeded", "ConfigError", "CountResult", "ExactDensity",
@@ -27,7 +27,7 @@ __all__ = [
     "count_visible_direct", "count_visible_sieve", "cube_region",
     "exact_window_density", "field_from_json", "ideal_count_check",
     "ideal_from_generators", "is_visible", "is_visible_from_all",
-    "make_field", "mc_estimate", "point", "point_set", "poly_factor_mod_p",
-    "predicted_density", "primes_up_to_norm", "s_of_prime", "split_prime",
-    "window_density", "window_first_t", "__version__",
+    "make_field", "mc_estimate", "point", "point_set", "predicted_density",
+    "primes_up_to_norm", "s_of_prime", "split_prime", "window_density",
+    "window_first_t", "__version__",
 ]

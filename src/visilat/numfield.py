@@ -166,13 +166,13 @@ def make_field(kind: str, d: int | None = None,
             raise FieldError("monogenic minimal polynomial must have degree >= 2")
         if mp[-1] != 1:
             raise FieldError("minimal polynomial must be monic")
-        if not _poly_irreducible(mp):
-            raise FieldError("minimal polynomial is reducible over Q")
         labels = ("1", "theta") + tuple(f"theta^{k}" for k in range(2, n))
     else:
         raise FieldError(f"unknown field kind {kind!r}")
     field = FieldSpec(kind=kind, degree=len(mp) - 1, basis_labels=labels,
                       mult_tensor=_power_basis_tensor(mp), gen_minpoly=mp, d=d)
+    if kind == "monogenic" and not _poly_irreducible(field):
+        raise FieldError("minimal polynomial is reducible over Q")
     if kind != "rational" and d not in PID_WHITELIST:
         warnings.warn(f"{field!r} is not on the class-number-one whitelist; "
                       "density formulas assume O is a PID", stacklevel=2)
@@ -254,17 +254,16 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
-def _poly_irreducible(coeffs: tuple[int, ...]) -> bool:
+def _poly_irreducible(field: FieldSpec) -> bool:
     """Monic f is irreducible if f mod p is, for some p; sympy decides only
     when no p < 100 shows it (x^4 + 1 is reducible mod every prime)."""
-    from .primes import poly_factor_mod_p  # primes imports this module
+    from .primes import factor_degrees  # primes imports this module
 
-    for p in rational_primes_up_to(100):
-        if [e for _, e in poly_factor_mod_p(coeffs, p)] == [1]:  # one factor
-            return True
+    if factor_degrees(field, rational_primes_up_to(100))[:, -1].any():
+        return True
     from sympy import Poly, Symbol
 
-    return Poly(list(reversed(coeffs)), Symbol("x")).is_irreducible
+    return Poly(list(reversed(field.gen_minpoly)), Symbol("x")).is_irreducible
 
 
 def first_rational_primes(t: int) -> list[int]:

@@ -1,11 +1,17 @@
 """Prime ideal splitting, enumeration by norm, and residue-field reduction.
 
 Rational primes split according to the factorization of the basis
-generator's minimal polynomial modulo p (valid here because every supported
-field carries a power integral basis).  Polynomials over F_p are coefficient
-tuples, constant term first, coefficients in [0, p).  A prime ideal is
-(p, g(theta)) for an irreducible factor g of multiplicity e: the program
-reads its p, f = deg g, e and residue map, and never its Z-basis.
+generator's minimal polynomial f modulo p (valid here because every supported
+field carries a power integral basis).  A prime ideal is (p, g(theta)) for a
+monic irreducible factor g of f mod p of multiplicity e: the program reads its
+p, f = deg g, e and residue map, and never its Z-basis.
+
+One engine, ``split_primes``, splits an array of rational primes at once,
+each p a lane of numpy arrays.  Its Frobenius stage squares x^(p^d) mod (f, p)
+through the multiplication tensor and takes gcds with x^(p^d) - x, the
+products of the factors of each degree d, which alone give the norms at an
+unramified p (``factor_degrees``); its splitting stage parts them by
+Cantor-Zassenhaus and divides each factor out of f as often as it goes.
 
 ``residues`` is the one encoder of coordinates as residues in F_p^f, for a
 chunk of primes at once (a lies in P exactly when its residue is 0):
@@ -32,6 +38,11 @@ from .ideals import ideal_index
 from .ideals import ideal_from_generators  # noqa: F401
 from .numfield import FieldSpec
 
+LANE_BYTES = 2 ** 17      # the engine's working set per chunk of lanes, at int64
+CACHE_SIZE = 1024         # entries of each field's split memo and of two lru_caches
+SPLIT_LANES = 256         # a round draws about this many h, 1 to 16 for each piece
+SPLIT_ROUNDS = 64         # each stays whole through a round with probability about 1/2
+_SPLIT: dict = {}         # field -> {p: the prime ideals above p}, for ``split_primes``
 
 @dataclass(frozen=True, slots=True)
 class PrimeIdeal:
@@ -51,296 +62,224 @@ class PrimeIdeal:
         return f"PrimeIdeal(p={self.under_p}, f={self.f}, e={self.e}, g={list(self.gpoly)})"
 
 
-# ----------------------------------------------------------------------
-# arithmetic of polynomials over F_p (tuples, constant term first)
-# ----------------------------------------------------------------------
-
-def _ptrim(a: Sequence[int]) -> tuple[int, ...]:
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _pdeg(a: tuple[int, ...]) -> int:
-    return len(a) - 1
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([( (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([( (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    """Division with remainder by a nonzero polynomial b."""
-    b = _ptrim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    rem = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(rem) - len(b), -1, -1):
-        c = (rem[i + len(b) - 1] * inv) % p
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * bj) % p
-    return _ptrim(q), _ptrim(rem)
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
-def _pmonic(a, p):
-    a = _ptrim(a)
-    if not a or a[-1] == 1:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return tuple((c * inv) % p for c in a)
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return _pmonic(a, p)
-
-
-def _ppowmod(base, exp: int, mod, p):
-    result = (1,)
-    base = _pmod(base, mod, p)
-    while exp:
-        if exp & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        exp >>= 1
-    return result
-
-
-def _pderiv(a, p):
-    return _ptrim([(i * a[i]) % p for i in range(1, len(a))])
-
-
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Deterministic Miller-Rabin with n - 1 = d 2^s: exact for n < 3.3e24 by
+    the bases 2 to 41, and below 3 215 031 751 by 2, 3, 5 and 7 alone."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)[:4 if n < 3215031751 else 13]
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # a is no witness: a^d = 1 or a^(d 2^i) = -1, i < s
+    return all((x := pow(a, (n - 1) >> s, n)) == 1
+               or n - 1 in [x := x * x % n if i else x for i in range(s)] for a in bases)
 
 
 # ----------------------------------------------------------------------
-# factorization over F_p
+# the splitting engine: f mod many primes at once
 # ----------------------------------------------------------------------
 
-def poly_factor_mod_p(poly: Sequence[int],
-                      p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Complete factorization of a monic polynomial over F_p.
-
-    Squarefree + distinct-degree + equal-degree splitting.  Returns
-    (irreducible factor, multiplicity) pairs sorted by (degree,
-    coefficients).  F_p[x] has unique factorization, so the random choices
-    of equal-degree splitting (a private generator keyed by p and the
-    polynomial) cannot change the result.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    f = _pmonic(tuple(c % p for c in poly), p)
-    if _pdeg(f) < 1:
-        raise ValueError("constant polynomial")
-    rng = random.Random(hash((p, f)))
-    factors = _factor_monic(f, p, rng)
-    factors.sort(key=lambda fm: (_pdeg(fm[0]), fm[0]))
-    return factors
-
-
-def _factor_monic(f, p, rng) -> list[tuple[tuple[int, ...], int]]:
-    if _pdeg(f) == 0:
-        return []
-    fp = _pderiv(f, p)
-    if not fp:
-        # f = g(x^p) = g(x)^p since coefficients are Frobenius-fixed
-        g = _ptrim([f[i] for i in range(0, len(f), p)])
-        return [(q, m * p) for q, m in _factor_monic(g, p, rng)]
-    sqf, _ = _pdivmod(f, _pgcd(f, fp, p), p)
-    result = []
-    rem = f
-    for q in _irreducibles_of_squarefree(_pmonic(sqf, p), p, rng):
-        mult = 0
-        while True:
-            quo, r = _pdivmod(rem, q, p)
-            if r:
-                break
-            rem = quo
-            mult += 1
-        result.append((q, mult))
-    if _pdeg(rem) > 0:
-        # leftover multiplicities all divisible by p; its derivative vanishes
-        result.extend(_factor_monic(rem, p, rng))
-    return result
-
-
-def _irreducibles_of_squarefree(f, p, rng) -> list[tuple[int, ...]]:
-    """Distinct-degree then equal-degree splitting of a squarefree monic f."""
-    out = []
-    h = (0, 1)
-    cur = f
-    d = 0
-    while _pdeg(cur) >= 2 * (d + 1):
-        d += 1
-        h = _ppowmod(h, p, cur, p)
-        g = _pgcd(cur, _psub(h, (0, 1), p), p)
-        if _pdeg(g) > 0:
-            out.extend(_equal_degree_split(g, d, p, rng))
-            cur, _ = _pdivmod(cur, g, p)
-            cur = _pmonic(cur, p)
-            h = _pmod(h, cur, p)
-    if _pdeg(cur) > 0:
-        out.append(cur)
+def split_primes(field: FieldSpec, ps: Sequence[int]) -> list[tuple[PrimeIdeal, ...]]:
+    """The prime ideals above each rational prime of ps (taken to be prime),
+    sorted by gpoly; the last ``CACHE_SIZE`` p split over a field are kept.
+    A factorization is refused (RuntimeError) unless each factor g divides f
+    (e >= 1 times) and the e deg g sum to deg f: for distinct irreducible g,
+    the product of the g^e is then f, which no draw of the splitting stage
+    can change."""
+    memo, rng = _SPLIT.setdefault(field, {}), random.Random(0)  # fixed draws
+    for p, f, T, ram in _lanes(field, [p for p in dict.fromkeys(ps) if p not in memo]):
+        lane, g = _equal_degree(*_frobenius(p, f, T, ram), p, T, rng)
+        f, deg, e = f[:, lane], _deg(g), np.zeros(len(lane), np.int64)
+        for _ in range(field.degree):
+            quo, r = _divmod(f, g, p[lane])
+            e += (div := ~(r != 0).any(0))
+            f = np.where(div, quo, f)
+        ideals = [[] for _ in p]
+        for i, q, row, k, ei in zip(*(a.tolist() for a in (lane, p[lane], g.T, deg, e))):
+            ideals[i].append(PrimeIdeal(field, q, k, ei, tuple(row[:k + 1]), q ** k))
+        # a g that does not divide f counts n + 1 towards the sum
+        bad = np.bincount(lane, np.where(e > 0, e * deg, len(f)), len(p)) != field.degree
+        if bad.any():
+            Ps = ideals[np.argmax(bad)]
+            raise RuntimeError(f"factors {sorted((P.gpoly, P.e) for P in Ps)} do not multiply to "
+                               f"{field.gen_minpoly} mod {Ps[0].under_p}")
+        memo.update((Ps[0].under_p, tuple(sorted(Ps, key=lambda P: P.gpoly))) for Ps in ideals)
+    out = [memo[p] for p in ps]
+    for p in list(memo)[:max(0, len(memo) - CACHE_SIZE)]:
+        del memo[p]
     return out
 
 
-def _equal_degree_split(g, d, p, rng) -> list[tuple[int, ...]]:
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
-    if _pdeg(g) == d:
-        return [g]
+def factor_degrees(field: FieldSpec, ps: Sequence[int]) -> np.ndarray:
+    """counts[i, d - 1], the number of distinct irreducible factors of degree
+    d of f mod ps[i], from the Frobenius stage alone: the number of primes of
+    norm p^d above p."""
+    out, n = [np.zeros((0, field.degree))], field.degree
+    for p, f, T, ram in _lanes(field, ps):
+        lane, d, g = _frobenius(p, f, T, ram)
+        out.append(np.bincount(lane * n + d - 1, _deg(g) // d, len(p) * n).reshape(-1, n))
+    return np.concatenate(out).astype(np.int64)
+
+
+# The engine's arrays are lanes-last: column l of a (w, L) array is a
+# polynomial mod p[l], row i its coefficient of x^i, or an element mod (f,
+# p[l]), row i its coordinate on theta^i.
+
+def _lanes(field: FieldSpec, ps: Sequence[int]):
+    """The primes ps a chunk at a time under ``LANE_BYTES``, as lanes (p, f, T,
+    ram): f mod p; T, the multiplication tensor as n rows of n^2 over n rows
+    of that tensor times theta; ram, where p divides disc f (else f mod p is
+    squarefree).  Every sum the engine forms is below 2 n^2 t (p-1)^2, t the
+    largest |entry| of T: a chunk is int64 while that is below 2^63 at its
+    largest p, else Python integers (``object``)."""
+    n, f = field.degree, np.array(field.gen_minpoly, dtype=object)[:, None]
+    T = np.array(field.mult_tensor, dtype=object).reshape(n * n, n).T
+    T = np.concatenate((T, np.roll(T, 1, axis=0) - T[-1] * (f[:-1] + (np.arange(n) == 0)[:, None])))
+    t, step = max(1, *map(abs, T.flat)), max(1, LANE_BYTES // (8 * (n + 1) ** 2))
+    # f and disc f, int64 where they fit (numpy takes [2^63, 2^64) as uint64)
+    fd = np.array(field.gen_minpoly + (field.discriminant,), dtype=object)[:, None]
+    fd = fd.astype(np.int64) if max(map(abs, fd.flat)) < 2 ** 63 else fd
+    for lo in range(0, len(ps), step):
+        chunk = ps[lo:lo + step]
+        dt = np.int64 if 2 * n * n * t * (int(np.max(chunk)) - 1) ** 2 < 2 ** 63 else object
+        p = np.array(chunk, dtype=dt)
+        yield p, (r := fd % p)[:-1].astype(dt), T.astype(dt), r[-1] == 0
+
+
+def _frobenius(p, f, T, ram):
+    """The Frobenius stage: pieces (lane, d, g), g the product of the distinct
+    irreducible factors of degree d of f mod p[lane], the gcd of x^(p^d) - x
+    with what is left of f, which then loses each factor of g to its full
+    power.  What is left of degree below 2d is 1 or irreducible."""
+    n = len(f) - 1
+    x = np.zeros((n, len(p)), f.dtype) + (np.arange(n) == 1)[:, None]  # theta, for n >= 2
+    rest, pieces = f, []
+
+    def x_step(r, bit):  # r^2, times x where the bit is set: the two halves of T
+        return np.where(bit, (o := T @ (r[:, None] * r[None]).reshape(n * n, -1))[n:], o[:n]) % p
+
+    for d in range(1, n // 2 + 1):
+        if not (live := _deg(rest) >= 2 * d).any():
+            break
+        h = _power(_one(x), p if d == 1 else p.astype(object) ** d, x_step)
+        g = _gcd(_poly(h - x) % p, rest, p)
+        found = live & (_deg(g) > 0)
+        pieces.append((np.flatnonzero(found), np.full(found.sum(), d), g[:, found]))
+        rest, j = np.where(found, _divmod(rest, g, p)[0], rest), np.flatnonzero(found & ram)
+        while len(j):  # where p | disc f, divide by gcd(rest, g) until that is 1
+            u = _gcd(rest[:, j], g[:, j], p[j])
+            j, u = j[(keep := _deg(u) > 0)], u[:, keep]
+            rest[:, j] = _divmod(rest[:, j], u, p[j])[0]
+    last = _deg(rest)
+    pieces.append((np.flatnonzero(last > 0), last[last > 0], rest[:, last > 0]))
+    lane, d, g = zip(*pieces)
+    return np.concatenate(lane), np.concatenate(d), np.concatenate(g, axis=1)
+
+
+def _equal_degree(lane, d, g, p, T, rng):
+    """The splitting stage (Cantor-Zassenhaus): (lane, g) for the irreducible
+    factors of pieces g of degree-d irreducibles mod p[lane].  For a random h
+    mod (f, p), g's gcd with h^((p^d - 1)/2) - 1, or at p = 2 with the trace
+    h + ... + h^(2^(d-1)), is a proper factor about half the time."""
+    out = []
+    for _ in range(SPLIT_ROUNDS):
+        done = _deg(g) == d
+        out.append((lane[done], g[:, done]))
+        lane, d, g = lane[~done], d[~done], g[:, ~done]
+        if not len(lane):
+            return np.concatenate([a for a, _ in out]), np.concatenate([b for _, b in out], axis=1)
+        r = np.repeat(np.arange(len(lane)), k := min(16, max(1, SPLIT_LANES // len(lane))))
+        ex = (p[lane].astype(object) ** d - 1) // 2  # int64 where it fits
+        q, e, ex = p[lane][r], d[r], (ex if ex.max() >= 2 ** 63 else ex.astype(np.int64))[r]
+        h = np.frombuffer(rng.randbytes(8 * (len(g) - 1) * len(q)), np.int64)
+        u, odd = (h := h.reshape(-1, len(q)) % q).copy(), q % 2 == 1
+        if odd.any():
+            qo, ho = q[odd], h[:, odd]
+            u[:, odd] = _power(_one(ho), ex[odd], lambda y, bit: np.where(
+                bit, _mul(s := _mul(y, y, qo, T), ho, qo, T), s))
+            u[0, odd] -= 1
+        for i in range(1, e[~odd].max(initial=1)):  # p = 2
+            h[:, ~odd] = _mul(h[:, ~odd], h[:, ~odd], q[~odd], T)
+            u[:, ~odd] += np.where(i < e[~odd], h[:, ~odd], 0)
+        u = _gcd(_poly(u) % q, g[:, r], q)
+        ok = ((_deg(u) > 0) & (_deg(u) < _deg(g)[r])).reshape(-1, k)
+        hit, pick = ok.any(1), np.arange(len(lane)) * k + ok.argmax(1)
+        u, q = u[:, pick[hit]], q[pick[hit]]
+        lane, d = (np.concatenate((a[~hit], a[hit], a[hit])) for a in (lane, d))
+        g = np.concatenate((g[:, ~hit], u, _divmod(g[:, hit], u, q)[0]), axis=1)
+    raise RuntimeError(f"a piece of degree {_deg(g).max()} did not split in {SPLIT_ROUNDS} rounds")
+
+
+def _mul(a, b, p, T):
+    """a b mod (f, p), lane by lane, on coordinates (the first n rows of T)."""
+    return T[:len(a)] @ (a[:, None] * b[None]).reshape(-1, a.shape[1]) % p
+
+
+def _power(one, e, step):
+    """one times a^e, lane by lane, left to right over the bits of e: step(r,
+    bit) is r^2, times a where the bit is set."""
+    for bit in (e >> np.arange(int(e.max(initial=0)).bit_length())[::-1, None]) & 1 != 0:
+        one = step(one, bit)
+    return one
+
+
+def _one(x):
+    return np.zeros_like(x) + (np.arange(len(x)) == 0)[:, None]
+
+
+def _poly(c):
+    """Coordinates as a polynomial of degree < n, in n + 1 rows."""
+    return np.concatenate((c, np.zeros((1, c.shape[1]), c.dtype)))
+
+
+def _deg(a):
+    """Each lane's degree; -1 for the zero polynomial."""
+    return (np.arange(1, len(a) + 1)[:, None] * (a != 0)).max(0) - 1
+
+
+def _shift(b, s):
+    """x^s b lane by lane (s >= 0), cut to b's rows."""
+    idx = np.arange(len(b))[:, None] - s
+    return np.where(idx >= 0, b[np.maximum(idx, 0), np.arange(b.shape[1])], 0)
+
+
+def _gcd(a, b, p):
+    """Monic gcd of each lane's a and b: each step cancels the leading term of
+    the one of higher degree, a <- lc(b) a - lc(a) x^(deg a - deg b) b.  A
+    nonzero constant gcd is 1; lc^-1 = lc^(p-2) is taken only where lc > 1."""
+    cols = np.arange(a.shape[1])
     while True:
-        h = _ptrim([rng.randrange(p) for _ in range(_pdeg(g))])
-        if not h:
-            continue
-        u = _pgcd(g, h, p)
-        if 0 < _pdeg(u) < _pdeg(g):
+        da, db = _deg(a), _deg(b)
+        a, b = np.where(da < db, b, a), np.where(da < db, a, b)
+        da, db = np.maximum(da, db), np.minimum(da, db)
+        if not (live := db >= 0).any():
             break
-        if p == 2:
-            acc = h
-            t = h
-            for _ in range(d - 1):
-                t = _pmod(_pmul(t, t, p), g, p)
-                acc = _padd(acc, t, p)
-            u = _pgcd(g, acc, p)
-        else:
-            w = _ppowmod(h, (p ** d - 1) // 2, g, p)
-            u = _pgcd(g, _psub(w, (1,), p), p)
-        if 0 < _pdeg(u) < _pdeg(g):
-            break
-    rest, _ = _pdivmod(g, u, p)
-    return (_equal_degree_split(u, d, p, rng)
-            + _equal_degree_split(_pmonic(rest, p), d, p, rng))
+        a = np.where(live, (b[db, cols] * a - a[da, cols] * _shift(b, da - db)) % p, a)
+    a = np.where(da == 0, _one(a), a)
+    lead = a[np.maximum(da, 0), cols]
+    q, c = p[fix := np.flatnonzero(lead > 1)], lead[fix]
+    inv = _power(np.ones_like(c), q - 2, lambda r, bit: np.where(bit, (s := r * r % q) * c % q, s))
+    a[:, fix] = a[:, fix] * inv % q
+    return a
+
+
+def _divmod(a, b, p):
+    """Quotient and remainder of each lane's a by its monic b."""
+    q, r, db, cols = np.zeros_like(a), a, _deg(b), np.arange(a.shape[1])
+    for i in reversed(range(db.min(initial=len(a)), len(a))):
+        s, c = np.maximum(i - db, 0), np.where(i >= db, r[i], 0)
+        q[s, cols] += c
+        r = (r - c * _shift(b, s)) % p
+    return q, r
 
 
 # ----------------------------------------------------------------------
 # splitting of rational primes
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _split_prime_cached(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    out = _split_quadratic(field, p) or _split_prime_cz(field, p)
-    if sum(P.e * P.f for P in out) != field.degree:
-        raise RuntimeError(f"sum of e*f != degree at p={p}")
-    return tuple(sorted(out, key=lambda P: P.gpoly))
-
-
-def _split_prime_cz(field: FieldSpec, p: int) -> list[PrimeIdeal]:
-    """Dedekind splitting by Cantor-Zassenhaus: a prime (p, g(theta)) of
-    norm p^deg g for each irreducible factor g of multiplicity e.  It has
-    that norm exactly when g divides the minimal polynomial f mod p, so the
-    factorization is checked whole: the product of the g^e must be f."""
-    factors = poly_factor_mod_p(field.gen_minpoly, p)
-    prod = (1,)
-    for g, e in factors:
-        for _ in range(e):
-            prod = _pmul(prod, g, p)
-    if prod != tuple(c % p for c in field.gen_minpoly):
-        raise RuntimeError(f"factors {factors} do not multiply to "
-                           f"{field.gen_minpoly} mod {p}")
-    return [PrimeIdeal(field, p, _pdeg(g), e, g, p ** _pdeg(g))
-            for g, e in factors]
-
-
-def quadratic_f(field: FieldSpec, p: int) -> int | None:
-    """Residue degree of the primes above p by Euler's criterion on D = b^2 -
-    4c, where x^2 + bx + c is theta's minimal polynomial: 1 when p splits
-    into two primes of norm p, 2 when p is inert; None unless the field is
-    quadratic and p is odd and does not divide D."""
-    if field.degree != 2 or p == 2:
-        return None
-    c, b, _ = field.gen_minpoly
-    D = (b * b - 4 * c) % p
-    if not D:
-        return None
-    return 1 if pow(D, (p - 1) // 2, p) == 1 else 2
-
-
-def _split_quadratic(field: FieldSpec, p: int) -> list[PrimeIdeal] | None:
-    """Splitting of p in closed form wherever ``quadratic_f`` decides it;
-    None for any other p.  A split p has roots r = (-b +- sqrt D)/2 of x^2 +
-    bx + c, factors x - r and prime ideals (p, theta - r)."""
-    f = quadratic_f(field, p)
-    if f is None:
-        return None
-    c, b, _ = field.gen_minpoly
-    if f == 2:
-        return [PrimeIdeal(field, p, 2, 1, (c % p, b % p, 1), p * p)]
-    t, half, out = _sqrt_mod((b * b - 4 * c) % p, p), (p + 1) // 2, []
-    for r in ((t - b) * half % p, (-t - b) * half % p):
-        if (r * r + b * r + c) % p:
-            raise RuntimeError(f"closed-form root {r} of {field.gen_minpoly} fails mod {p}")
-        out.append(PrimeIdeal(field, p, 1, 1, (-r % p, 1), p))
-    return out
-
-
-def _sqrt_mod(a: int, p: int) -> int:
-    """A square root of a nonzero square a modulo an odd prime p, by
-    Tonelli-Shanks with the smallest non-residue (deterministic)."""
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s with q odd
-    q = (p - 1) >> s
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
-        u = pow(c, 1 << (s - i - 1), p)
-        s, c, t, r = i, u * u % p, t * u * u % p, r * u % p
-    return r
+    return split_primes(field, [p])[0]
 
 
 def split_prime(field: FieldSpec, p: int) -> list[PrimeIdeal]:
@@ -354,8 +293,11 @@ def primes_up_to_norm(field: FieldSpec, X: int,
     above the rational primes ``ps`` when it is given."""
     if X < 2:
         raise ValueError("X must be >= 2")
-    out = [P for p in (numfield.rational_primes_up_to(X) if ps is None else ps)
-           for P in split_prime(field, p) if P.norm <= X]
+    if ps is None:
+        ps = numfield.rational_primes_up_to(X)
+    elif not_prime := [p for p in ps if not is_prime(p)]:
+        raise ValueError(f"{not_prime[0]} is not prime")
+    out = [P for Ps in split_primes(field, ps) for P in Ps if P.norm <= X]
     out.sort(key=PrimeIdeal.sort_key)
     return out
 
@@ -364,24 +306,20 @@ def window_first_t(field: FieldSpec, t: int) -> tuple[PrimeIdeal, ...]:
     """E_t: primes above the first t rational primes, sorted by (p, gpoly)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return tuple(P for p in numfield.first_rational_primes(t)
-                 for P in split_prime(field, p))
+    return tuple(P for Ps in split_primes(field, numfield.first_rational_primes(t)) for P in Ps)
 
 
 # ----------------------------------------------------------------------
 # residue fields
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def reduction_rows(P: PrimeIdeal) -> tuple[tuple[int, ...], ...]:
-    """Row i = image of theta^i in F_p[x]/(g), padded to length f."""
-    p, g, f = P.under_p, P.gpoly, P.f
-    n = P.field.degree
-    rows = []
-    cur = (1,)
-    for _ in range(n):
-        rows.append(tuple(cur) + (0,) * (f - len(cur)))
-        cur = _pmod(_pmul(cur, (0, 1), p), g, p)
+    """Row i = theta^i in F_p[x]/(g), padded to length f: x times row i - 1."""
+    p, g = P.under_p, P.gpoly
+    rows = [(1,) + (0,) * (P.f - 1)]
+    while len(rows) < P.field.degree:
+        rows.append(tuple((c - rows[-1][-1] * gc) % p for c, gc in zip((0,) + rows[-1][:-1], g)))
     return tuple(rows)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -69,6 +70,34 @@ def test_primes_subcommand(capsys):
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert rows[0] == {"norm": 2, "p": 2, "f": 1, "e": 2, "g": [1, 1]}
     assert [r["norm"] for r in rows] == [2, 5, 5]
+
+
+# sha256 of `visilat primes --max-norm 10000` per field, as the earlier
+# per-prime splitting (closed forms for quadratic fields, Cantor-Zassenhaus on
+# tuples otherwise) printed it; the batched engine must print the same bytes
+PRIMES_10000 = {
+    '{"kind":"rational"}': "a22b09e89b633bf7ccfcdd2b39651d6487c03d1fd74265f12c26a9284d3d29ac",
+    '{"kind":"quadratic","d":-1}': "54133d8f5bfe7eacb1f9755e95b8bc34864afa1d75938f4e0ef74b4367714e38",
+    '{"kind":"quadratic","d":5}': "2ee9e8153d7b4d532fd37f5785cc3219a4db5a1110cc9b9ab7b5e14390774572",
+    '{"kind":"quadratic","d":-5}': "d120c84f1460b658a2c9c6c26007240c93ada12657d198b20f4196f43ab93093",
+    '{"kind":"monogenic","minpoly":[-1,-1,0,1]}':
+        "997c912fd34fa48e56c2499576c6392b89439f3748a094e823689f0f33d57d4a",
+    '{"kind":"monogenic","minpoly":[1,-3,0,1]}':
+        "0b8bd4cb789c3182784989d8e3117e44546d7b85e9a00f6315202db59f34c81a",
+    '{"kind":"monogenic","minpoly":[1,0,0,0,1]}':
+        "a05c0b959f70d661880bf1a34013dd2fe67be86c46813920809f48d6920d709e",
+    '{"kind":"monogenic","minpoly":[-1,-1,0,0,1]}':
+        "c2e6f6bf3d1b4bdca77dab4514289fdf2fa84d7e8cef8370873f6f02cf84288d",
+    '{"kind":"monogenic","minpoly":[1,1,1,1,1,1,1]}':
+        "ea46814a429f1c880907f9b959dbfbbb243d5278687a353847f29663a368165d",
+}
+
+
+@pytest.mark.filterwarnings("ignore:.*class-number-one whitelist")
+@pytest.mark.parametrize("descriptor", PRIMES_10000)
+def test_primes_subcommand_output_unchanged(capsys, descriptor):
+    code, out, _ = run_cli(capsys, "primes", "--field", descriptor, "--max-norm", "10000")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == PRIMES_10000[descriptor]
 
 
 def test_predict_subcommand(capsys):

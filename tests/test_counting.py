@@ -689,8 +689,8 @@ def test_sieve_far_point_splits_only_divisors(gaussian, monkeypatch):
     region = ct.cube_region(gaussian, 2)
     S = [il.point(gaussian, [[2000, 0], [2000, 0]])]
     split = []
-    monkeypatch.setattr(pr, "split_prime",
-                        lambda f, p, real=pr.split_prime: split.append(p) or real(f, p))
+    monkeypatch.setattr(pr, "split_primes",
+                        lambda f, ps, real=pr.split_primes: split.extend(ps) or real(f, ps))
     t0 = time.perf_counter()
     res = ct.count_visible_sieve(gaussian, S, 2, region)
     assert time.perf_counter() - t0 < 1

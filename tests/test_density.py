@@ -125,15 +125,15 @@ def test_zero_certificate_smallest_norm_first(gaussian):
 
 
 def test_predict_splits_only_special_primes(gaussian):
-    # S = {0, s} with D = (6 + 3i, 15) = 3 (2 + i) of norm 45: only 2
-    # (ramified), 3 and 5 become prime ideals; every other p <= 10^4 is
-    # counted by Euler's criterion alone
+    # S = {0, s} with D = (6 + 3i, 15) = 3 (2 + i) of norm 45: only 3 and 5
+    # become prime ideals; every other p <= 10^4, the ramified 2 included, is
+    # counted by the splitting engine's Frobenius stage alone
     S = [origin(gaussian, 2), il.point(gaussian, [[6, 3], [15, 0]])]
     assert il.ideal_from_generators(gaussian, [[6, 3], [15, 0]]).norm == 45
     pr._split_prime_cached.cache_clear()
     try:
         iv = dn.predicted_density(gaussian, S, 2, 10 ** 4)
-        assert pr._split_prime_cached.cache_info().currsize == 3
+        assert pr._split_prime_cached.cache_info().currsize == 2
     finally:
         pr._split_prime_cached.cache_clear()
     assert iv.hi == reference_product(gaussian, S, 2, 10 ** 4)[1]

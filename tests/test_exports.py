@@ -15,7 +15,7 @@ GONE = [(il, "unit_ideal"), (il, "ideal_sum"), (il, "ideal_mul"),
         (il, "contains"), (dn, "zeta_recip_truncated"),
         (dn.PredictionInterval, "mid"), (nf, "AlgInt"), (nf.FieldSpec, "element"),
         (nf.FieldSpec, "zero"), (nf.FieldSpec, "one"), (nf, "element_from_poly"),
-        (pr, "residue_ids")]
+        (pr, "residue_ids"), (pr, "poly_factor_mod_p"), (pr, "quadratic_f")]
 
 
 def test_all_names_resolve():

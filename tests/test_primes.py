@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 
@@ -13,26 +14,114 @@ from oracles import (contains, difference_norm_product, ideal_mul, prime_hnf,
                      residue_ids, sub)
 
 
-def test_factor_examples():
-    assert pr.poly_factor_mod_p((1, 0, 1), 5) == [((2, 1), 1), ((3, 1), 1)]
-    assert pr.poly_factor_mod_p((1, 0, 1), 3) == [((1, 0, 1), 1)]
-    assert pr.poly_factor_mod_p((1, 0, 1), 2) == [((1, 1), 2)]
+FIELDS = [("rational", {}), ("quadratic", {"d": -1}), ("quadratic", {"d": 5}),
+          ("quadratic", {"d": -5}), ("monogenic", {"minpoly": [-1, -1, 0, 1]}),
+          ("monogenic", {"minpoly": [1, -3, 0, 1]}), ("monogenic", {"minpoly": [1, 0, 0, 0, 1]}),
+          ("monogenic", {"minpoly": [-1, -1, 0, 0, 1]}), ("monogenic", {"minpoly": [1] * 7})]
+SMALL_PRIMES = nf.rational_primes_up_to(3000)
+FIELD_IDS = ["Q", "Q(i)", "Q(sqrt5)", "Q(sqrt-5)", "x3-x-1", "x3-3x+1", "x4+1", "x4-x-1",
+             "x6+...+1"]
 
 
-def test_factor_mod_2_equal_degree(monkeypatch):
-    # x^6 + ... + 1 = (x^3 + x + 1)(x^3 + x^2 + 1) mod 2: two cubics of one
-    # degree, split by the trace map of the p = 2 branch (its only _padd)
-    calls = []
-    padd = pr._padd
-    monkeypatch.setattr(pr, "_padd", lambda *a: calls.append(a) or padd(*a))
-    assert pr.poly_factor_mod_p((1,) * 7, 2) == [((1, 0, 1, 1), 1),
-                                                 ((1, 1, 0, 1), 1)]
-    assert calls
+def _field(kind, kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # not on the class-number-one whitelist
+        return nf.make_field(kind, **kw)
 
 
-def test_factor_rejects_composite_modulus():
-    with pytest.raises(ValueError):
-        pr.poly_factor_mod_p((1, 0, 1), 6)
+def _spec(f):
+    """A FieldSpec of any monic f, reducible over Q or not, for the engine."""
+    n = len(f) - 1
+    return nf.FieldSpec("monogenic", n, ("1",) * n, nf._power_basis_tensor(tuple(f)), tuple(f))
+
+
+def _factors(field, ps):
+    """The engine's (g, e) pairs for each p of ps."""
+    return [tuple((P.gpoly, P.e) for P in Ps) for Ps in pr.split_primes(field, ps)]
+
+
+def _sympy_factors(f, p):
+    """The factorization of f mod p by sympy, in the engine's form."""
+    from sympy import Poly, Symbol
+
+    fl = Poly(list(reversed(f)), Symbol("x"), modulus=p).factor_list()[1]
+    return tuple(sorted((tuple(int(c) % p for c in reversed(g.all_coeffs())), e)
+                        for g, e in fl))
+
+
+def test_engine_examples(gaussian):
+    # x^2 + 1 splits mod 5, is inert mod 3 and is (x + 1)^2 mod 2
+    assert _factors(gaussian, [5, 3, 2]) == [
+        (((2, 1), 1), ((3, 1), 1)), (((1, 0, 1), 1),), (((1, 1), 2),)]
+    assert pr.factor_degrees(gaussian, [5, 3, 2]).tolist() == [[2, 0], [0, 1], [1, 0]]
+    assert pr.split_primes(gaussian, []) == [] and pr.factor_degrees(gaussian, []).shape == (0, 2)
+
+
+def test_factor_mod_2_equal_degree():
+    # x^6 + ... + 1 = (x^3 + x + 1)(x^3 + x^2 + 1) mod 2: the Frobenius stage
+    # hands over one piece of two cubics, and only the splitting stage's
+    # trace map at p = 2 can part them
+    cyclo7 = _field("monogenic", {"minpoly": [1] * 7})
+    assert pr.factor_degrees(cyclo7, [2]).tolist() == [[0, 0, 2, 0, 0, 0]]
+    assert _factors(cyclo7, [2]) == [(((1, 0, 1, 1), 1), ((1, 1, 0, 1), 1))]
+
+
+@pytest.mark.parametrize("kind, kw", FIELDS, ids=FIELD_IDS)
+def test_engine_matches_sympy(kind, kw):
+    # the engine against an independent factorization at every p <= 3000
+    field = _field(kind, kw)
+    got = _factors(field, SMALL_PRIMES)
+    assert got == [_sympy_factors(field.gen_minpoly, p) for p in SMALL_PRIMES]
+
+
+@pytest.mark.parametrize("kind, kw", FIELDS, ids=FIELD_IDS)
+def test_factor_degrees_match_split_prime(kind, kw):
+    # at every unramified p <= 3000 the Frobenius stage alone counts the
+    # primes of each norm p^d that the whole engine finds, one p at a time
+    # (split_prime) or all at once
+    field = _field(kind, kw)
+    ps = [p for p in SMALL_PRIMES if field.discriminant % p]
+    want = [[[len(g) - 1 for g, _ in fac].count(d) for d in range(1, field.degree + 1)]
+            for fac in _factors(field, ps)]
+    assert pr.factor_degrees(field, ps).tolist() == want
+    for p, row in list(zip(ps, want))[:40]:
+        fs = [P.f for P in pr.split_prime(field, p)]
+        assert row == [fs.count(d) for d in range(1, field.degree + 1)], p
+
+
+def test_engine_lanes_past_int64(gaussian, cubic):
+    # a chunk is int64 while 2 n^2 t (p-1)^2 < 2^63, t the largest entry of
+    # the multiplication tensor, else object: primes on both sides of that
+    # switch and near 10^12 (a far-away S in the sieve) agree with sympy,
+    # alone or in one chunk
+    for field in (gaussian, cubic):
+        n, t = field.degree, max(abs(c) for c in np.ravel(field.mult_tensor))
+        edge = math.isqrt((2 ** 63 - 1) // (2 * n * n * t)) + 1  # the largest p passing
+        below = next(p for p in range(edge, 0, -1) if pr.is_prime(p))
+        above = next(p for p in range(edge + 1, 2 * edge) if pr.is_prime(p))
+        assert [next(pr._lanes(field, [p]))[0].dtype for p in (below, above)] == [np.int64, object]
+        ps = [below, above, 999999999989, 1000000000039]
+        want = [_sympy_factors(field.gen_minpoly, p) for p in ps]
+        assert _factors(field, ps) == want
+        assert [_factors(field, [p])[0] for p in ps] == want
+
+
+def test_engine_coefficients_past_int64():
+    # coefficients and discriminants in [2^63, 2^64), where numpy would take
+    # uint64, and beyond: reduced mod p exactly, ramified p included
+    for f in ((2 ** 63 + 5, 3, 1), (1, 2 ** 64 - 59, 0, 1), (-(3 ** 45), 7, 2 ** 70, 1)):
+        ps = [p for p in SMALL_PRIMES[:60]] + [p for p in SMALL_PRIMES if _spec(f).discriminant % p == 0]
+        assert _factors(_spec(f), ps) == [_sympy_factors(f, p) for p in ps]
+
+
+def test_splitting_stage_gives_up_on_a_piece_it_cannot_split(cubic, monkeypatch):
+    # x^2 + 1 is irreducible mod 3, no product of linear factors: no draw
+    # parts it, and the stage stops after SPLIT_ROUNDS rounds
+    monkeypatch.setattr(pr, "_SPLIT", {})  # split afresh, not from the memo
+    monkeypatch.setattr(pr, "_frobenius", lambda *a: (
+        np.array([0]), np.array([1]), np.array([[1], [0], [1], [0]])))
+    with pytest.raises(RuntimeError, match="did not split in 64 rounds"):
+        pr.split_primes(cubic, [3])
 
 
 def _pmul(a, b, p):
@@ -49,12 +138,17 @@ def _has_root(f, p):
 
 
 def test_factor_reconstruction_and_irreducibility():
+    # random monic f of degree 1 to 6 over small p, repeated factors and
+    # p = 2 included: the factors multiply back to f, and those of degree 2
+    # or 3 have no root
     rng = random.Random(101)
     for p in (2, 3, 5, 7, 13):
         for _ in range(20):
-            deg = rng.randint(1, 4)
-            f = tuple(rng.randrange(p) for _ in range(deg)) + (1,)
-            factors = pr.poly_factor_mod_p(f, p)
+            f = (1,)
+            for _ in range(rng.randint(1, 3)):
+                g = tuple(rng.randrange(p) for _ in range(rng.randint(1, 2))) + (1,)
+                f = _pmul(f, _pmul(g, g, p) if rng.random() < 0.3 else g, p)
+            (factors,) = _factors(_spec(f), [p])
             prod = (1,)
             for g, m in factors:
                 assert g[-1] == 1
@@ -67,15 +161,17 @@ def test_factor_reconstruction_and_irreducibility():
 
 
 def test_factor_independent_of_global_random():
-    # x^5 - x has five linear factors mod 13, so equal-degree splitting
-    # draws random polynomials; they come from a private generator
+    # x^5 - x has five linear factors mod 13, so the splitting stage draws
+    # random elements; they come from fixed draws, not a global generator
     for f in ((2, 0, 3, 0, 1, 1), (0, 12, 0, 0, 0, 1)):
         random.seed(1)
-        first = pr.poly_factor_mod_p(f, 13)
+        np.random.seed(1)
+        first = _factors(_spec(f), [13])
         random.seed(2)
-        state = random.getstate()
-        assert pr.poly_factor_mod_p(f, 13) == first
-        assert random.getstate() == state
+        np.random.seed(2)
+        state = random.getstate(), np.random.get_state()[1].tolist()
+        assert _factors(_spec(f), [13]) == first
+        assert (random.getstate(), np.random.get_state()[1].tolist()) == state
 
 
 def _digits(a, P):
@@ -127,65 +223,43 @@ def _quadratic_fields():
         return fields + [nf.make_field("monogenic", minpoly=[3, 1, 1])]
 
 
-SMALL_PRIMES = nf.rational_primes_up_to(3000)
-
-
-def _disc_mod(field, p):
-    c, b, _ = field.gen_minpoly
-    return (b * b - 4 * c) % p
-
-
 @pytest.mark.parametrize("field", _quadratic_fields(), ids=repr)
-def test_split_closed_form_matches_cantor_zassenhaus(field):
-    # the closed form and the general path agree tuple for tuple; the
-    # primes below 3000 include p = 2, the ramified p and a root r = 0
-    kinds = set()
+def test_quadratic_primes_are_ideals_of_generators(field):
+    # every P is (p, g(theta)) of norm N(P), and the P above p multiply, with
+    # their e, back to (p); split, inert and ramified p all occur below 3000
+    kinds, window = set(), pr.window_first_t(field, len(SMALL_PRIMES))
     for p in SMALL_PRIMES:
-        got = pr.split_prime(field, p)
-        want = sorted(pr._split_prime_cz(field, p), key=lambda P: P.gpoly)
-        assert got == want, p
-        kinds.update((P.e, P.f) for P in got)
-        if p > 2 and _disc_mod(field, p) and got[0].gpoly == (0, 1):
-            kinds.add("root 0")
-    assert {(1, 1), (1, 2), (2, 1)} <= kinds
-    c = field.gen_minpoly[0]
-    assert ("root 0" in kinds) == any(c % p == 0 and _disc_mod(field, p)
-                                      for p in SMALL_PRIMES[1:])
-
-
-@pytest.mark.parametrize("field", _quadratic_fields(), ids=repr)
-def test_closed_form_primes_are_ideals_of_generators(field):
-    # every closed-form P is (p, g(theta)) of norm N(P), and the P above p
-    # multiply, with their e, back to (p)
-    for p in SMALL_PRIMES[1:]:
-        if not _disc_mod(field, p):
-            continue
         prod = il.ideal_from_generators(field, [[1, 0]])
-        for P in pr.split_prime(field, p):
+        for P in (P for P in window if P.under_p == p):
             assert prime_hnf(P).norm == P.norm
+            kinds.add((P.e, P.f))
             for _ in range(P.e):
                 prod = ideal_mul(prod, prime_hnf(P))
         assert prod == il.ideal_from_generators(field, [[p, 0]])
+    assert kinds == {(1, 1), (1, 2), (2, 1)}
 
 
-def test_closed_form_path_runs(gaussian, monkeypatch):
-    # Cantor-Zassenhaus refuses every odd p, so only the closed form can
-    # split them (disc = -4); nothing falls back to the general path
-    factor = pr.poly_factor_mod_p
-
-    def spy(poly, p):
-        if p != 2:
-            raise AssertionError(f"Cantor-Zassenhaus called at p={p}")
-        return factor(poly, p)
-
-    monkeypatch.setattr(pr, "poly_factor_mod_p", spy)
+def test_primes_up_to_norm_is_one_batch(gaussian, monkeypatch):
+    # every rational prime up to the bound goes through one engine call, and
+    # none through split_prime's cache
+    calls = []
+    split = pr.split_primes
+    monkeypatch.setattr(pr, "split_primes", lambda f, ps: calls.append(len(ps)) or split(f, ps))
     pr._split_prime_cached.cache_clear()
-    try:
-        primes = pr.primes_up_to_norm(gaussian, 10 ** 4)
-    finally:
-        pr._split_prime_cached.cache_clear()
+    primes = pr.primes_up_to_norm(gaussian, 10 ** 4)
+    assert calls == [1229] and pr._split_prime_cached.cache_info().currsize == 0
     assert len(primes) == 1 + 2 * 609 + 13  # p = 2, split p < 10^4, inert p < 100
     assert all(P.norm == prime_hnf(P).norm for P in primes)
+
+
+def test_split_caches_are_bounded(gaussian):
+    # a norm enumeration leaves split_prime's cache and the engine's memo
+    # within their fixed size
+    assert pr._split_prime_cached.cache_info().maxsize == pr.CACHE_SIZE
+    assert pr.reduction_rows.cache_info().maxsize == pr.CACHE_SIZE
+    assert len(pr.primes_up_to_norm(gaussian, 10 ** 5)) == 9601
+    assert pr._split_prime_cached.cache_info().currsize <= pr.CACHE_SIZE
+    assert len(pr._SPLIT[gaussian]) == pr.CACHE_SIZE
 
 
 def test_primes_up_to_norm(rational, gaussian, root2):
@@ -216,6 +290,14 @@ def test_reduce_examples(gaussian):
     assert not any(_digits((1, 1), P2))
 
 
+def _prem(a, g, p):
+    """The remainder of a by the monic g over F_p, as deg g coefficients."""
+    a, k = list(a) + [0] * len(g), len(g) - 1
+    for i in range(len(a) - 1, k - 1, -1):
+        a[i - k:i + 1] = [(x - a[i] * y) % p for x, y in zip(a[i - k:i + 1], g)]
+    return tuple(x % p for x in a[:k])
+
+
 def test_reduce_is_ring_hom(gaussian, cubic):
     rng = random.Random(31)
     for field in (gaussian, cubic):
@@ -232,8 +314,7 @@ def test_reduce_is_ring_hom(gaussian, cubic):
                     for i, x in enumerate(ra):
                         for j, y in enumerate(rb):
                             prod[i + j] += x * y
-                    red = pr._pmod(tuple(c % p for c in prod), P.gpoly, p)
-                    red = red + (0,) * (P.f - len(red))
+                    red = _prem(prod, P.gpoly, p)
                     ab = nf.mul_coords(field, a, b)
                     assert _digits(ab, P) == red
 
@@ -420,11 +501,17 @@ def test_difference_norm_product_matches_hnf(kind, kw, m):
 
 
 def test_split_refuses_a_non_divisor(cubic, monkeypatch):
-    # x is no factor of x^3 - x - 1 mod 7, though e f still sums to 3
-    monkeypatch.setattr(pr, "poly_factor_mod_p",
-                        lambda poly, p: [((0, 1), 1), ((6, 0, 1), 1)])
+    # x^3 - x - 1 = (x + 2)(x^2 + 5x + 3) mod 7; a splitting stage that gave
+    # x in place of x + 2 keeps the degree sum 3, but x divides f no time
+    monkeypatch.setattr(pr, "_SPLIT", {})  # split afresh, not from the memo
+    monkeypatch.setattr(pr, "_equal_degree", lambda *a: (
+        np.array([0, 0]), np.array([[0, 3], [1, 5], [0, 1], [0, 0]])))
+    with pytest.raises(RuntimeError, match=r"\[\(\(0, 1\), 0\), \(\(3, 5, 1\), 1\)\] do not multiply"):
+        pr.split_primes(cubic, [7])
+    pr._split_prime_cached.cache_clear()
     with pytest.raises(RuntimeError, match="do not multiply"):
-        pr._split_prime_cz(cubic, 7)
+        pr.split_prime(cubic, 7)
+    assert 7 not in pr._SPLIT[cubic]
 
 
 @pytest.mark.parametrize("fname", ["gaussian", "golden", "cubic"])
@@ -440,5 +527,10 @@ def test_split_refuses_a_composite(request, fname):
 
 
 def test_is_prime():
-    assert pr.is_prime(2) and pr.is_prime(10 ** 9 + 7)
+    assert pr.is_prime(2) and pr.is_prime(10 ** 9 + 7) and pr.is_prime(2 ** 61 - 1)
     assert not pr.is_prime(1) and not pr.is_prime(561) and not pr.is_prime(10 ** 9)
+    # strong pseudoprimes to every prime base up to 7, 23 and 37: the last
+    # passes all twelve bases 2, ..., 37 and is caught by 41
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461, (2 ** 31 - 1) ** 2):
+        assert not pr.is_prime(n)
+    assert [n for n in range(200) if pr.is_prime(n)] == nf.rational_primes_up_to(199)
