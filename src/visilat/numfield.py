@@ -6,8 +6,10 @@ Three kinds of field are supported:
 * ``quadratic``: K = Q(sqrt(d)) for squarefree integer d not in {0, 1}.  The
   basis generator is (1 + sqrt(d))/2 when d = 1 (mod 4) and sqrt(d)
   otherwise, so {1, theta} is always a Z-basis of the full ring of integers.
-* ``monogenic``: K = Q[x]/(f) for a monic irreducible integer polynomial f,
-  under the caller's assertion that Z[theta] is the full ring of integers.
+* ``monogenic``: K = Q[x]/(f) for a monic integer polynomial f, refused
+  unless it is irreducible over Q by one exact test (Zassenhaus at one prime
+  above Mignotte's bound, on the splitting engine of ``primes``), under the
+  caller's assertion that Z[theta] is the full ring of integers.
 
 Elements are integer coordinate vectors over the fixed basis {1, theta, ...,
 theta^(n-1)}, multiplied by ``mul_coords`` in exact Python integers.
@@ -19,6 +21,8 @@ and the discriminant is disc(f) = (-1)^(n(n-1)/2) N(f'(theta)).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import warnings
@@ -33,6 +37,8 @@ from .errors import FieldError
 # Quadratic fields whose ring of integers is known to be a PID; everything
 # else gets a warning because the density theory assumes a PID.
 PID_WHITELIST = {-1, -2, -3, -7, -11, 2, 3, 5, 13}
+QUADRATIC_D_BOUND = 2 ** 63  # a quadratic d is refused from |d| = this on
+IRREDUCIBLE_PRIMES = 4       # the irreducibility test factors f mod this many primes
 
 
 @dataclass(frozen=True)
@@ -136,9 +142,9 @@ def make_field(kind: str, d: int | None = None,
                minpoly: Sequence[int] | None = None) -> FieldSpec:
     """Build a validated FieldSpec of the given kind.
 
-    ``quadratic`` needs a squarefree d not in {0, 1}; ``monogenic`` needs a
-    monic irreducible integer polynomial (constant term first) and trusts the
-    caller that its power basis is integral.  A field other than Q whose d
+    ``quadratic`` needs a squarefree d not in {0, 1}, |d| < 2^63; ``monogenic``
+    a monic irreducible integer polynomial (constant term first), and trusts
+    the caller that its power basis is integral.  A field other than Q whose d
     is not on ``PID_WHITELIST`` (every monogenic field) gets one warning.
     """
     if kind == "rational":
@@ -147,8 +153,8 @@ def make_field(kind: str, d: int | None = None,
         if d is None:
             raise FieldError("quadratic field needs d")
         d = _int("d", d)
-        if d in (0, 1) or not _is_squarefree(d):
-            raise FieldError(f"d={d} must be squarefree and not 0 or 1")
+        if abs(d) >= QUADRATIC_D_BOUND or d in (0, 1) or not _is_squarefree(d):
+            raise FieldError(f"d={d} must be squarefree, not 0 or 1, and below 2^63 in size")
         if d % 4 == 1:
             # theta = (1 + sqrt(d))/2, minimal polynomial x^2 - x + (1-d)/4
             mp, labels = ((1 - d) // 4, -1, 1), ("1", f"(1+sqrt({d}))/2")
@@ -241,29 +247,47 @@ def _power_basis_tensor(minpoly: tuple[int, ...]) -> tuple:
 # ----------------------------------------------------------------------
 
 def _is_squarefree(d: int) -> bool:
-    d = abs(d)
-    if d == 0:
-        return False
-    if d % 4 == 0:
-        return False
-    f = 3
-    while f * f <= d:
-        if d % (f * f) == 0:
+    """No square divides d != 0: past the primes up to the cube root of |d|,
+    what is left has at most two prime factors, so is squarefree unless a square."""
+    d, ps = abs(d), np.array(rational_primes_up_to(round(abs(d) ** (1 / 3)) + 1))
+    for p in ps[d % ps == 0].tolist():
+        if d % (p * p) == 0:
             return False
-        f += 2
-    return True
+        d //= p
+    return d == 1 or math.isqrt(d) ** 2 != d
 
 
 def _poly_irreducible(field: FieldSpec) -> bool:
-    """Monic f is irreducible if f mod p is, for some p; sympy decides only
-    when no p < 100 shows it (x^4 + 1 is reducible mod every prime)."""
-    from .primes import factor_degrees  # primes imports this module
+    """Zassenhaus at one prime.  f is reducible when disc f = 0, or when a
+    monic h of degree k <= n/2 divides it over Z.  By Mignotte, |h_j| <=
+    C(k, j) |f|_2 <= M; at a p > 2M with f mod p squarefree, h is the lift to
+    (-p/2, p/2] of a product of f's irreducible factors mod p.  Of the first
+    ``IRREDUCIBLE_PRIMES`` such p, the one with the fewest factors is split
+    unless it has one; a refused f leaves no entry in the engine's memo."""
+    from . import primes  # primes imports this module
 
-    if factor_degrees(field, rational_primes_up_to(100))[:, -1].any():
+    f, n, disc = field.gen_minpoly, field.degree, field.discriminant
+    if not disc:  # f and f' share a factor
+        return False
+    ps, p = [], 2 * math.comb(n // 2, n // 4) * (math.isqrt(sum(c * c for c in f)) + 1)
+    while len(ps) < IRREDUCIBLE_PRIMES:
+        p += 1
+        if disc % p and primes.is_prime(p):
+            ps.append(p)
+    if (counts := primes.factor_degrees(field, ps).sum(1)).min() == 1:
         return True
-    from sympy import Poly, Symbol
-
-    return Poly(list(reversed(field.gen_minpoly)), Symbol("x")).is_irreducible
+    p = ps[counts.argmin()]
+    gs = [P.gpoly for P in primes.split_primes(field, [p])[0]]
+    for sub in (s for k in range(1, len(gs)) for s in itertools.combinations(gs, k)
+                if sum(map(len, s)) - k <= n // 2):
+        h = (functools.reduce(np.convolve, sub, np.ones(1, dtype=object)) + p // 2) % p - p // 2
+        r = np.array(f, dtype=object)
+        for i in reversed(range(len(h) - 1, n + 1)):  # r mod h over Z
+            r[i + 1 - len(h):i + 1] -= r[i] * h
+        if not r.any():
+            del primes._SPLIT[field]
+            return False
+    return True
 
 
 def first_rational_primes(t: int) -> list[int]:

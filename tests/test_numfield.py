@@ -1,7 +1,9 @@
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -40,9 +42,41 @@ def test_golden_field(golden):
 
 
 def test_reject_bad_d():
-    for d in (0, 1, 4, 12, 18, -8):
-        with pytest.raises(FieldError):
+    # |d| >= 2^63 is refused before any squarefree test
+    for d in (0, 1, 4, 12, 18, -8, 2 ** 63, -(2 ** 63), 10 ** 30 + 3):
+        with pytest.raises(FieldError, match=f"d={d} must"):
             nf.make_field("quadratic", d=d)
+
+
+def test_squarefree_matches_trial_division():
+    def naive(d):
+        return all(d % (k * k) for k in range(2, math.isqrt(abs(d)) + 1))
+
+    for d in list(range(-3000, 0)) + list(range(2, 3000)):
+        assert nf._is_squarefree(d) == naive(d), d
+    # 2^63 - 1 = 7^2 73 127 337 92737 649657; 2^63 - 25 is prime
+    assert not nf._is_squarefree(-(2 ** 63 - 1)) and nf._is_squarefree(2 ** 63 - 25)
+    rng = random.Random(5)
+    for _ in range(2000):
+        d = rng.choice([-1, 1]) * rng.randint(2, 10 ** 7)
+        assert nf._is_squarefree(d) == naive(d), d
+
+
+@pytest.mark.parametrize("d, ok", [(7 * (10 ** 6 + 3) ** 2, False),
+                                   (999983 * 1000003 * 999979, True),
+                                   (-(10 ** 15 + 37), True)])
+def test_squarefree_large_d_is_fast(d, ok):
+    # the primes up to the cube root of |d|, then one square test: not a
+    # loop up to sqrt(|d|)
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if ok:
+            assert nf.make_field("quadratic", d=d).d == d
+        else:
+            with pytest.raises(FieldError, match="squarefree"):
+                nf.make_field("quadratic", d=d)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_reject_bad_minpoly():
@@ -56,39 +90,92 @@ def test_reject_bad_minpoly():
             nf.make_field("monogenic", minpoly=[0, 0, 2])  # not monic
 
 
+SWINNERTON_DYER_8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]  # roots +-sqrt2 +-sqrt3 +-sqrt5
+
+
 @pytest.mark.parametrize("mp", [[-1, 0, 0, 1],          # (x - 1)(x^2 + x + 1)
                                 [4, 0, 0, 0, 1],        # (x^2 + 2x + 2)(x^2 - 2x + 2)
                                 [0, 1, 0, 0, 0, 1],     # x (x^4 + 1)
-                                [1, 0, -1, 2, 0, 0, 1]])  # x^6 + 2x^3 - x^2 + 1
+                                [1, 0, -1, 2, 0, 0, 1],  # x^6 + 2x^3 - x^2 + 1
+                                [1, -2, 1],             # (x - 1)^2: disc 0
+                                [-2 ** 64, 1, -2 ** 64, 1]])  # (x - 2^64)(x^2 + 1)
 def test_reducible_minpoly_refused(mp):
-    # x^6 + 2x^3 - x^2 + 1 = (x^3 - x + 1)(x^3 + x + 1)
+    # x^6 + 2x^3 - x^2 + 1 = (x^3 - x + 1)(x^3 + x + 1); a refused f leaves
+    # no entry in the splitting engine's memo
     with pytest.raises(FieldError, match="reducible"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             nf.make_field("monogenic", minpoly=mp)
+    assert all(f.gen_minpoly != tuple(mp) for f in pr._SPLIT)
 
 
-def test_x4_plus_1_accepted_through_sympy():
-    # reducible mod every prime, so no small p proves it irreducible and
-    # the decision falls to sympy
+@pytest.mark.parametrize("mp", [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1], SWINNERTON_DYER_8,
+                                [2, 2 ** 65, 0, 1]],
+                         ids=["x^4+1", "x^4-10x^2+1", "swinnerton-dyer-8", "eisenstein-2^65"])
+def test_reducible_mod_every_prime_accepted(mp):
+    # the first three split mod every prime, so no single p shows them
+    # irreducible: the lifts of the products of their factors mod one p
+    # divide none of them; x^3 + 2^65 x + 2 is Eisenstein at 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        field = nf.make_field("monogenic", minpoly=[1, 0, 0, 0, 1])
-    assert field.degree == 4
-    assert not pr.factor_degrees(field, nf.rational_primes_up_to(100))[:, -1].any()
+        field = nf.make_field("monogenic", minpoly=mp)
+    assert field.gen_minpoly == tuple(mp)
+    if mp[1] < 2 ** 65:
+        assert not pr.factor_degrees(field, nf.rational_primes_up_to(100))[:, -1].any()
 
 
-def test_cubic_config_does_not_import_sympy():
-    # x^3 - x - 1 is irreducible mod 2: a fresh interpreter loading a cubic
-    # config never imports sympy
+def test_irreducibility_matches_sympy():
+    # seeded: 320 monic f of degree 2-8, half of them built as products
+    from sympy import Poly, Symbol
+
+    rng = random.Random(29)
+
+    def monic(n, c):
+        return [rng.randint(-c, c) for _ in range(n)] + [1]
+
+    refused = 0
+    for i in range(320):
+        if i % 2:
+            a = rng.randint(1, 4)
+            mp = np.polymul(monic(a, 4)[::-1], monic(rng.randint(1, 8 - a), 4)[::-1])
+            mp = [int(c) for c in mp[::-1]]
+        else:
+            mp = monic(rng.randint(2, 8), 9)
+        want = Poly(mp[::-1], Symbol("x")).is_irreducible
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                nf.make_field("monogenic", minpoly=mp)
+                got = True
+            except FieldError:
+                got = False
+                refused += 1
+                assert all(f.gen_minpoly != tuple(mp) for f in pr._SPLIT)
+        assert got == want, mp
+    assert 160 <= refused < 320
+
+
+def test_monogenic_fields_without_sympy():
+    # a fresh interpreter that cannot import sympy builds and refuses fields,
+    # and loads a cubic config
     code = ("import sys, warnings\n"
+            "sys.modules['sympy'] = None\n"
             "warnings.simplefilter('ignore')\n"
+            "from visilat import numfield as nf\n"
+            "from visilat.errors import FieldError\n"
+            f"for mp in ([1, 0, 0, 0, 1], [-1, -1, 0, 1], {SWINNERTON_DYER_8}):\n"
+            "    nf.make_field('monogenic', minpoly=mp)\n"
+            "for mp in ([-1, 0, 1], [0, 1, 0, 0, 0, 1]):\n"
+            "    try:\n"
+            "        nf.make_field('monogenic', minpoly=mp)\n"
+            "    except FieldError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{mp} accepted')\n"
             "from visilat import experiment\n"
             "experiment.load_config({'field': {'kind': 'monogenic',"
             " 'minpoly': [-1, -1, 0, 1]}, 'm': 2,"
             " 's': [[[0, 0, 0], [0, 0, 0]]], 'modes': ['mc', 'lemma-check'],"
-            " 'regions': [{'shape': 'ball', 'R': 30}]})\n"
-            "assert 'sympy' not in sys.modules\n")
+            " 'regions': [{'shape': 'ball', 'R': 30}]})\n")
     src = os.path.dirname(os.path.dirname(visilat.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
