@@ -113,6 +113,9 @@ def load_config(data: dict) -> ExperimentConfig:
     if m is None or m < 2:
         raise ConfigError("m must be an integer >= 2")
 
+    for key in ("s_file", "out"):  # open() would read an int or a bool as a descriptor
+        if data.get(key) is not None and not isinstance(data[key], str):
+            raise ConfigError(f"{key} must be a JSON string or null")
     S, s_json = load_points(field, m, data.get("s"), data.get("s_file"))
 
     raw_regions = data.get("regions", [])
@@ -137,9 +140,6 @@ def load_config(data: dict) -> ExperimentConfig:
     unknown += [f"caps.{k}" for k in caps if f"caps.{k}" not in SETTINGS]
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r}")
-    out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out must be a JSON string or null")
     values = {}
     try:
         for key, f in SETTINGS.items():
@@ -159,7 +159,7 @@ def load_config(data: dict) -> ExperimentConfig:
         check_setting(key, values[f.name], values["region_cap"])
     return ExperimentConfig(field=field, field_json=fjson, m=m, S=S,
                             s_json=s_json, regions=regions, modes=tuple(modes),
-                            out=out, **values)
+                            out=data.get("out"), **values)
 
 
 def load_points(field: FieldSpec, m: int, s_json, s_file=None):
@@ -374,24 +374,25 @@ def report_json(report: dict) -> str:
 
 def emit_csv(report: dict, path: str):
     """Flat per-(region, mode) export; stderr column only when MC rows exist."""
+    import csv  # here, so that a run without --csv does not load it
     rows = [r for r in report.get("counts", []) if "error" not in r]
     has_mc = any(r["mode"] == "mc" for r in rows)
-    header = "region,mode,total,visible,density,lo,hi,discrepancy"
+    header = "region,mode,total,visible,density,lo,hi,discrepancy".split(",")
     if has_mc:
-        header += ",stderr"
+        header.append("stderr")
     pred = report.get("prediction") or {}
     lo = pred.get("lo", "")
     hi = pred.get("hi", "")
-    lines = [header]
-    for r in rows:
-        cells = [r["region"], r["mode"], str(r["total"]), str(r["visible"]),
-                 r["density"], lo, hi,
-                 "" if r["discrepancy"] is None else r["discrepancy"]]
-        if has_mc:
-            cells.append(r["stderr"] if r["mode"] == "mc" else "")
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        # quotes a cell with a comma, such as a transformed region's label
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for r in rows:
+            cells = [r["region"], r["mode"], r["total"], r["visible"], r["density"],
+                     lo, hi, r["discrepancy"]]  # None is written as ""
+            if has_mc:
+                cells.append(r["stderr"] if r["mode"] == "mc" else "")
+            writer.writerow(cells)
 
 
 def _version() -> str:

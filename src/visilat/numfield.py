@@ -36,7 +36,7 @@ from .errors import FieldError
 
 # Quadratic fields whose ring of integers is known to be a PID; everything
 # else gets a warning because the density theory assumes a PID.
-PID_WHITELIST = {-1, -2, -3, -7, -11, 2, 3, 5, 13}
+PID_WHITELIST = {-1, -2, -3, -7, -11, -19, -43, -67, -163, 2, 3, 5, 13}
 QUADRATIC_D_BOUND = 2 ** 63  # a quadratic d is refused from |d| = this on
 IRREDUCIBLE_PRIMES = 4       # the irreducibility test factors f mod this many primes
 

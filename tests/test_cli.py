@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -389,16 +390,23 @@ def test_s_file_loading(tmp_path):
 
 
 def test_csv_export(capsys, tmp_path):
-    cfg = base_config(tmp_path)
+    # a transformed region's label holds commas; its row keeps the header's width
+    cfg = base_config(tmp_path, field=json.loads(GAUSSIAN), s=[[[0, 0], [0, 0]]],
+                      tolerance=1, regions=[{"shape": "cube", "L": 30}, {
+                          "shape": "cube", "L": 3, "basis_transform": [[1, 1], [0, 1]]}])
     path = write_config(tmp_path, cfg)
     csv_path = tmp_path / "out.csv"
     code, _, _ = run_cli(capsys, "run", "--config", path, "--csv", str(csv_path))
     assert code == 0
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "region,mode,total,visible,density,lo,hi,discrepancy"
+    with open(csv_path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == "region,mode,total,visible,density,lo,hi,discrepancy".split(",")
+    assert len(rows) == 2 and all(len(r) == len(header) for r in rows)
+    labels = [r.label() for r in ex.load_config(cfg).regions]
+    assert [r[0] for r in rows] == labels and labels[1] == "cube:L=3:T=[[1,1],[0,1]]"
     report = json.loads((tmp_path / "report.json").read_text())
     # densities round-trip identically between JSON and CSV
-    assert lines[1].split(",")[4] == report["counts"][0]["density"]
+    assert [r[4] for r in rows] == [c["density"] for c in report["counts"]]
 
 
 def test_csv_mc_stderr_column(capsys, tmp_path):
@@ -428,7 +436,11 @@ BAD_KINDS = {"regions=5": "regions must be a JSON list",
              'regions="cube"': "regions must be a JSON list",
              "out=true": "out must be a JSON string or null",
              "out=5": "out must be a JSON string or null",
-             "out=[1]": "out must be a JSON string or null"}
+             "out=[1]": "out must be a JSON string or null",
+             # open() would read an int or a bool as a file descriptor
+             "s_file=true": "s_file must be a JSON string or null",
+             "s_file=0": "s_file must be a JSON string or null",
+             "s_file=[1]": "s_file must be a JSON string or null"}
 
 
 @pytest.mark.parametrize("case, says", [

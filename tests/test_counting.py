@@ -485,7 +485,9 @@ def test_sieve_coset_boundary_equals_direct(request, monkeypatch, block, fname,
 def test_sieve_equals_direct_randomized(monkeypatch):
     # seeded random configs, sieve == direct exactly: degrees 1 to 4, m = 2
     # and 3, cubes and balls, unimodular transforms, and S near the region,
-    # so that primes with p <= 2b + 1 and with f >= 2 are among those sieved
+    # so that primes with p <= 2b + 1 and with f >= 2 are among those sieved;
+    # all 90 trials within 20 s
+    start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fields = [nf.make_field("rational"), _x_n_minus_x_minus_1(3),
@@ -517,6 +519,7 @@ def test_sieve_equals_direct_randomized(monkeypatch):
         assert a.visible_count == c.visible_count, (trial, region.label(), m, S)
     assert any(P.f >= 2 for _, P in sieved)
     assert any(P.under_p <= 2 * b + 1 for b, P in sieved)
+    assert time.perf_counter() - start <= 20
 
 
 @pytest.fixture

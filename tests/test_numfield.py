@@ -157,7 +157,7 @@ def test_irreducibility_matches_sympy():
 
 def test_monogenic_fields_without_sympy():
     # a fresh interpreter that cannot import sympy builds and refuses fields,
-    # and loads a cubic config
+    # loads a cubic config, and runs the field subcommand
     code = ("import sys, warnings\n"
             "sys.modules['sympy'] = None\n"
             "warnings.simplefilter('ignore')\n"
@@ -175,7 +175,16 @@ def test_monogenic_fields_without_sympy():
             "experiment.load_config({'field': {'kind': 'monogenic',"
             " 'minpoly': [-1, -1, 0, 1]}, 'm': 2,"
             " 's': [[[0, 0, 0], [0, 0, 0]]], 'modes': ['mc', 'lemma-check'],"
-            " 'regions': [{'shape': 'ball', 'R': 30}]})\n")
+            " 'regions': [{'shape': 'ball', 'R': 30}]})\n"
+            # the field subcommand builds x^4+1 (exit 0) and refuses x^2-1 (exit 3)
+            "import contextlib, io\n"
+            "from visilat.cli import main\n"
+            "for mp, want in (('[1,0,0,0,1]', 0), ('[-1,0,1]', 3)):\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        code = main(['field', '--field',"
+            " '{\"kind\":\"monogenic\",\"minpoly\":%s}' % mp])\n"
+            "    assert code == want and 'Traceback' not in err.getvalue(), (mp, code)\n")
     src = os.path.dirname(os.path.dirname(visilat.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -192,7 +201,9 @@ def test_whitelist_warning():
         "not on the class-number-one whitelist; density formulas assume O is a PID"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        nf.make_field("quadratic", d=2)  # whitelisted: no warning
+        # whitelisted, the last four by Baker-Stark: no warning
+        for d in (2, -19, -43, -67, -163):
+            nf.make_field("quadratic", d=d)
 
 
 def test_mul_examples(gaussian, root2):
