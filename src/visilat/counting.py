@@ -443,38 +443,83 @@ def _selections(region: Region, plist, S: np.ndarray):
 # Monte Carlo
 # ----------------------------------------------------------------------
 
+# Philox4x64-10 (Salmon et al., SC'11): the multipliers of counter words 0
+# and 2, and the bumps of the key's two words after each round
+_PHILOX_M = ((0xD2E7470EE14C6C93,), (0xCA5A826395121157,))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(a, b):
+    """The high (from 32-bit halves) and low 64 bits of a*b on uint64."""
+    lo32, s = np.uint64(2 ** 32 - 1), np.uint64(32)
+    a0, a1, b0, b1 = a & lo32, a >> s, b & lo32, b >> s
+    t = a1 * b0 + (a0 * b0 >> s)
+    u = a0 * b1 + (t & lo32)
+    return a1 * b1 + (t >> s) + (u >> s), a * b
+
+
+def _philox_draws(seed: int, L: int):
+    """The int64 values of ``Generator(Philox(key=seed)).integers(-L, L + 1)``
+    in numpy's order, BLOCK_BYTES / 64 words at a time.
+
+    Block b is the counter (b + 1, 0, 0, 0) under the key (seed mod 2^64,
+    seed >> 64); Lemire's method (ACM TOMACS 29(1), 2019) maps each word, or
+    each 32-bit half, low first, when r = 2L + 1 <= 2^32, to [0, r)."""
+    r, blocks, start, (w0, w1) = 2 * L + 1, BLOCK_BYTES // 256, 1, _PHILOX_W
+    mult = np.array(_PHILOX_M, np.uint64)
+    keys = np.array([[[(seed + i * w0) % 2 ** 64], [((seed >> 64) + i * w1) % 2 ** 64]]
+                     for i in range(10)], dtype=np.uint64)
+    while True:
+        # x[0] and y[0] are counter words 0 and 1, x[1] and y[1] words 2 and 3
+        x, y = np.zeros((2, blocks), np.uint64), np.zeros((2, blocks), np.uint64)
+        x[0], start = np.arange(start, start + blocks, dtype=np.uint64), start + blocks
+        for key in keys:
+            hi, lo = _mulhilo(mult, x)
+            x, y = hi[::-1] ^ y ^ key, lo[::-1]
+        w = np.stack((x, y), axis=2).transpose(1, 0, 2).ravel()
+        if r <= 2 ** 32:
+            u = w.astype("<u8", copy=False).view("<u4").astype(np.uint64)
+            u *= np.uint64(r)
+            keep = (u & np.uint64(2 ** 32 - 1)) >= np.uint64((2 ** 32 - r) % r)
+            u >>= np.uint64(32)
+        else:
+            u, lo = _mulhilo(w, np.uint64(r))
+            keep = lo >= np.uint64((2 ** 64 - r) % r)
+        u = u[keep]
+        u -= np.uint64(L)
+        yield u.view(np.int64)
+
+
 def mc_estimate(field: FieldSpec, S, m: int,
                 region: Region, samples: int, seed: int) -> CountResult:
     """Estimate the visible density from uniform i.i.d. tuples of region^m.
 
-    Coordinates come from a counter-based Philox stream keyed by the seed,
-    so results are reproducible; the samples go through the same
-    visibility kernel as the direct count.
+    Coordinates come from numpy's counter-based Philox stream keyed by the
+    seed, reproduced bit for bit by ``_philox_draws`` without importing
+    ``numpy.random``, so results are reproducible; a ball keeps the rows of
+    the stream that lie in it.  The samples go through the same visibility
+    kernel as the direct count.  A region with L >= 2^63 is refused.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
     if not 0 <= seed < 2 ** 128:
         raise ValueError("seed must lie in [0, 2^128)")
     S = _check_inputs(field, S, m, region)
-    n = field.degree
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    need = samples * m
-    if region.shape == "cube":
-        L = region.L
-        flat = gen.integers(-L, L + 1, size=(need, n), dtype=np.int64)
-    else:
-        L, r2 = region.L, int(region.size ** 2)
-        # a squared length is at most n L^2; past int64, square exactly
-        dt = np.int64 if n * L * L < 2 ** 63 else object
-        got = []
-        count = 0
-        while count < need:
-            batch = gen.integers(-L, L + 1, size=(2 * need + 64, n),
-                                 dtype=np.int64)
-            keep = batch[(batch.astype(dt, copy=False) ** 2).sum(axis=1) <= r2]
-            got.append(keep)
-            count += len(keep)
-        flat = np.concatenate(got)[:need]
+    n, L, need = field.degree, region.L, samples * m
+    if L >= 2 ** 63:
+        raise ValueError(f"{region.label()}: Monte Carlo draws need L < 2^63")
+    # a squared length is at most n L^2; past int64, square exactly
+    dt, r2 = (np.int64 if n * L * L < 2 ** 63 else object), int(region.size ** 2)
+    draws, tail = _philox_draws(seed, L), np.zeros(0, np.int64)
+    flat, count = np.empty((need, n), np.int64), 0
+    while count < need:
+        vals = np.concatenate((tail, next(draws)))
+        rows, tail = vals[:len(vals) // n * n].reshape(-1, n), vals[len(vals) // n * n:]
+        if region.shape == "ball":
+            rows = rows[(rows.astype(dt, copy=False) ** 2).sum(axis=1) <= r2]
+        rows = rows[:need - count]
+        flat[count:count + len(rows)] = rows
+        count += len(rows)
     flat = _transform(region, flat)
     hits = int(il.visible_mask(field, flat.reshape(samples, m, n), S).sum())
     phat = hits / samples

@@ -5,8 +5,9 @@ exact ideal membership, the Moebius sum for 1/zeta_K(s), a polynomial
 evaluated at the basis generator, a prime ideal P = (p, g(theta)) rebuilt as
 an HNF from its splitting data, the difference of two elements, the
 difference-ideal norm product built from one HNF per pair of points, each
-coordinate row's residue class mod P packed base p by scaled adds, and
-|P ∩ region| by a scan of every row.
+coordinate row's residue class mod P packed base p by scaled adds,
+|P ∩ region| by a scan of every row, and Monte Carlo samples drawn by
+numpy.random.
 """
 
 import itertools
@@ -126,3 +127,24 @@ def residue_ids(P, coords):
 def ideal_count(P, region):
     """|P ∩ region|: the rows of ``region_coords`` whose residue id is 0."""
     return int((residue_ids(P, ct.region_coords(region)) == 0).sum())
+
+
+def mc_points_reference(field, m, region, samples, seed):
+    """The (samples, m, n) array ``ct.mc_estimate`` gives the visibility
+    kernel, drawn by numpy.random's Philox generator keyed by the seed; a ball
+    keeps its rows from batches of 2 samples m + 64 rows."""
+    n, need = field.degree, samples * m
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    L, r2 = region.L, int(region.size ** 2)
+    if region.shape == "cube":
+        flat = gen.integers(-L, L + 1, size=(need, n), dtype=np.int64)
+    else:
+        dt = np.int64 if n * L * L < 2 ** 63 else object
+        got, count = [], 0
+        while count < need:
+            batch = gen.integers(-L, L + 1, size=(2 * need + 64, n), dtype=np.int64)
+            keep = batch[(batch.astype(dt, copy=False) ** 2).sum(axis=1) <= r2]
+            got.append(keep)
+            count += len(keep)
+        flat = np.concatenate(got)[:need]
+    return ct._transform(region, flat).reshape(samples, m, n)

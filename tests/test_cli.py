@@ -597,6 +597,34 @@ def test_no_command_builds_an_hnf(capsys, tmp_path, monkeypatch):
     assert report["prediction"] and report["oracle"] and report["lemma_check"]["rows"]
 
 
+def test_no_command_imports_numpy_random(tmp_path):
+    # Monte Carlo draws its own Philox stream: a fresh interpreter that cannot
+    # import numpy.random runs every mode on Q(sqrt-7) and mc on x^3 - x - 1
+    paths = []
+    for i, over in enumerate([
+            dict(field={"kind": "quadratic", "d": -7}, modes=list(ex.VALID_MODES),
+                 s=[[[0, 0], [0, 0]], [[1, 0], [0, 1]], [[2, -1], [1, 1]]],
+                 regions=[{"shape": "cube", "L": 3}, {"shape": "ball", "R": 4}],
+                 samples=300, lemma_max_prime_norm=11),
+            dict(field={"kind": "monogenic", "minpoly": [-1, -1, 0, 1]}, modes=["mc"],
+                 s=[[[0, 0, 0], [0, 0, 0]]], samples=300,
+                 regions=[{"shape": "ball", "R": 30}, {"shape": "cube", "L": 20}])]):
+        cfg = base_config(tmp_path, out=str(tmp_path / f"report{i}.json"), **over)
+        paths.append(tmp_path / f"config{i}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    code = ("import sys, warnings\n"
+            "sys.modules['numpy.random'] = None\n"
+            "warnings.simplefilter('ignore')\n"
+            "from visilat.cli import main\n"
+            f"for path in {[str(p) for p in paths]!r}:\n"
+            "    assert main(['run', '--config', path]) == 0, path\n")
+    src = os.path.dirname(os.path.dirname(ct.__file__))
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                   check=True)
+    reports = [json.loads((tmp_path / f"report{i}.json").read_text()) for i in range(2)]
+    assert [sum(r["mode"] == "mc" for r in rep["counts"]) for rep in reports] == [2, 2]
+
+
 def test_lemma_check_builds_no_rows(capsys, tmp_path, monkeypatch):
     # the lemma check counts over the runs of the last coordinate alone
     def boom(region):
@@ -671,6 +699,9 @@ def test_run_region_cap_at_its_bound_loads(tmp_path):
       "--mode", "mc", "--seed", "-1"], "seed must lie in [0, 2^128)"),
     (["count", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--region", "cube:L=3",
       "--mode", "mc", "--samples", str(10 ** 12)], "--samples must be <= 4194304"),
+    # numpy's int64 bounds, named by the region rather than by numpy
+    (["count", "--m", "2", "--s", "[[[0,0],[0,0]]]", "--region", f"cube:L={2 ** 63}",
+      "--mode", "mc"], f"cube:L={2 ** 63}: Monte Carlo draws need L < 2^63"),
     # refused by flag name before any work, not by the layer that would fail
     (["primes", "--max-norm", "1"], "--max-norm must be >= 2"),
     (["lemma-check", "--region", "cube:L=3", "--max-prime-norm", "1"],
@@ -694,7 +725,7 @@ def test_run_region_cap_at_its_bound_loads(tmp_path):
     (["predict", "--m", "2", "--s", "5"], "S must list points"),
     (["predict", "--m", "2", "--s", "[[0,0]]"], "S must list points")],
     ids=["count-R-1/0", "lemma-check-R-1/0", "count-seed-negative",
-         "count-samples-10^12",
+         "count-samples-10^12", "count-mc-L-2^63",
          "primes-max-norm-1", "lemma-check-max-prime-norm-1",
          "primes-max-norm-10^20", "lemma-check-max-prime-norm-10^20",
          "oracle-window-t-0",

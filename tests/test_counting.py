@@ -17,7 +17,7 @@ from visilat import primes as pr
 from visilat.errors import CapExceeded
 
 from conftest import origin
-from oracles import contains, ideal_count, prime_hnf, residue_ids, sub
+from oracles import contains, ideal_count, mc_points_reference, prime_hnf, residue_ids, sub
 from test_ideals import KERNEL_FIELDS
 
 
@@ -879,6 +879,46 @@ def test_mc_ball_samples_lie_in_ball(gaussian, monkeypatch, R):
     (z,) = seen
     assert z.shape == (1000, 2, 2)
     assert all(x * x + y * y <= R * R for x, y in z.reshape(-1, 2).tolist())
+
+
+MC_SIZES = [("cube", 1), ("cube", 7), ("cube", 2 ** 31 - 1), ("cube", 2 ** 31),
+            ("cube", 2 ** 33), ("cube", 3 * 2 ** 61), ("cube", 2 ** 63 - 1),
+            ("ball", Fraction(1, 2)), ("ball", 1), ("ball", 7), ("ball", 2 ** 31 - 1),
+            ("ball", 2 ** 31), ("ball", 2 ** 33), ("ball", 3 * 2 ** 61)]
+MC_SEEDS = [0, 1, 2 ** 64 + 7, 2 ** 128 - 1]
+MC_FIELDS = [("rational", {}), ("quadratic", {"d": -7}),
+             ("monogenic", {"minpoly": [-1, -1, 0, 1]})]
+# every size at every seed, the field, m and the sample count turning with
+# them; a degree-5 ball needs several of the old 2 samples m + 64 row batches
+# and straddles chunks of the stream, and one cube takes a basis transform
+MC_CASES = [(MC_FIELDS[(i + j) % 3], shape, size, 2 + (i + j) % 2, (101, 2000)[j % 2], seed, None)
+            for i, (shape, size) in enumerate(MC_SIZES) for j, seed in enumerate(MC_SEEDS)] + [
+    (("monogenic", {"minpoly": [-1, -1, 0, 0, 0, 1]}), "ball", 7, 3, 2000, 5, None),
+    (("monogenic", {"minpoly": [-1, -1, 0, 1]}), "cube", 7, 2, 2000, 11,
+     ((1, 2, 0), (0, 1, 0), (0, 3, 1)))]
+
+
+@pytest.mark.parametrize("fkw, shape, size, m, samples, seed, T", MC_CASES, ids=[
+    f"{kind}-{shape}{size}-m{m}-{samples}-seed{seed}" + ("-T" if T else "")
+    for (kind, _), shape, size, m, samples, seed, T in MC_CASES])
+def test_mc_samples_equal_numpy_random(monkeypatch, fkw, shape, size, m, samples, seed, T):
+    # the in-repo Philox stream draws, bit for bit, what numpy.random drew
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = nf.make_field(fkw[0], **fkw[1])
+    region = (ct.cube_region if shape == "cube" else ct.ball_region)(field, size, T)
+    seen = []
+
+    def spy(field, z, S):
+        seen.append(z)
+        return np.zeros(len(z), dtype=bool)
+
+    monkeypatch.setattr(il, "visible_mask", spy)
+    ct.mc_estimate(field, [origin(field, m)], m, region, samples=samples, seed=seed)
+    want = mc_points_reference(field, m, region, samples, seed)
+    (z,) = seen
+    assert z.dtype == want.dtype and z.shape == want.shape == (samples, m, field.degree)
+    assert np.array_equal(z, want)
 
 
 def test_mc_sample_floor(rational):

@@ -96,6 +96,16 @@ CHILD_GATES = {
         rows = [c.count for P, c in ex.lemma_checks(f, ct.cube_region(f, 70), 1000)]
         got = [len(rows), sum(rows)]
         """, 10, [171, 4105999], 64),
+    # Monte Carlo draws its Philox stream in numpy arithmetic, in chunks,
+    # without the ~6 MiB of numpy.random
+    "mc_Qsqrt-7_no_numpy_random_within_35MiB": ("""
+        import sys
+        f = nf.make_field('quadratic', d=-7)
+        S = [il.point(f, p) for p in ([[0, 0], [0, 0]], [[1, 0], [0, 1]], [[2, -1], [1, 1]])]
+        got = [ct.mc_estimate(f, S, 2, r, 20000, 7).visible_count
+               for r in (ct.cube_region(f, 7), ct.ball_region(f, 9))]
+        got.append("numpy.random" in sys.modules)
+        """, 60, [1223, 939, False], 35),
 }
 
 
