@@ -4,8 +4,8 @@ Three routes: a direct count (exact: every tuple of region^m, and the mixed
 minors, in ``ideals.rows_index``, only where a gcd table of distinct norms
 finds a common factor), a prime-ideal sieve (exact: it splits only the
 primes dividing a norm of a difference between the region and S; each
-residue class of S keeps its last coordinates as a W-bit set, and every
-prefix of the other coordinates counts the union of its classes' sets, block
+residue class of S keeps its last coordinates as a W-bit set (a row list past
+a norm), and each prefix of the other coordinates counts their union, block
 by block), and a Monte Carlo estimator (the kernel's ``ideals.visible_mask``
 on uniform samples) for regions beyond enumeration caps.  The direct count
 never touches prime ideals or residues, so sieve == direct is an independent
@@ -36,6 +36,9 @@ DEFAULT_REGION_CAP = 2 ** 22
 DEFAULT_TUPLE_CAP = 2 ** 31
 # bytes of the sieve's accumulator and OR layer for one block of prefixes
 BLOCK_BYTES = 2 ** 20
+# the sieve keeps a pair's last selection, ~W/N(P) rows, as a W-bit set if
+# N(P) <= DENSE_WORDS * W / (words a set), else as a row list
+DENSE_WORDS = 8
 
 # pi to 49 decimal places; enough that ball-volume normalization error is
 # far below every tolerance in play
@@ -243,9 +246,14 @@ def _class_runs(region: Region, plist, S: np.ndarray):
                     for a, b in zip(v[C, j].tolist(), p.ravel().tolist())],
                    dtype=p.dtype)[:, None, None]
     tau = (t[C, :, j][:, :, None] - c[C, :, j][:, None]) * inv % p
-    # one residue coordinate at a time keeps the temporaries (C, K, M)
-    hit = np.logical_and.reduce([(c[:, None, :, f] + tau * v[:, None, None, f]
-                                  - t[:, :, None, f]) % p == 0 for f in range(v.shape[1])])
+    # tau solves the class equation if f = 1 and v != 0; the other primes
+    # check it a residue coordinate at a time, temporaries (C, K, M)
+    x = np.flatnonzero([P.f > 1 for P in plist] | ~v.any(axis=1))
+    hit = np.ones(tau.shape, bool)
+    if len(x):
+        cx, tx, vx, taux, px = c[x], t[x], v[x], tau[x], p[x]
+        hit[x] = np.logical_and.reduce([(cx[:, None, :, f] + taux * vx[:, None, None, f]
+                                         - tx[:, :, None, f]) % px == 0 for f in range(v.shape[1])])
     r = (tau + h) % q
     return r - h, q, np.where(hit, (2 * h - r) // q + 1, 0)
 
@@ -313,13 +321,15 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
     lies in its selection j, the rows in the class of s_j mod P, which
     ``_selections`` finds; so every pair catches z = s.  When B < 2 every
     nonzero difference is a unit, and the prime above 2 catches exactly the
-    points of S.  A pair keeps its last selection as a W-bit set of
-    ``uint64`` words.  A CSR index gives each row z_1 the pairs whose first
-    selection holds it; each prefix (z_1, ..., z_(m-1)) of one block of z_1
-    rows ORs the sets of its pairs into its own accumulator row, in place, and
-    the block adds the popcounts (under ``BLOCK_BYTES``).  No array grows with
-    W^(m-1).  A B whose square root exceeds ``region_cap`` is refused before
-    any norm is factored or prime is split.
+    points of S.  A pair keeps its last selection, ~W/N(P) rows, as a W-bit
+    set of ``uint64`` words when N(P) <= DENSE_WORDS * W / (words a set), and
+    as a sorted row list otherwise.  A CSR index gives each row z_1 the pairs
+    whose first selection holds it; each prefix (z_1, ..., z_(m-1)) of one
+    block of z_1 rows ORs the sets of its pairs into its own accumulator row,
+    in place, then sets the bits of its pairs' row lists, and the block adds
+    the popcounts (under ``BLOCK_BYTES``).  No array grows with W^(m-1).  A
+    B whose square root exceeds ``region_cap`` is refused before any norm is
+    factored or prime is split.
     """
     S, coords, total = _tuple_space(field, S, m, region, region_cap, tuple_cap)
     W = len(coords)
@@ -336,26 +346,33 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
 
     # pair q = i k + s joins the selections g = q m + j (j < m) of plist[i]
     # pair q keeps the rows of its first and middle selections, and its last
-    # as the W-bit set bits[q]; a pair with an empty selection adds nothing
-    nw, zero = -(-W // 64), np.zeros(1, np.int64)
-    bits = np.zeros((len(S) * len(plist), nw), np.uint64)
-    kept = [[np.zeros((2, 0), np.int32)] for _ in range(m - 1)]
+    # as the W-bit set bits[q] if q < nd (plist is sorted by norm), else as
+    # lrow[lptr[q]:lptr[q + 1]] (q, rows ascending as _selections yields
+    # them); bits[nd] stays 0; a pair with an empty selection adds nothing
+    nw, zero, npair = -(-W // 64), np.zeros(1, np.int64), len(S) * len(plist)
+    nd = len(S) * sum(P.norm * nw <= DENSE_WORDS * W for P in plist)
+    bits = np.zeros((nd + 1, nw), np.uint64)
+    kept = [[np.zeros((2, 0), np.int32)] for _ in range(m)]
     for g, row in _selections(region, plist, S.reshape(-1, field.degree)):
         q, j = g // m, g % m
-        x = j == m - 1
+        x = (j == m - 1) & (q < nd)
         np.bitwise_or.at(bits, (q[x], row[x] >> 6), np.uint64(1) << (row[x] & 63).astype(np.uint64))
-        for col in range(m - 1):
+        j[x] = m
+        for col in range(m):
             kept[col].append(np.stack((q[j == col], row[j == col])).astype(np.int32))
     pair, first = np.concatenate(kept[0], axis=1)
+    last, lrow = np.concatenate(kept.pop(), axis=1)
+    lptr = np.concatenate((zero[:1], np.cumsum(np.bincount(last, minlength=npair))))
+    lword, lbit = lrow >> 6, np.uint64(1) << (lrow & 63).astype(np.uint64)
     # each pair's flat ids in W^(m-2) of its middle selections' product
-    mids = [zero] * len(bits)
+    mids = [zero] * npair
     for qc, x in (np.concatenate(kc, axis=1) for kc in kept[1:]):
-        at = np.cumsum(np.bincount(qc, minlength=len(bits)))[:-1]
+        at = np.cumsum(np.bincount(qc, minlength=npair))[:-1]
         mids = [(a[:, None] * W + y).reshape(-1) for a, y in zip(mids, np.split(x, at))]
     mlen = np.array([len(a) for a in mids], dtype=np.int64)
     moff = np.cumsum(mlen) - mlen
     mids = np.concatenate(mids)
-    del kept
+    del kept, last, lrow
     # CSR index: the pairs of row z_1 are pair[rowptr[z_1]:rowptr[z_1 + 1]]
     rowptr = np.concatenate((zero[:1], np.cumsum(np.bincount(first, minlength=W))))
     pair = pair[np.argsort(first, kind="stable")]
@@ -379,14 +396,21 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
         prefix = np.repeat(z * W ** (m - 2), k) + mids[at]
         o = np.argsort(prefix, kind="stable")
         q = np.repeat(q, k)[o]
-        starts = np.flatnonzero(np.diff(prefix[o], prepend=-1))
-        # one accumulator row per prefix, longest first: layer t ORs in the
-        # t-th pair of the prefixes that have more than t pairs
-        cnt = np.diff(starts, append=len(o))
-        starts = starts[np.argsort(-cnt, kind="stable")]
-        acc = bits[q[starts]]
+        new = np.diff(prefix[o], prepend=-1) != 0
+        seg, starts = np.cumsum(new) - 1, np.flatnonzero(new)
+        # one accumulator row per prefix, most sets first: a prefix keeps its
+        # pairs in order, so its dense ones (q < nd) lead, and layer t ORs in
+        # the t-th pair of the prefixes that have more than t sets
+        cnt = np.bincount(seg[q < nd], minlength=len(starts))
+        order = np.argsort(-cnt, kind="stable")
+        starts, rank = starts[order], np.argsort(order)
+        acc = bits[np.minimum(q[starts], nd)]
         for t, n in enumerate((len(cnt) - np.cumsum(np.bincount(cnt))[1:-1]).tolist(), 1):
             acc[:n] |= bits[q[starts[:n] + t]]
+        # then every sparse pair sets its rows' bits in its prefix's row
+        k = lptr[q + 1] - lptr[q]
+        at = np.repeat(lptr[q] - np.cumsum(k) + k, k) + np.arange(int(k.sum()))
+        np.bitwise_or.at(acc.reshape(-1), np.repeat(rank[seg] * nw, k) + lword[at], lbit[at])
         marked += int(np.bitwise_count(acc).sum())
 
     visible = total - marked
@@ -415,13 +439,13 @@ def _prime_divisors(values: np.ndarray) -> list[int]:
 
 
 def _selections(region: Region, plist, S: np.ndarray):
-    """(g, row) arrays, one entry per row of selection g = i K + k: the rows
-    in the class of S[k] mod plist[i], from ``_class_runs``, a run's u_n at
-    row mid + u_n (mid: the run's row u_n = 0).  A prime costs K (M + W /
-    N(P)) units of 64 bytes, for its K M run solutions and about its rows; a
-    chunk of primes ends where the cost before a prime passes a multiple of
-    cap, half of ``BLOCK_BYTES``, so it stays under ``BLOCK_BYTES`` unless
-    its last prime alone costs more than cap."""
+    """(g, row) arrays in ascending g, then row: one entry per row of
+    selection g = i K + k, the rows in the class of S[k] mod plist[i], from
+    ``_class_runs``, a run's u_n at row mid + u_n (mid: its row u_n = 0).  A
+    prime costs K (M + W / N(P)) units of 64 bytes, for its K M run solutions
+    and about its rows; a chunk of primes ends where the cost before a prime
+    passes a multiple of cap, half of ``BLOCK_BYTES``, so it stays under
+    ``BLOCK_BYTES`` unless its last prime alone costs more than cap."""
     h = _region_runs(region)[1]
     K, M, W = len(S), len(h), int((2 * h + 1).sum())
     mid, cap = np.cumsum(2 * h + 1) - h - 1, max(1, BLOCK_BYTES // 128)

@@ -419,8 +419,9 @@ def test_sieve_memory_m3(gaussian):
 
 
 def test_sieve_memory_cube60(gaussian):
-    # W = 14 641, 1 830 words a set: a block's accumulator and OR layer stay
-    # within BLOCK_BYTES, so the peak is the pairs' sets and the index
+    # W = 14 641, 229 words a set: a block's accumulator and OR layer stay
+    # within BLOCK_BYTES, so the peak is the sets of the pairs of norm <= 511,
+    # the row lists of the others and the index
     region = ct.cube_region(gaussian, 60)
     S = [origin(gaussian, 2), il.point(gaussian, [[1, 2], [-1, 0]])]
     ct.count_visible_sieve(gaussian, S, 2, region)  # fills the split cache
@@ -431,19 +432,23 @@ def test_sieve_memory_cube60(gaussian):
     finally:
         tracemalloc.stop()
     assert res.total_tuples == 121 ** 4
-    assert peak <= 4.5 * 2 ** 20
+    assert peak <= 2.5 * 2 ** 20
 
 
-@pytest.mark.parametrize("block", [None, 4096, 64])
-@pytest.mark.parametrize("fname, m, L", [
+BITSET_BLOCKS = pytest.mark.parametrize("block", [None, 4096, 64])
+BITSET_CASES = pytest.mark.parametrize("fname, m, L", [
     ("rational", 2, 31), ("rational", 2, 32),  # W = 63, 65: a part-filled word
     ("gaussian", 3, 2), ("cubic", 3, 1), ("rational", 4, 4)])
-def test_sieve_bitsets_equal_direct(request, monkeypatch, block, fname, m, L):
+# DENSE_WORDS patched so that every pair keeps its last selection as a row
+# list, or every pair as a W-bit set
+SWITCH = pytest.mark.parametrize("dense_words", [0, 2 ** 62], ids=["all-sparse", "all-dense"])
+
+
+def _sieve_equals_direct_on_cube(field, monkeypatch, block, m, L):
     # a small BLOCK_BYTES cuts the rows into many blocks (one row each at 64);
     # S has points inside the region and one outside it
     if block:
         monkeypatch.setattr(ct, "BLOCK_BYTES", block)
-    field = request.getfixturevalue(fname)
     n = field.degree
     S = [origin(field, m),
          il.point(field, [[(i + j) % 3 - 1 for j in range(n)] for i in range(m)]),
@@ -452,6 +457,36 @@ def test_sieve_bitsets_equal_direct(request, monkeypatch, block, fname, m, L):
     a = ct.count_visible_direct(field, S, m, region)
     b = ct.count_visible_sieve(field, S, m, region)
     assert a.visible_count == b.visible_count
+
+
+@BITSET_BLOCKS
+@BITSET_CASES
+def test_sieve_bitsets_equal_direct(request, monkeypatch, block, fname, m, L):
+    _sieve_equals_direct_on_cube(request.getfixturevalue(fname), monkeypatch, block, m, L)
+
+
+@SWITCH
+@BITSET_BLOCKS
+@BITSET_CASES
+def test_sieve_row_lists_and_bitsets_equal_direct(request, monkeypatch, dense_words,
+                                                  block, fname, m, L):
+    monkeypatch.setattr(ct, "DENSE_WORDS", dense_words)
+    _sieve_equals_direct_on_cube(request.getfixturevalue(fname), monkeypatch, block, m, L)
+
+
+@pytest.mark.parametrize("dense_words", [None, 0, 2 ** 62],
+                         ids=["default", "all-sparse", "all-dense"])
+def test_sieve_Qi_L20_across_the_switch(gaussian, monkeypatch, dense_words):
+    # W = 1 681 rows, 27 words a set, B = 800: at the default switch the
+    # primes of norm <= 8 W / 27 (~498) keep W-bit sets and the others row
+    # lists; 1 881 688 is the direct count (the gate in test_gates)
+    if dense_words is not None:
+        monkeypatch.setattr(ct, "DENSE_WORDS", dense_words)
+    res = ct.count_visible_sieve(gaussian, [origin(gaussian, 2)], 2, ct.cube_region(gaussian, 20))
+    assert (res.visible_count, res.prime_norm_bound) == (1881688, 800)
+    dense = {P.norm * 27 <= ct.DENSE_WORDS * 1681
+             for P in pr.primes_up_to_norm(gaussian, res.prime_norm_bound)}
+    assert dense == ({True, False} if dense_words is None else {dense_words > 0})
 
 
 # (field, m, b, basis transform): on Q, a run of 2b + 1 rows meets a class
@@ -658,6 +693,15 @@ def test_sieve_enumerates_a_sheared_cube_once(gaussian):
     assert ct._region_array.cache_info().misses == 1
     assert res.visible_count == ct.count_visible_direct(
         gaussian, [origin(gaussian, 2)], 2, region).visible_count
+
+
+@SWITCH
+def test_sieve_sheared_cube_row_lists_and_bitsets(gaussian, monkeypatch, dense_words):
+    monkeypatch.setattr(ct, "DENSE_WORDS", dense_words)
+    region = ct.cube_region(gaussian, 4, [[1, 1], [0, 1]])
+    S = [origin(gaussian, 2), il.point(gaussian, [[1, 2], [-1, 0]])]
+    assert (ct.count_visible_sieve(gaussian, S, 2, region).visible_count
+            == ct.count_visible_direct(gaussian, S, 2, region).visible_count)
 
 
 def test_class_rows_memory(gaussian):

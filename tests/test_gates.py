@@ -51,11 +51,19 @@ CHILD_GATES = {
         r = ct.count_visible_sieve(f, [il.point(f, [[0, 0], [0, 0]])], 2, ct.cube_region(f, 60))
         got = [r.visible_count, r.total_tuples]
         """, 60, [142170712, 121 ** 4], 100),
-    "sieve_Qsqrt-5_L100_within_10s_75MiB": ("""
+    # most pairs keep their last selection as a row list, not a W-bit set
+    "sieve_Qsqrt-5_L100_within_10s_50MiB": ("""
         f = nf.make_field('quadratic', d=-5)
         S = [il.point(f, [[0, 0], [0, 0]]), il.point(f, [[1, 0], [0, 1]])]
         got = ct.count_visible_sieve(f, S, 2, ct.cube_region(f, 100)).visible_count
-        """, 10, 406325036, 75),
+        """, 10, 406325036, 50),
+    # W^2 = 8.2 * 10^9 tuples, past the default tuple cap
+    "sieve_Qsqrt-5_L150_within_10s_80MiB": ("""
+        f = nf.make_field('quadratic', d=-5)
+        S = [il.point(f, [[0, 0], [0, 0]]), il.point(f, [[1, 0], [0, 1]])]
+        r = ct.cube_region(f, 150)
+        got = ct.count_visible_sieve(f, S, 2, r, tuple_cap=2 ** 40).visible_count
+        """, 10, 2045040038, 80),
     # 390 625 tuples through the visibility kernel
     "direct_eq_sieve_Qsqrt-7_L12_within_10s": ("""
         f = nf.make_field('quadratic', d=-7)
