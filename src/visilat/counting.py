@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -77,6 +77,23 @@ class Region:
     @property
     def L(self) -> int:
         return int(self.size)
+
+    @cached_property
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The region's rows as runs (prefix, h) of the last coordinate: run
+        i is the rows (prefix[i], -h[i]..h[i]) in lexicographic order (n = 1:
+        one run, empty prefix).  A prefix grown one coordinate at a time is
+        followed by c = -b..b, b = L in a cube and isqrt(floor(R^2) -
+        |prefix|^2) in a ball."""
+        r2 = int(self.size ** 2)
+        pre = np.zeros((1, 0), dtype=np.int64)
+        while True:
+            sq, inv = np.unique((pre * pre).sum(axis=1), return_inverse=True)
+            h = np.array([self.L if self.shape == "cube" else
+                          math.isqrt(r2 - s) for s in sq.tolist()], dtype=np.int64)[inv]
+            if pre.shape[1] == self.field.degree - 1:
+                return pre, h
+            pre = _run_rows(pre, h)
 
     def volume(self) -> Fraction:
         """Continuous volume: (2L)^n for cubes, V_n R^n for balls.
@@ -155,10 +172,9 @@ class IdealCountCheck:
 def region_coords(region: Region,
                   region_cap: int = DEFAULT_REGION_CAP) -> np.ndarray:
     """The region's rows, lexicographic in the untransformed coordinates, as
-    a read-only ``(W, n)`` int64 array, after ``_check_cap``; the latest
-    region's is cached (callers loop region-major)."""
+    a ``(W, n)`` int64 array built from ``Region.runs``, after ``_check_cap``."""
     _check_cap(region, region_cap)
-    return _region_array(region)
+    return _transform(region, _run_rows(*region.runs))
 
 
 def _check_cap(region: Region, region_cap: int) -> None:
@@ -171,30 +187,6 @@ def _check_cap(region: Region, region_cap: int) -> None:
            math.floor(_ball_volume_unit(n) * (region.size + half_diag) ** n) + 1)
     if est > region_cap:
         raise CapExceeded("region exceeds enumeration cap", estimate=est)
-
-
-@lru_cache(maxsize=1)
-def _region_array(region: Region) -> np.ndarray:
-    pts = _transform(region, _run_rows(*_region_runs(region)))
-    pts.flags.writeable = False
-    return pts
-
-
-@lru_cache(maxsize=1)
-def _region_runs(region: Region) -> tuple[np.ndarray, np.ndarray]:
-    """The region's rows as runs (prefix, h) of the last coordinate: run i is
-    the rows (prefix[i], -h[i]..h[i]) in lexicographic order (n = 1: one run,
-    empty prefix).  A prefix grown one coordinate at a time is followed by
-    c = -b..b, b = L in a cube and isqrt(floor(R^2) - |prefix|^2) in a ball."""
-    r2 = int(region.size ** 2)
-    pre = np.zeros((1, 0), dtype=np.int64)
-    while True:
-        sq, inv = np.unique((pre * pre).sum(axis=1), return_inverse=True)
-        h = np.array([region.L if region.shape == "cube" else
-                      math.isqrt(r2 - s) for s in sq.tolist()], dtype=np.int64)[inv]
-        if pre.shape[1] == region.field.degree - 1:
-            return pre, h
-        pre = _run_rows(pre, h)
 
 
 def _run_rows(pre: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -221,7 +213,7 @@ def _transform(region: Region, pts: np.ndarray) -> np.ndarray:
 
 
 def _class_runs(region: Region, plist, S: np.ndarray):
-    """(u0, q, count): the rows of run r of ``_region_runs`` in the class t
+    """(u0, q, count): the rows of run r of ``Region.runs`` in the class t
     of S[k] mod plist[i] are count of its u_n, from u0 in steps of q, with
     u0 and count at [i, k, r] and q at [i].
 
@@ -233,7 +225,7 @@ def _class_runs(region: Region, plist, S: np.ndarray):
     t: its u_n = tau mod q, for any p, f and h (a small p gives a run several
     rows).  The u_l are at most L in size, the b of ``pr.residues``.
     """
-    pre, h = _region_runs(region)
+    pre, h = region.runs
     n = region.field.degree
     TS = np.concatenate((_transform(region, np.eye(n, dtype=np.int64)), S))
     p, red = pr.residues(plist, TS, region.L)
@@ -395,8 +387,8 @@ def count_visible_sieve(field: FieldSpec, S, m: int, region: Region,
         at = np.repeat(moff[q] - np.cumsum(k) + k, k) + np.arange(int(k.sum()))
         prefix = np.repeat(z * W ** (m - 2), k) + mids[at]
         o = np.argsort(prefix, kind="stable")
-        q = np.repeat(q, k)[o]
-        new = np.diff(prefix[o], prepend=-1) != 0
+        q, prefix = np.repeat(q, k)[o], prefix[o]
+        new = np.concatenate((prefix[:1] >= 0, prefix[1:] != prefix[:-1]))  # [] if empty
         seg, starts = np.cumsum(new) - 1, np.flatnonzero(new)
         # one accumulator row per prefix, most sets first: a prefix keeps its
         # pairs in order, so its dense ones (q < nd) lead, and layer t ORs in
@@ -446,7 +438,7 @@ def _selections(region: Region, plist, S: np.ndarray):
     and about its rows; a chunk of primes ends where the cost before a prime
     passes a multiple of cap, half of ``BLOCK_BYTES``, so it stays under
     ``BLOCK_BYTES`` unless its last prime alone costs more than cap."""
-    h = _region_runs(region)[1]
+    h = region.runs[1]
     K, M, W = len(S), len(h), int((2 * h + 1).sum())
     mid, cap = np.cumsum(2 * h + 1) - h - 1, max(1, BLOCK_BYTES // 128)
     cost = np.array([K * (M + W // P.norm) for P in plist], dtype=np.int64)
@@ -561,7 +553,7 @@ def ideal_count_check(field: FieldSpec, P: pr.PrimeIdeal, region: Region,
                       region_cap: int = DEFAULT_REGION_CAP) -> IdealCountCheck:
     """Count |P ∩ region| and compare with volume/N(P).
 
-    Run by run of ``_region_runs``, with no rows built: the points of P are
+    Run by run of ``Region.runs``, with no rows built: the points of P are
     the class of 0, and ``_class_runs`` counts each run's rows in it, the
     closed form the sieve solves for its classes.
     The normalized error divides by (R/N^(1/n))^(n-1) for balls and by

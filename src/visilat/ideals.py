@@ -241,6 +241,7 @@ def rows_index(rows: np.ndarray, rsets, g: np.ndarray) -> np.ndarray:
     return out
 
 
+# cached: every ideal_rows call on a field reads this one array, ~10 us to build
 @lru_cache(maxsize=None)
 def _tensor(field: FieldSpec) -> tuple[np.ndarray, int]:
     """M[j*n + k, a] = T[a][j][k], taking x to its rows x e_j, and max_{j,k} sum_a |T|."""
@@ -248,6 +249,7 @@ def _tensor(field: FieldSpec) -> tuple[np.ndarray, int]:
     return M.reshape(-1, field.degree), int(np.abs(M).sum(axis=2).max())
 
 
+# cached: a table keyed by small integers, the same at every call
 @lru_cache(maxsize=None)
 def minors(r: int, n: int) -> tuple:
     """The row sets of the n x n minors of r blocks of n rows, blocks first."""
@@ -264,6 +266,7 @@ def _det(rows: np.ndarray, rs) -> np.ndarray:
     return det
 
 
+# cached: a table keyed by small integers, the same at every call
 @lru_cache(maxsize=None)
 def _leibniz(n: int) -> tuple:
     """The terms (iadd or isub, by sign; permutation) of an n x n determinant."""

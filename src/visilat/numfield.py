@@ -21,12 +21,12 @@ and the discriminant is disc(f) = (-1)^(n(n-1)/2) N(f'(theta)).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -41,7 +41,7 @@ QUADRATIC_D_BOUND = 2 ** 63  # a quadratic d is refused from |d| = this on
 IRREDUCIBLE_PRIMES = 4       # the irreducibility test factors f mod this many primes
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class FieldSpec:
     """A number field K together with its ring of integers O.
 
@@ -49,7 +49,8 @@ class FieldSpec:
     tensor fully determines multiplication in O over the basis.
     ``gen_minpoly`` is the monic minimal polynomial of the basis generator
     theta (constant term first); the basis is always {1, theta, ...,
-    theta^(n-1)}.
+    theta^(n-1)}.  ``splits`` is the splitting engine's memo, p -> the prime
+    ideals above p (``primes.split_primes``); it is not part of equality.
     """
 
     kind: str
@@ -58,6 +59,7 @@ class FieldSpec:
     mult_tensor: tuple
     gen_minpoly: tuple[int, ...]
     d: int | None = None
+    splits: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def discriminant(self) -> int:
@@ -263,7 +265,7 @@ def _poly_irreducible(field: FieldSpec) -> bool:
     C(k, j) |f|_2 <= M; at a p > 2M with f mod p squarefree, h is the lift to
     (-p/2, p/2] of a product of f's irreducible factors mod p.  Of the first
     ``IRREDUCIBLE_PRIMES`` such p, the one with the fewest factors is split
-    unless it has one; a refused f leaves no entry in the engine's memo."""
+    unless it has one."""
     from . import primes  # primes imports this module
 
     f, n, disc = field.gen_minpoly, field.degree, field.discriminant
@@ -285,7 +287,6 @@ def _poly_irreducible(field: FieldSpec) -> bool:
         for i in reversed(range(len(h) - 1, n + 1)):  # r mod h over Z
             r[i + 1 - len(h):i + 1] -= r[i] * h
         if not r.any():
-            del primes._SPLIT[field]
             return False
     return True
 

@@ -39,10 +39,9 @@ from .ideals import ideal_from_generators  # noqa: F401
 from .numfield import FieldSpec
 
 LANE_BYTES = 2 ** 17      # the engine's working set per chunk of lanes, at int64
-CACHE_SIZE = 1024         # entries of each field's split memo and of two lru_caches
+CACHE_SIZE = 1024         # entries of each field's split memo and of split_prime's lru_cache
 SPLIT_LANES = 256         # a round draws about this many h, 1 to 16 for each piece
 SPLIT_ROUNDS = 64         # each stays whole through a round with probability about 1/2
-_SPLIT: dict = {}         # field -> {p: the prime ideals above p}, for ``split_primes``
 
 @dataclass(frozen=True, slots=True)
 class PrimeIdeal:
@@ -79,12 +78,13 @@ def is_prime(n: int) -> bool:
 
 def split_primes(field: FieldSpec, ps: Sequence[int]) -> list[tuple[PrimeIdeal, ...]]:
     """The prime ideals above each rational prime of ps (taken to be prime),
-    sorted by gpoly; the last ``CACHE_SIZE`` p split over a field are kept.
+    sorted by gpoly; the last ``CACHE_SIZE`` p split over a field are kept
+    in its ``splits``.
     A factorization is refused (RuntimeError) unless each factor g divides f
     (e >= 1 times) and the e deg g sum to deg f: for distinct irreducible g,
     the product of the g^e is then f, which no draw of the splitting stage
     can change."""
-    memo, rng = _SPLIT.setdefault(field, {}), random.Random(0)  # fixed draws
+    memo, rng = field.splits, random.Random(0)  # fixed draws
     for p, f, T, ram in _lanes(field, [p for p in dict.fromkeys(ps) if p not in memo]):
         lane, g = _equal_degree(*_frobenius(p, f, T, ram), p, T, rng)
         f, deg, e = f[:, lane], _deg(g), np.zeros(len(lane), np.int64)
@@ -275,6 +275,7 @@ def _divmod(a, b, p):
 # splitting of rational primes
 # ----------------------------------------------------------------------
 
+# redundant with field.splits, but perfbench's split_cache metric reads it
 @lru_cache(maxsize=CACHE_SIZE)
 def _split_prime_cached(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
     if not is_prime(p):
@@ -313,7 +314,6 @@ def window_first_t(field: FieldSpec, t: int) -> tuple[PrimeIdeal, ...]:
 # residue fields
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=CACHE_SIZE)
 def reduction_rows(P: PrimeIdeal) -> tuple[tuple[int, ...], ...]:
     """Row i = theta^i in F_p[x]/(g), padded to length f: x times row i - 1."""
     p, g = P.under_p, P.gpoly

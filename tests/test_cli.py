@@ -627,10 +627,10 @@ def test_no_command_imports_numpy_random(tmp_path):
 
 def test_lemma_check_builds_no_rows(capsys, tmp_path, monkeypatch):
     # the lemma check counts over the runs of the last coordinate alone
-    def boom(region):
+    def boom(region, region_cap=None):
         raise AssertionError("the region's rows were built")
 
-    monkeypatch.setattr(ct, "_region_array", boom)
+    monkeypatch.setattr(ct, "region_coords", boom)
     cfg = base_config(tmp_path, field={"kind": "monogenic", "minpoly": [-1, -1, 0, 1]},
                       s=[[[0, 0, 0], [0, 0, 0]]], modes=["lemma-check"],
                       regions=[{"shape": "cube", "L": 6}, {"shape": "ball", "R": 7}],

@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -75,12 +76,18 @@ def test_region_coords_basis_transform(cubic):
         assert got.tolist() == brute_region(cubic, shape, 3, T)
 
 
-def test_region_coords_read_only(gaussian):
+def test_region_coords_fresh_array(gaussian):
+    # each call builds its own rows: a write to one result reaches no other
     region = ct.ball_region(gaussian, 3)
     coords = ct.region_coords(region)
-    with pytest.raises(ValueError):
-        coords[0, 0] = 7
-    assert ct.region_coords(region) is coords  # the cached array
+    coords[0, 0] = 7
+    assert ct.region_coords(region).tolist() == brute_region(gaussian, "ball", 3)
+
+
+def test_region_coords_kept_by_no_cache(gaussian):
+    # the rows live as long as their caller holds them
+    coords = weakref.ref(ct.region_coords(ct.cube_region(gaussian, 3)))
+    assert coords() is None
 
 
 def test_transform_overflow_refused(gaussian):
@@ -141,12 +148,11 @@ def test_ball_estimate_bounds_count(rational, gaussian, n):
         assert err.value.estimate >= count
 
 
-def test_degree6_ball_within_default_cap(monkeypatch):
+def test_degree6_ball_within_default_cap():
     # x^6 - x - 1, R = 8: 1 395 261 points, a third of the default cap
     region = ct.ball_region(_x_n_minus_x_minus_1(6), 8)
     assert _ball_count(6, 8) == 1395261
-    monkeypatch.setattr(ct, "_region_array", lambda r: "built")
-    assert ct.region_coords(region) == "built"
+    ct._check_cap(region, ct.DEFAULT_REGION_CAP)  # region_coords's check, no rows built
     with pytest.raises(CapExceeded) as err:
         ct.region_coords(region, region_cap=1395260)
     assert err.value.estimate < 3.2e6
@@ -156,14 +162,12 @@ def test_degree6_ball_within_default_cap(monkeypatch):
 def test_ball_build_memory(n, R):
     # building a ball allocates little beyond the result itself
     region = ct.ball_region(_x_n_minus_x_minus_1(n), R)
-    ct._region_array.cache_clear()
     tracemalloc.start()
     try:
         coords = ct.region_coords(region)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        ct._region_array.cache_clear()
     assert len(coords) == _ball_count(n, R)
     assert peak <= 3 * coords.nbytes
 
@@ -682,17 +686,20 @@ def test_class_rows_equal_residue_scan(gaussian, cubic, monkeypatch, block):
         (17, ((5, 1), (4, 1))), (5, tuple(map(tuple, T0)))}
 
 
-def test_sieve_enumerates_a_sheared_cube_once(gaussian):
-    # the rows and the closed form's runs come from one cached run table, so
-    # a transformed region's runs and rows are each built once
+def test_sieve_enumerates_a_sheared_cube_once(gaussian, monkeypatch):
+    # the rows and the closed form's runs come from the region's one run
+    # table, so a transformed region's runs are built once and its rows once
+    # a count: at n = 2 the table is one _run_rows call on width-0 prefixes,
+    # the rows one on the table's width-1 prefixes
     region = ct.cube_region(gaussian, 4, [[1, 1], [0, 1]])
-    ct._region_array.cache_clear()
-    ct._region_runs.cache_clear()
+    widths, run_rows = [], ct._run_rows
+    monkeypatch.setattr(ct, "_run_rows", lambda pre, h: widths.append(pre.shape[1])
+                        or run_rows(pre, h))
     res = ct.count_visible_sieve(gaussian, [origin(gaussian, 2)], 2, region)
-    assert ct._region_runs.cache_info().misses == 1
-    assert ct._region_array.cache_info().misses == 1
+    assert widths == [0, 1]
     assert res.visible_count == ct.count_visible_direct(
         gaussian, [origin(gaussian, 2)], 2, region).visible_count
+    assert widths == [0, 1, 1]
 
 
 @SWITCH

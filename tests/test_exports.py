@@ -1,4 +1,6 @@
 import ast
+import importlib
+import pkgutil
 
 import pytest
 
@@ -36,3 +38,13 @@ def test_readme_quick_start_names_exported():
 def test_test_only_names_are_gone(owner, name):
     assert not hasattr(owner, name)
     assert not hasattr(visilat, name) and name not in visilat.__all__
+
+
+def test_kept_caches():
+    # the lru_caches left in the program; the other per-field and per-region
+    # caches live on the FieldSpec (splits) and the Region (runs)
+    found = {f"{info.name}.{name}" for info in pkgutil.iter_modules(visilat.__path__)
+             for name, obj in vars(importlib.import_module(f"visilat.{info.name}")).items()
+             if hasattr(obj, "cache_info") and obj.__module__ == f"visilat.{info.name}"}
+    assert found == {"primes._split_prime_cached", "ideals._tensor", "ideals.minors",
+                     "ideals._leibniz"}

@@ -226,7 +226,7 @@ def test_kernel_compaction_paths(gaussian, base, monkeypatch):
     def minor_widths(diffs):
         z = np.array([[[a + b for a, b in zip(d, c)] for d, c in zip(lane, s)]
                       for lane in diffs], dtype=np.int64).reshape(-1, 2, 2)
-        z.flags.writeable = False  # as region_coords returns
+        z.flags.writeable = False  # the kernel must not write to its input
         del widths[:]
         got = il.ideal_index(gaussian, z, s)
         assert got.dtype == np.dtype(object if base else np.int64)

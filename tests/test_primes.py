@@ -114,14 +114,14 @@ def test_engine_coefficients_past_int64():
         assert _factors(_spec(f), ps) == [_sympy_factors(f, p) for p in ps]
 
 
-def test_splitting_stage_gives_up_on_a_piece_it_cannot_split(cubic, monkeypatch):
+def test_splitting_stage_gives_up_on_a_piece_it_cannot_split(monkeypatch):
     # x^2 + 1 is irreducible mod 3, no product of linear factors: no draw
-    # parts it, and the stage stops after SPLIT_ROUNDS rounds
-    monkeypatch.setattr(pr, "_SPLIT", {})  # split afresh, not from the memo
+    # parts it, and the stage stops after SPLIT_ROUNDS rounds; a fresh field
+    # has no splits to answer from
     monkeypatch.setattr(pr, "_frobenius", lambda *a: (
         np.array([0]), np.array([1]), np.array([[1], [0], [1], [0]])))
     with pytest.raises(RuntimeError, match="did not split in 64 rounds"):
-        pr.split_primes(cubic, [3])
+        pr.split_primes(_spec((-1, -1, 0, 1)), [3])
 
 
 def _pmul(a, b, p):
@@ -253,13 +253,12 @@ def test_primes_up_to_norm_is_one_batch(gaussian, monkeypatch):
 
 
 def test_split_caches_are_bounded(gaussian):
-    # a norm enumeration leaves split_prime's cache and the engine's memo
+    # a norm enumeration leaves split_prime's cache and the field's splits
     # within their fixed size
     assert pr._split_prime_cached.cache_info().maxsize == pr.CACHE_SIZE
-    assert pr.reduction_rows.cache_info().maxsize == pr.CACHE_SIZE
     assert len(pr.primes_up_to_norm(gaussian, 10 ** 5)) == 9601
     assert pr._split_prime_cached.cache_info().currsize <= pr.CACHE_SIZE
-    assert len(pr._SPLIT[gaussian]) == pr.CACHE_SIZE
+    assert len(gaussian.splits) == pr.CACHE_SIZE
 
 
 def test_primes_up_to_norm(rational, gaussian, root2):
@@ -500,18 +499,19 @@ def test_difference_norm_product_matches_hnf(kind, kw, m):
     assert il.ideal_index(field, lanes, S[2]).dtype == (object if n > 1 else np.int64)
 
 
-def test_split_refuses_a_non_divisor(cubic, monkeypatch):
+def test_split_refuses_a_non_divisor(monkeypatch):
     # x^3 - x - 1 = (x + 2)(x^2 + 5x + 3) mod 7; a splitting stage that gave
-    # x in place of x + 2 keeps the degree sum 3, but x divides f no time
-    monkeypatch.setattr(pr, "_SPLIT", {})  # split afresh, not from the memo
+    # x in place of x + 2 keeps the degree sum 3, but x divides f no time; a
+    # fresh field has no splits to answer from
+    field = _spec((-1, -1, 0, 1))
     monkeypatch.setattr(pr, "_equal_degree", lambda *a: (
         np.array([0, 0]), np.array([[0, 3], [1, 5], [0, 1], [0, 0]])))
     with pytest.raises(RuntimeError, match=r"\[\(\(0, 1\), 0\), \(\(3, 5, 1\), 1\)\] do not multiply"):
-        pr.split_primes(cubic, [7])
+        pr.split_primes(field, [7])
     pr._split_prime_cached.cache_clear()
     with pytest.raises(RuntimeError, match="do not multiply"):
-        pr.split_prime(cubic, 7)
-    assert 7 not in pr._SPLIT[cubic]
+        pr.split_prime(field, 7)
+    assert 7 not in field.splits
 
 
 @pytest.mark.parametrize("fname", ["gaussian", "golden", "cubic"])
